@@ -1,6 +1,6 @@
 // Concurrent-serving benchmark: one shared view, N threads.
 //
-// Sweeps thread counts (1, 2, 4, ... up to --threads) over four phases,
+// Sweeps thread counts (1, 2, 4, ... up to --threads) over two phases,
 // all against shared structures:
 //
 //   pool      N threads pin/read/unpin pages of the SALE heap file
@@ -10,10 +10,6 @@
 //             level_disk_us attributions must reconcile EXACTLY with the
 //             device's busy-time delta — the end-to-end check that
 //             thread-local I/O attribution loses nothing.
-//   parallel  one query fanned across N worker threads
-//             (ParallelAceSampler); same exact reconciliation.
-//   sessions  N MSVQL scripts served concurrently by one Executor
-//             through a SessionPool.
 //
 // Writes bench_results/BENCH_concurrency.json with per-thread-count
 // timings and throughput so CI can track scaling.
@@ -26,11 +22,8 @@
 
 #include "core/ace_sampler.h"
 #include "core/ace_tree.h"
-#include "core/parallel_sampler.h"
 #include "harness.h"
 #include "io/buffer_pool.h"
-#include "query/executor.h"
-#include "query/session_pool.h"
 #include "relation/workload.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -45,8 +38,7 @@ double WallMsSince(std::chrono::steady_clock::time_point start) {
 }
 
 /// Sum of a sampler's per-level disk attribution across all levels.
-template <typename Sampler>
-uint64_t TotalLevelDiskUs(const Sampler& sampler, uint32_t height) {
+uint64_t TotalLevelDiskUs(const core::AceSampler& sampler, uint32_t height) {
   uint64_t sum = 0;
   for (uint32_t level = 1; level <= height; ++level) {
     sum += sampler.level_disk_us(level);
@@ -180,80 +172,15 @@ int Run(int argc, char** argv) {
                     "sampler disk attribution must reconcile exactly");
     }
 
-    // --- Phase 3: one query fanned across N prefetch workers.
-    PhaseResult parallel_phase;
-    {
-      auto device = BenchEnv::NewDevice();
-      auto timed = env.TimedEnv(device);
-      auto tree_or =
-          core::AceTree::Open(timed.get(), BenchEnv::kAce, env.layout());
-      MSV_CHECK(tree_or.ok());
-      auto tree = std::move(tree_or).value();
-      relation::WorkloadGenerator workload(
-          {{0.0, options.day_max}, {0.0, options.amount_max}},
-          options.seed + 13);
-      auto queries = workload.Queries(selectivity, /*dims=*/1, 1);
-
-      const io::DiskStats before = device->total_stats();
-      auto start = std::chrono::steady_clock::now();
-      core::ParallelAceSampler::Options popt;
-      popt.threads = threads;
-      core::ParallelAceSampler sampler(tree.get(), queries[0],
-                                       options.seed + 200, popt);
-      while (!sampler.done()) {
-        auto batch = sampler.NextBatch();
-        MSV_CHECK(batch.ok());
-      }
-      parallel_phase.wall_ms = WallMsSince(start);
-      parallel_phase.samples = sampler.samples_returned();
-      parallel_phase.busy_us = (device->total_stats() - before).busy_us;
-      MSV_CHECK_MSG(TotalLevelDiskUs(sampler, tree->meta().height) ==
-                        parallel_phase.busy_us,
-                    "parallel sampler disk attribution must reconcile");
-    }
-
-    // --- Phase 4: N MSVQL sessions against one executor.
-    PhaseResult sessions_phase;
-    {
-      auto mem = io::NewMemEnv();
-      auto exec_or = query::Executor::Open(mem.get());
-      MSV_CHECK(exec_or.ok());
-      auto exec = std::move(exec_or).value();
-      const uint64_t rows = smoke ? 5'000 : 20'000;
-      auto setup = exec->Run(
-          "GENERATE TABLE sale ROWS " + std::to_string(rows) +
-          " SEED 7; CREATE MATERIALIZED SAMPLE VIEW v AS SELECT * FROM "
-          "sale INDEX ON day;");
-      MSV_CHECK(setup.ok());
-      std::vector<std::string> scripts;
-      for (size_t t = 0; t < threads; ++t) {
-        double lo = 1000.0 * static_cast<double>(t);
-        scripts.push_back("ESTIMATE AVG(amount) FROM v WHERE day BETWEEN " +
-                          std::to_string(lo) + " AND " +
-                          std::to_string(lo + 40000.0) +
-                          " SAMPLES 500;");
-      }
-      auto start = std::chrono::steady_clock::now();
-      auto results =
-          query::SessionPool::RunScripts(exec.get(), scripts, threads);
-      sessions_phase.wall_ms = WallMsSince(start);
-      for (const auto& r : results) {
-        MSV_CHECK_MSG(r.ok(), "session script failed");
-      }
-      sessions_phase.samples = results.size();
-    }
-
     std::printf(
         "threads=%zu  pool %.1f ms  samplers %.1f ms (%llu samples, "
-        "busy %llu us)  parallel %.1f ms  sessions %.1f ms\n",
+        "busy %llu us)\n",
         threads, pool_phase.wall_ms, samplers_phase.wall_ms,
         static_cast<unsigned long long>(samplers_phase.samples),
-        static_cast<unsigned long long>(samplers_phase.busy_us),
-        parallel_phase.wall_ms, sessions_phase.wall_ms);
+        static_cast<unsigned long long>(samplers_phase.busy_us));
 
     rows.push_back({static_cast<double>(threads), pool_phase.wall_ms,
-                    samplers_phase.wall_ms, parallel_phase.wall_ms,
-                    sessions_phase.wall_ms});
+                    samplers_phase.wall_ms});
 
     obs::Json entry = obs::Json::Object();
     entry["pool_wall_ms"] = obs::Json(pool_phase.wall_ms);
@@ -262,21 +189,12 @@ int Run(int argc, char** argv) {
     entry["samplers_samples"] = obs::Json(samplers_phase.samples);
     entry["samplers_busy_us"] = obs::Json(samplers_phase.busy_us);
     entry["samplers_reconciled"] = obs::Json(true);
-    entry["parallel_wall_ms"] = obs::Json(parallel_phase.wall_ms);
-    entry["parallel_samples"] = obs::Json(parallel_phase.samples);
-    entry["parallel_reconciled"] = obs::Json(true);
-    entry["sessions_wall_ms"] = obs::Json(sessions_phase.wall_ms);
     per_threads[std::to_string(threads)] = std::move(entry);
   }
 
   PrintTable("concurrency: wall ms per phase",
-             {"threads", "pool_ms", "samplers_ms", "parallel_ms",
-              "sessions_ms"},
-             rows);
-  WriteCsv("concurrency.csv",
-           {"threads", "pool_ms", "samplers_ms", "parallel_ms",
-            "sessions_ms"},
-           rows);
+             {"threads", "pool_ms", "samplers_ms"}, rows);
+  WriteCsv("concurrency.csv", {"threads", "pool_ms", "samplers_ms"}, rows);
 
   obs::Json numbers = obs::Json::Object();
   numbers["records"] = obs::Json(options.records);

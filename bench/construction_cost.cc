@@ -21,13 +21,8 @@ namespace msv::bench {
 namespace {
 
 int Main(int argc, char** argv) {
-  // --io_batch=0 disables double-buffered merge readahead and batched
-  // run/leaf writes in the external sorts (the A/B the io_batching bench
-  // sweeps; default matches production).
-  Flags flags(argc, argv,
-              {{"seed", "42"}, {"page", "65536"}, {"io_batch", "1"}});
+  Flags flags(argc, argv, {{"seed", "42"}, {"page", "65536"}});
   const size_t page = flags.GetInt("page");
-  const bool io_batch = flags.GetInt("io_batch") != 0;
 
   std::vector<std::vector<double>> rows;
   for (uint64_t n : {100'000ull, 300'000ull, 1'000'000ull}) {
@@ -52,7 +47,6 @@ int Main(int argc, char** argv) {
     double ace_scans = timed_build([&](io::Env* e) {
       core::AceBuildOptions options;
       options.page_size = page;
-      options.sort.batched_io = io_batch;
       MSV_CHECK(
           core::BuildAceTree(e, "sale", "ace", layout, options, &ace_metrics)
               .ok());
@@ -64,9 +58,7 @@ int Main(int argc, char** argv) {
                     .ok());
     });
     double perm_scans = timed_build([&](io::Env* e) {
-      permuted::PermuteOptions options;
-      options.sort.batched_io = io_batch;
-      MSV_CHECK(permuted::BuildPermutedFile(e, "sale", "perm", options).ok());
+      MSV_CHECK(permuted::BuildPermutedFile(e, "sale", "perm").ok());
     });
     double rtree_scans = timed_build([&](io::Env* e) {
       rtree::RTreeOptions options;
@@ -95,7 +87,6 @@ int Main(int argc, char** argv) {
   WriteCsv("construction.csv", header, rows);
 
   obs::Json numbers = obs::Json::Object();
-  numbers["io_batch"] = obs::Json(io_batch);
   numbers["page"] = obs::Json(static_cast<uint64_t>(page));
   obs::Json sizes = obs::Json::Array();
   for (const auto& row : rows) {

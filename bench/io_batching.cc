@@ -1,32 +1,26 @@
 // Batched-I/O A/B study: what coalesced multi-page reads buy under the
 // simulated disk.
 //
-// Part 1 sweeps the serial AceSampler's io_batch_window over a
-// fig14-style full-drain workload (2.5% selectivity, run to completion).
-// Window 1 is the historical leaf-at-a-time path; wider windows fetch
-// the in-flight stab set per batched read in elevator order, so runs of
-// physically adjacent leaves collapse into single modeled accesses;
-// window 0 drains the whole stab order in one batch. The emitted sample
-// stream is byte-identical at every window (pinned by determinism_test);
-// only the I/O schedule — and therefore the modeled time — changes.
-//
-// Part 2 A/Bs construction with SortOptions.batched_io on and off: the
-// double-buffered TPMMS merge readahead and batched run/leaf writes for
-// both ACE build passes and the permuted-file baseline.
+// Runs the AceSampler's two leaf I/O policies over a fig14-style
+// full-drain workload (2.5% selectivity, run to completion). The
+// leaf-at-a-time policy reads one leaf per NextBatch; the drain policy
+// fetches the whole stab order in one elevator-ordered batched read, so
+// runs of physically adjacent leaves collapse into single modeled
+// accesses. The emitted sample stream is byte-identical under both
+// (pinned by determinism_test); only the I/O schedule — and therefore
+// the modeled time — changes.
 //
 // The ">= 2x modeled disk-time reduction" acceptance criterion for the
-// full-drain sweep is asserted in-process: the bench aborts if batching
+// drain policy is asserted in-process: the bench aborts if batching
 // stops paying for itself.
 
 #include <cstdio>
 #include <memory>
 #include <vector>
 
-#include "core/ace_builder.h"
 #include "core/ace_sampler.h"
 #include "core/ace_tree.h"
 #include "harness.h"
-#include "permuted/permuted_file.h"
 #include "relation/workload.h"
 #include "util/logging.h"
 
@@ -58,20 +52,19 @@ int Main(int argc, char** argv) {
   auto queries =
       workload.Queries(flags.GetDouble("selectivity"), 1, num_queries);
 
-  // ---- Part 1: full-drain window sweep.
+  // ---- Leaf-at-a-time vs drain, each to completion.
   struct SweepPoint {
-    size_t window;
+    bool drain;
     double mean_completion_ms = 0;
     uint64_t busy_us = 0;
     uint64_t seeks = 0;
     uint64_t batched_accesses = 0;
     uint64_t batched_pages = 0;
   };
-  const std::vector<size_t> windows = {1, 4, 16, 0};  // 0 = full drain
   std::vector<SweepPoint> sweep;
-  for (size_t window : windows) {
+  for (bool drain : {false, true}) {
     SweepPoint point;
-    point.window = window;
+    point.drain = drain;
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       auto device = BenchEnv::NewDevice();
       auto timed = env.TimedEnv(device);
@@ -80,7 +73,7 @@ int Main(int argc, char** argv) {
       MSV_CHECK(tree_or.ok());
       auto tree = std::move(tree_or).value();
       core::AceSamplerOptions sampler_options;
-      sampler_options.io_batch_window = window;
+      sampler_options.drain = drain;
       core::AceSampler sampler(tree.get(), queries[qi], options.seed + qi,
                                sampler_options);
       device->clock().Reset();
@@ -105,57 +98,18 @@ int Main(int argc, char** argv) {
             ? static_cast<double>(p.batched_pages) /
                   static_cast<double>(p.batched_accesses)
             : 0.0;
-    sweep_rows.push_back({static_cast<double>(p.window),
+    sweep_rows.push_back({p.drain ? 1.0 : 0.0,
                           p.mean_completion_ms,
                           p.mean_completion_ms / scan_ms * 100.0,
                           static_cast<double>(p.busy_us) / 1000.0,
                           static_cast<double>(p.seeks), coalesce});
   }
-  std::vector<std::string> sweep_header{"window",       "completion_ms",
+  std::vector<std::string> sweep_header{"drain",        "completion_ms",
                                         "pct_scan",     "disk_busy_ms",
                                         "seeks",        "coalesce_ratio"};
-  PrintTable("ACE full-drain window sweep (window 0 = whole stab order)",
+  PrintTable("ACE to completion: leaf-at-a-time (drain 0) vs drain (1)",
              sweep_header, sweep_rows);
   WriteCsv("io_batching_sweep.csv", sweep_header, sweep_rows);
-
-  // ---- Part 2: construction A/B (batched_io on/off).
-  auto build_ms = [&](bool batched_io) {
-    obs::Json entry = obs::Json::Object();
-    {
-      auto device = BenchEnv::NewDevice();
-      auto timed = env.TimedEnv(device);
-      core::AceBuildOptions build;
-      build.page_size = options.page_size;
-      build.seed = options.seed + 2;
-      build.sort.batched_io = batched_io;
-      const char* name = batched_io ? "ace.batched" : "ace.scalar";
-      MSV_CHECK(core::BuildAceTree(timed.get(), BenchEnv::kSale, name,
-                                   env.layout(), build)
-                    .ok());
-      entry["ace_build_ms"] = obs::Json(device->clock().NowMs());
-    }
-    {
-      auto device = BenchEnv::NewDevice();
-      auto timed = env.TimedEnv(device);
-      permuted::PermuteOptions perm;
-      perm.seed = options.seed + 1;
-      perm.sort.batched_io = batched_io;
-      const char* name = batched_io ? "perm.batched" : "perm.scalar";
-      MSV_CHECK(
-          permuted::BuildPermutedFile(timed.get(), BenchEnv::kSale, name, perm)
-              .ok());
-      entry["permuted_build_ms"] = obs::Json(device->clock().NowMs());
-    }
-    return entry;
-  };
-  obs::Json build_on = build_ms(/*batched_io=*/true);
-  obs::Json build_off = build_ms(/*batched_io=*/false);
-  std::printf("\nconstruction (modeled ms): ace %.1f -> %.1f, permuted "
-              "%.1f -> %.1f with batching\n",
-              build_off["ace_build_ms"].AsNumber(),
-              build_on["ace_build_ms"].AsNumber(),
-              build_off["permuted_build_ms"].AsNumber(),
-              build_on["permuted_build_ms"].AsNumber());
 
   // ---- Machine-readable record.
   obs::Json numbers = obs::Json::Object();
@@ -173,15 +127,13 @@ int Main(int argc, char** argv) {
     }
     sweep_json.Append(std::move(entry));
   }
-  numbers["window_sweep"] = std::move(sweep_json);
-  numbers["construction_batched"] = std::move(build_on);
-  numbers["construction_scalar"] = std::move(build_off);
+  numbers["policy_sweep"] = std::move(sweep_json);
   WriteBenchJson("io_batching", numbers);
 
-  // ---- Acceptance criterion: full drain must at least halve the modeled
-  // disk time of the leaf-at-a-time path on this workload.
-  const uint64_t scalar_us = sweep.front().busy_us;  // window 1
-  const uint64_t full_us = sweep.back().busy_us;     // window 0
+  // ---- Acceptance criterion: the drain policy must at least halve the
+  // modeled disk time of the leaf-at-a-time path on this workload.
+  const uint64_t scalar_us = sweep.front().busy_us;  // leaf-at-a-time
+  const uint64_t full_us = sweep.back().busy_us;     // drain
   std::printf("\nfull-drain disk time %.1f ms vs leaf-at-a-time %.1f ms "
               "(%.1fx)\n",
               static_cast<double>(full_us) / 1000.0,

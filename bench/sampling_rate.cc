@@ -1,7 +1,6 @@
 #include "sampling_rate.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "btree/btree_sampler.h"
@@ -60,29 +59,19 @@ int RunSamplingRateBench(int argc, char** argv,
                {"pull_records", "4"},
                {"record_cpu_ms", "0.15"},
                {"io_batch", "1"},
-               {"io_batch_window", "auto"},
                {"assert_min_coalesce", "0"},
                {"smoke", "0"}});
   // --smoke: CI-sized run (seconds, not minutes) that still exercises
   // every competitor and emits the BENCH_*.json record.
   const bool smoke = flags.GetInt("smoke") != 0;
-  // --io_batch / --io_batch_window: batched leaf I/O for the ACE
-  // sampler. "auto" drains the whole stab order in one elevator-ordered
-  // batch for to-completion figures (where only total time matters) and
-  // keeps the historical leaf-at-a-time path for time-bounded figures
-  // (prefetching ahead of the clock would delay the early samples the
-  // x-axis is plotting). An explicit number is the window; 0 = full
-  // drain.
+  // --io_batch: batched leaf I/O for the ACE sampler. On, to-completion
+  // figures (where only total time matters) drain the whole stab order
+  // in one elevator-ordered batch, and time-bounded figures keep the
+  // leaf-at-a-time path (prefetching ahead of the clock would delay the
+  // early samples the x-axis is plotting). Off, every figure reads one
+  // leaf at a time.
   const bool io_batch = flags.GetInt("io_batch") != 0;
-  size_t io_batch_window = 1;
-  if (io_batch) {
-    const std::string window_flag = flags.GetString("io_batch_window");
-    io_batch_window =
-        window_flag == "auto"
-            ? (config.to_completion ? 0 : 1)
-            : static_cast<size_t>(
-                  std::strtoull(window_flag.c_str(), nullptr, 10));
-  }
+  const bool drain = io_batch && config.to_completion;
 
   BenchEnv::Options options;
   options.records = smoke ? 100'000 : flags.GetInt("records");
@@ -142,7 +131,7 @@ int RunSamplingRateBench(int argc, char** argv,
       MSV_CHECK(tree_or.ok());
       auto tree = std::move(tree_or).value();
       core::AceSamplerOptions sampler_options;
-      sampler_options.io_batch_window = io_batch_window;
+      sampler_options.drain = drain;
       core::AceSampler sampler(tree.get(), q, options.seed + qi,
                                sampler_options);
       // Metadata (superblock, internal nodes, directory) is resident in a
@@ -262,9 +251,9 @@ int RunSamplingRateBench(int argc, char** argv,
   numbers["scan_ms"] = obs::Json(scan_ms);
   numbers["smoke"] = obs::Json(smoke);
   numbers["io_batch"] = obs::Json(io_batch);
-  numbers["io_batch_window"] = obs::Json(static_cast<uint64_t>(io_batch_window));
+  numbers["ace_io_policy"] = obs::Json(drain ? "drain" : "leaf");
   // Modeled pages per coalesced access across all ACE runs; 0 when the
-  // batched path was off (window 1 reads leaves one at a time).
+  // ACE sampler read one leaf at a time.
   const double coalesce_ratio =
       ace_batched_accesses > 0
           ? static_cast<double>(ace_batched_pages) /

@@ -69,8 +69,7 @@ Result<std::string> Phase1OneDim(io::Env* env, const std::string& input_name,
 
   MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> sorted,
                        HeapFile::Open(env, sorted_name));
-  auto scanner =
-      sorted->NewScanner(4 << 20, /*readahead=*/options.sort.batched_io);
+  auto scanner = sorted->NewScanner(4 << 20, /*readahead=*/true);
   uint64_t next_m = 1;
   double first_key = 0.0, last_key = 0.0;
   for (uint64_t r = 0; r < num_records; ++r) {
@@ -117,8 +116,7 @@ Status Phase1MultiDim(io::Env* env, const std::string& input_name,
     root->hi[d] = -std::numeric_limits<double>::infinity();
   }
 
-  auto scanner =
-      input->NewScanner(4 << 20, /*readahead=*/options.sort.batched_io);
+  auto scanner = input->NewScanner(4 << 20, /*readahead=*/true);
   for (;;) {
     MSV_ASSIGN_OR_RETURN(const char* rec, scanner.Next());
     if (rec == nullptr) break;
@@ -282,8 +280,7 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
     Pcg64 rng(options.seed);
     std::vector<char> buf(tagged_size);
     double keys[storage::kMaxKeyDims] = {0};
-    auto scanner =
-        in->NewScanner(4 << 20, /*readahead=*/options.sort.batched_io);
+    auto scanner = in->NewScanner(4 << 20, /*readahead=*/true);
     for (;;) {
       MSV_ASSIGN_OR_RETURN(const char* rec, scanner.Next());
       if (rec == nullptr) break;
@@ -364,16 +361,13 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
     {
       MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> placed,
                            HeapFile::Open(env, placed_name));
-      auto scanner =
-          placed->NewScanner(4 << 20, /*readahead=*/options.sort.batched_io);
+      auto scanner = placed->NewScanner(4 << 20, /*readahead=*/true);
       MSV_ASSIGN_OR_RETURN(const char* rec, scanner.Next());
 
       // Leaf blobs accumulate here and flush as one large write, so the
       // read (placed scan) / write (leaf region) interleave costs one
-      // seek pair per buffer-full instead of one per leaf. A zero
-      // threshold (batching off) degenerates to one write per leaf.
-      const size_t write_buffer_bytes =
-          options.sort.batched_io ? size_t{4} << 20 : 0;
+      // seek pair per buffer-full instead of one per leaf.
+      const size_t write_buffer_bytes = size_t{4} << 20;
       std::string pending;
       uint64_t pending_off = write_off;
       auto flush_pending = [&]() -> Status {

@@ -203,13 +203,11 @@ void AceSampler::EmitLevelSpans() {
 }
 
 Status AceSampler::FillPending() {
-  // Pull the next window of stab positions. The cursor is the sole
+  // Pull every remaining stab position. The cursor is the sole
   // authority on order; prefetching only changes *when* the bytes move,
   // never which leaf feeds the combiner next.
-  const size_t window = options_.io_batch_window;
   std::vector<uint64_t> heap_ids;
-  while (!cursor_->exhausted() &&
-         (window == 0 || heap_ids.size() < window)) {
+  while (!cursor_->exhausted()) {
     uint64_t id = cursor_->NextLeafId();
     if (id == 0) break;
     heap_ids.push_back(id);
@@ -235,7 +233,7 @@ Status AceSampler::FillPending() {
 }
 
 Status AceSampler::Stab(sampling::SampleBatch* out) {
-  if (options_.io_batch_window != 1) {
+  if (options_.drain) {
     if (pending_.empty()) MSV_RETURN_IF_ERROR(FillPending());
     PendingLeaf p = std::move(pending_.front());
     pending_.pop_front();

@@ -32,8 +32,9 @@ namespace msv::core {
 /// root-to-leaf descents (Fig. 10) over the split tree, yielding the heap
 /// id of each leaf in retrieval order. The order depends only on the
 /// split tree and the query's covering sets — never on leaf contents —
-/// which is what lets ParallelAceSampler prefetch leaves out of order and
-/// still feed its combiner in the exact serial sequence.
+/// which is what lets the drain policy fetch every leaf in one
+/// elevator-ordered read and still feed its combiner in the exact stab
+/// sequence.
 class StabCursor {
  public:
   StabCursor(const SplitTree* splits,
@@ -77,15 +78,13 @@ std::vector<uint64_t> ApportionDiskUsAcrossLeaves(
     uint64_t delta_us, const std::vector<LeafData>& leaves);
 
 struct AceSamplerOptions {
-  /// How many upcoming stab leaves to fetch per batched read. 1 (the
-  /// default) keeps the historical one-leaf-per-NextBatch I/O pattern;
-  /// 0 means unlimited (fetch the query's whole remaining leaf set in one
-  /// elevator-ordered batch — the to-completion configuration). Values
-  /// above 1 trade first-sample latency for coalesced seeks: the stab
-  /// order is bit-reversal-like, so a window of W covers leaves roughly
-  /// F/W apart and only wide windows produce physical adjacency. The
-  /// emitted sample stream is byte-identical for every window value.
-  size_t io_batch_window = 1;
+  /// Leaf I/O policy. false (the default) reads one leaf per NextBatch,
+  /// so the first samples arrive after a single read. true fetches the
+  /// query's whole leaf set in one elevator-ordered batched read on the
+  /// first NextBatch — the to-completion configuration, which coalesces
+  /// seeks but holds every matching leaf in memory. The emitted sample
+  /// stream is byte-identical under both policies.
+  bool drain = false;
 };
 
 class AceSampler : public sampling::SampleStream {
@@ -128,7 +127,7 @@ class AceSampler : public sampling::SampleStream {
   }
 
  private:
-  /// A leaf fetched ahead of consumption by a batched read, waiting for
+  /// A leaf fetched ahead of consumption by the drain read, waiting for
   /// its stab turn. disk_us is the leaf's apportioned share of the
   /// batch's busy delta.
   struct PendingLeaf {
@@ -140,8 +139,8 @@ class AceSampler : public sampling::SampleStream {
   /// One stab; appends emitted samples to `out`.
   Status Stab(sampling::SampleBatch* out);
 
-  /// Pulls up to io_batch_window leaf ids from the cursor and fetches
-  /// them with one elevator-ordered batched read into pending_.
+  /// Pulls every remaining leaf id from the cursor and fetches them with
+  /// one elevator-ordered batched read into pending_.
   Status FillPending();
 
   /// Closes out the trace: one child span per section level carrying the

@@ -26,7 +26,9 @@ ViewSampler::ViewSampler(std::shared_ptr<const AceTree> tree,
       exact_(std::move(exact)),
       record_size_(record_size),
       rng_(seed),
-      records_per_pull_(records_per_pull) {
+      records_per_pull_(records_per_pull),
+      c_samples_(obs::MetricRegistry::Global().GetCounter(
+          "view.samples_emitted")) {
   for (ExactPartition& p : exact_) {
     Shuffle(&p.records, &rng_);
     exact_remaining_ += p.records.size();
@@ -100,8 +102,7 @@ Result<sampling::SampleBatch> ViewSampler::NextBatch() {
     ++emitted;
     ++returned_;
   }
-  obs::MetricRegistry::Global().GetCounter("view.samples_emitted")
-      ->Add(emitted);
+  c_samples_->Add(emitted);
   return batch;
 }
 
@@ -211,15 +212,13 @@ Result<std::unique_ptr<MaterializedSampleView>> MaterializedSampleView::Open(
 
 Status MaterializedSampleView::RecoverLocked() {
   bool dirty = false;  // structural changes to persist before returning
-  ViewManifest manifest;
   MSV_ASSIGN_OR_RETURN(bool have_manifest,
                        env_->FileExists(ManifestName()));
-  if (have_manifest) {
-    MSV_ASSIGN_OR_RETURN(manifest, LoadManifest(env_, ManifestName()));
-  } else {
-    MSV_RETURN_IF_ERROR(MigrateLegacyLocked(&manifest));
-    dirty = true;
+  if (!have_manifest) {
+    return Status::NotFound("no such sample view: " + name_);
   }
+  MSV_ASSIGN_OR_RETURN(ViewManifest manifest,
+                       LoadManifest(env_, ManifestName()));
 
   MSV_ASSIGN_OR_RETURN(std::unique_ptr<AceTree> tree,
                        AceTree::Open(env_, manifest.base_file, layout_));
@@ -292,40 +291,6 @@ Status MaterializedSampleView::RecoverLocked() {
   return Status::OK();
 }
 
-Status MaterializedSampleView::MigrateLegacyLocked(ViewManifest* manifest) {
-  // Pre-manifest format: `<name>.base` ACE tree + `<name>.delta` heap
-  // file. Adopt the base in place; fold a non-empty delta into run 1.
-  MSV_ASSIGN_OR_RETURN(bool have_base, env_->FileExists(LegacyBaseName()));
-  if (!have_base) {
-    return Status::NotFound("no such sample view: " + name_);
-  }
-  manifest->base_file = LegacyBaseName();
-  manifest->next_id = 1;
-  manifest->flushed_through = 0;
-  MSV_ASSIGN_OR_RETURN(bool have_delta, env_->FileExists(LegacyDeltaName()));
-  if (have_delta) {
-    MSV_ASSIGN_OR_RETURN(std::unique_ptr<storage::HeapFile> delta,
-                         storage::HeapFile::Open(env_, LegacyDeltaName()));
-    if (delta->record_count() > 0) {
-      Memtable replay(1, layout_.record_size);
-      auto scanner = delta->NewScanner();
-      for (;;) {
-        MSV_ASSIGN_OR_RETURN(const char* rec, scanner.Next());
-        if (rec == nullptr) break;
-        replay.Append(rec, 1);
-      }
-      MSV_RETURN_IF_ERROR(WriteRunFile(env_, RunName(1), layout_.record_size,
-                                       replay.SortedRecords(layout_)));
-      manifest->runs.push_back(1);
-      manifest->flushed_through = 1;
-      manifest->next_id = 2;
-    }
-  }
-  // The delta file itself is deleted by CleanOrphansLocked, which runs
-  // only after the manifest is durably committed.
-  return Status::OK();
-}
-
 Status MaterializedSampleView::CleanOrphansLocked() {
   MSV_ASSIGN_OR_RETURN(std::vector<std::string> files, env_->ListFiles());
   const std::string prefix = name_ + ".";
@@ -338,11 +303,8 @@ Status MaterializedSampleView::CleanOrphansLocked() {
     uint64_t id = 0;
     if (suffix.size() > 4 && suffix.compare(suffix.size() - 4, 4, ".tmp") == 0) {
       drop = true;  // torn atomic write of any view file
-    } else if (suffix == "scratch" || suffix == "rebuild" ||
-               suffix == "delta") {
-      drop = true;  // compaction scratch / migrated legacy delta
-    } else if (suffix == "base") {
-      drop = f != base_file_;
+    } else if (suffix == "scratch" || suffix == "rebuild") {
+      drop = true;  // compaction scratch
     } else if (ParseSuffixId(suffix, "base.g", &id)) {
       drop = f != base_file_;
     } else if (ParseSuffixId(suffix, "run.", &id)) {
@@ -364,8 +326,7 @@ Status MaterializedSampleView::DropFiles(io::Env* env,
     const std::string suffix = f.substr(prefix.size());  // NOLINT(msv-hot-path-alloc) file listing scan, cold
     uint64_t id = 0;
     bool ours =
-        suffix == "manifest" || suffix == "base" || suffix == "delta" ||
-        suffix == "scratch" || suffix == "rebuild" ||
+        suffix == "manifest" || suffix == "scratch" || suffix == "rebuild" ||
         (suffix.size() > 4 &&
          suffix.compare(suffix.size() - 4, 4, ".tmp") == 0) ||
         ParseSuffixId(suffix, "base.g", &id) ||
@@ -700,6 +661,11 @@ uint64_t MaterializedSampleView::DeltaRecordsLocked() const {
 uint64_t MaterializedSampleView::delta_records() const {
   MutexLock lock(mu_);
   return DeltaRecordsLocked();
+}
+
+uint64_t MaterializedSampleView::total_records() const {
+  MutexLock lock(mu_);
+  return tree_->meta().num_records + DeltaRecordsLocked();
 }
 
 uint64_t MaterializedSampleView::memtable_records() const {

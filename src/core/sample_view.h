@@ -99,6 +99,7 @@ class ViewSampler : public sampling::SampleStream {
   Pcg64 rng_;
   size_t records_per_pull_;
   uint64_t returned_ = 0;
+  obs::Counter* c_samples_;  // view.samples_emitted
 };
 
 /// Catalog-level handle to one named sample view. Thread-safe: Insert(),
@@ -126,9 +127,8 @@ class MaterializedSampleView {
   }
 
   /// Opens an existing view, replaying WALs and completing any structural
-  /// change the manifest doesn't name (crash recovery). Views written by
-  /// the pre-manifest format (single `<name>.delta` heap file) are
-  /// migrated on first open.
+  /// change the manifest doesn't name (crash recovery). NotFound when the
+  /// view has no manifest.
   static Result<std::unique_ptr<MaterializedSampleView>> Open(
       io::Env* env, const std::string& name,
       const storage::RecordLayout& layout, const Options& options);
@@ -165,6 +165,9 @@ class MaterializedSampleView {
   /// Records in the base ACE tree / outside it (runs + memtable).
   uint64_t base_records() const MSV_EXCLUDES(mu_);
   uint64_t delta_records() const MSV_EXCLUDES(mu_);
+  /// base_records() + delta_records(), read under one lock hold, so a
+  /// compaction moving run records into the base never shows in the sum.
+  uint64_t total_records() const MSV_EXCLUDES(mu_);
   uint64_t memtable_records() const MSV_EXCLUDES(mu_);
   uint64_t run_count() const MSV_EXCLUDES(mu_);
   bool NeedsRebuild() const MSV_EXCLUDES(mu_);
@@ -185,7 +188,7 @@ class MaterializedSampleView {
   std::shared_ptr<const AceTree> tree() const MSV_EXCLUDES(mu_);
 
   /// Deletes every file belonging to view `name` (base generations, runs,
-  /// WALs, manifest, legacy delta). Best-effort; missing files are fine.
+  /// WALs, manifest, scratch). Best-effort; missing files are fine.
   static Status DropFiles(io::Env* env, const std::string& name);
 
  private:
@@ -203,8 +206,6 @@ class MaterializedSampleView {
     return name_ + ".wal." + std::to_string(id);
   }
   std::string ScratchName() const { return name_ + ".scratch"; }
-  std::string LegacyBaseName() const { return name_ + ".base"; }
-  std::string LegacyDeltaName() const { return name_ + ".delta"; }
 
   /// A live sorted run: its id and an open read handle.
   struct RunHandle {
@@ -222,7 +223,6 @@ class MaterializedSampleView {
   };
 
   Status RecoverLocked() MSV_REQUIRES(mu_);
-  Status MigrateLegacyLocked(ViewManifest* manifest) MSV_REQUIRES(mu_);
   Status CleanOrphansLocked() MSV_REQUIRES(mu_);
   ViewManifest CurrentManifestLocked() const MSV_REQUIRES(mu_);
   Status OpenRunLocked(uint64_t id) MSV_REQUIRES(mu_);

@@ -30,14 +30,6 @@ struct SortOptions {
   size_t max_fanin = 64;
   /// Name prefix for temporary run files (deleted on success).
   std::string temp_prefix = "extsort_run";
-  /// Double-buffered merge readahead + batched run writes: each merge
-  /// input keeps a lookahead block fetched together with the current one
-  /// as a single coalesced access, and the output writer's buffer is
-  /// doubled to match. Halves the per-input refill seeks of the merge
-  /// phase at the cost of ~2x the per-input buffer memory (the
-  /// synchronous disk model expresses overlap as fewer seeks, not as
-  /// hidden latency — see HeapFile::NewScanner).
-  bool batched_io = true;
 
   Status Validate(size_t record_size) const;
 };

@@ -153,8 +153,9 @@ class ScopedTracer {
 
 /// Labels the current thread for tracing: while the label is non-empty,
 /// every span the thread opens carries a `thread=<label>` attribute.
-/// Worker pools (ParallelAceSampler, the concurrency bench) label their
-/// threads so a merged trace stays attributable. Pass "" to clear.
+/// Background threads (the server's workers, the view compactor, the
+/// metrics poller) label themselves so a merged trace stays
+/// attributable. Pass "" to clear.
 void SetThreadLabel(std::string label);
 /// The current thread's label ("" when unlabelled).
 const std::string& ThreadLabel();

@@ -608,11 +608,13 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
 Result<std::string> Executor::ExecInsert(const InsertStmt& stmt) {
   MSV_ASSIGN_OR_RETURN(core::MaterializedSampleView* view,
                        GetView(stmt.view));
-  // Generate fresh SALE rows (row ids continue after the base).
+  // Generate fresh SALE rows (row ids continue after every stored row).
+  // INSERTs are write statements and run one at a time, so no other
+  // insert can claim these ids before view->Insert() below.
   Pcg64 rng(stmt.seed);
   std::string batch;
   char buf[storage::SaleRecord::kSize];
-  uint64_t next_row = view->base_records() + view->delta_records();
+  uint64_t next_row = view->total_records();
   for (uint64_t i = 0; i < stmt.rows; ++i) {
     storage::SaleRecord rec;
     rec.day = rng.DoubleInRange(0, 100000.0);

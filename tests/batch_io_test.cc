@@ -7,8 +7,7 @@
 // (FaultInjectionEnv) and one preadv(2) (PosixEnv). This file pins both
 // halves: randomized byte-equivalence across backends, and the exact
 // seek/op/metric accounting of the coalescing layers (SimFile,
-// BufferPool::GetBatch, AceTree::ReadLeaves, the readahead scanner and
-// the batched external sort).
+// BufferPool::GetBatch, AceTree::ReadLeaves and the readahead scanner).
 
 #include <algorithm>
 #include <cstdint>
@@ -20,7 +19,6 @@
 
 #include "core/ace_builder.h"
 #include "core/ace_tree.h"
-#include "extsort/external_sorter.h"
 #include "gtest/gtest.h"
 #include "io/buffer_pool.h"
 #include "io/disk_model.h"
@@ -526,23 +524,13 @@ TEST_F(ReadLeavesTest, EmptyBatchIsEmpty) {
 }  // namespace msv::core
 
 // ---------------------------------------------------------------------------
-// Readahead scanner and the batched external sort
+// Readahead scanner
 // ---------------------------------------------------------------------------
 
-namespace msv::extsort {
+namespace msv::storage {
 namespace {
 
 using msv::testing::ValueOrDie;
-using storage::HeapFile;
-
-/// Reads a whole file's bytes through `env`.
-std::string FileBytes(io::Env* env, const std::string& name) {
-  auto file = ValueOrDie(env->OpenFile(name, false));
-  uint64_t size = ValueOrDie(file->Size());
-  std::string bytes(size, '\0');
-  EXPECT_TRUE(file->ReadExact(0, size, bytes.data()).ok());
-  return bytes;
-}
 
 TEST(ReadaheadScannerTest, SameRecordsHalfTheRefillSeeks) {
   auto inner = io::NewMemEnv();
@@ -560,7 +548,7 @@ TEST(ReadaheadScannerTest, SameRecordsHalfTheRefillSeeks) {
     device->ResetStats();
     auto scanner = sale->NewScanner(chunk_bytes, readahead);
     while (const char* rec = ValueOrDie(scanner.Next())) {
-      ids->push_back(storage::SaleRecord::DecodeFrom(rec).row_id);
+      ids->push_back(SaleRecord::DecodeFrom(rec).row_id);
     }
     return device->stats();
   };
@@ -578,59 +566,5 @@ TEST(ReadaheadScannerTest, SameRecordsHalfTheRefillSeeks) {
   EXPECT_LT(ahead.busy_us, plain.busy_us);
 }
 
-TEST(ExternalSortBatchedIoTest, BatchedAndScalarOutputsAreIdentical) {
-  auto env_a = io::NewMemEnv();
-  auto env_b = io::NewMemEnv();
-  // Enough records and a small budget to force multiple runs and a merge.
-  auto sale_a = msv::testing::MakeSale(env_a.get(), "sale", 4000);
-  auto sale_b = msv::testing::MakeSale(env_b.get(), "sale", 4000);
-  const size_t rec = sale_a->record_size();
-  RecordLess less = [rec](const char* a, const char* b) {
-    return std::memcmp(a, b, rec) < 0;
-  };
-  SortOptions options;
-  options.memory_budget_bytes = 600 * rec;
-  options.max_fanin = 4;
-
-  options.batched_io = true;
-  SortMetrics batched;
-  MSV_ASSERT_OK(
-      ExternalSort(env_a.get(), "sale", "sorted", less, options, &batched));
-  options.batched_io = false;
-  SortMetrics scalar;
-  MSV_ASSERT_OK(
-      ExternalSort(env_b.get(), "sale", "sorted", less, options, &scalar));
-
-  EXPECT_GT(batched.initial_runs, 1u);
-  EXPECT_EQ(batched.records, scalar.records);
-  EXPECT_EQ(batched.merge_passes, scalar.merge_passes);
-  EXPECT_EQ(FileBytes(env_a.get(), "sorted"), FileBytes(env_b.get(), "sorted"));
-}
-
-TEST(ExternalSortBatchedIoTest, BatchedMergeCostsLessModeledTime) {
-  auto run = [](bool batched_io) {
-    auto inner = io::NewMemEnv();
-    auto device = std::make_shared<io::DiskDevice>();
-    auto env = io::NewSimEnv(inner.get(), device);
-    auto sale = msv::testing::MakeSale(env.get(), "sale", 6000);
-    const size_t rec = sale->record_size();
-    RecordLess less = [rec](const char* a, const char* b) {
-      return std::memcmp(a, b, rec) < 0;
-    };
-    SortOptions options;
-    options.memory_budget_bytes = 500 * rec;
-    options.max_fanin = 4;
-    options.batched_io = batched_io;
-    device->ResetStats();
-    EXPECT_TRUE(ExternalSort(env.get(), "sale", "sorted", less, options).ok());
-    return device->stats();
-  };
-  io::DiskStats batched = run(true);
-  io::DiskStats scalar = run(false);
-  EXPECT_EQ(batched.read_bytes, scalar.read_bytes);
-  EXPECT_LT(batched.seeks, scalar.seeks);
-  EXPECT_LT(batched.busy_us, scalar.busy_us);
-}
-
 }  // namespace
-}  // namespace msv::extsort
+}  // namespace msv::storage

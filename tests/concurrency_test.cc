@@ -1,7 +1,7 @@
 // Thread-safety tests for the concurrent-serving stack: shared
 // BufferPool under pin/unpin/evict pressure, concurrent AceSamplers on
-// one tree, the parallel sampler's worker pool, the executor's session
-// pool, and the metrics registry's epoch contract. Designed to run under
+// one tree, MSVQL scripts on plain threads against one executor, and the
+// metrics registry's epoch contract. Designed to run under
 // TSan (ctest -R concurrency on the tsan preset) in well under 10s.
 
 #include <atomic>
@@ -16,13 +16,11 @@
 #include "core/ace_builder.h"
 #include "core/ace_sampler.h"
 #include "core/ace_tree.h"
-#include "core/parallel_sampler.h"
 #include "gtest/gtest.h"
 #include "io/buffer_pool.h"
 #include "io/env.h"
 #include "obs/metrics.h"
 #include "query/executor.h"
-#include "query/session_pool.h"
 #include "relation/sale_generator.h"
 #include "storage/record.h"
 #include "test_util.h"
@@ -178,50 +176,11 @@ TEST_F(SharedTreeTest, ManySamplersOneTree) {
   EXPECT_TRUE(tree_->CheckInvariants().ok());
 }
 
-TEST_F(SharedTreeTest, ConcurrentParallelSamplers) {
-  // Several ParallelAceSamplers at once: worker pools of different
-  // queries interleave on the same tree.
-  constexpr size_t kSamplers = 3;
-  std::vector<std::vector<uint64_t>> ids(kSamplers);
-  std::vector<std::thread> drivers;
-  for (size_t s = 0; s < kSamplers; ++s) {
-    drivers.emplace_back([&, s] {
-      double lo = 15000.0 + 10000.0 * static_cast<double>(s);
-      core::ParallelAceSampler::Options options;
-      options.threads = 3;
-      core::ParallelAceSampler sampler(
-          tree_.get(), sampling::RangeQuery::OneDim(lo, lo + 30000.0),
-          /*seed=*/500 + s, options);
-      ids[s] = DrainRowIds(&sampler);
-    });
-  }
-  for (auto& d : drivers) d.join();
-  for (size_t s = 0; s < kSamplers; ++s) {
-    EXPECT_TRUE(AllDistinct(ids[s])) << "sampler " << s;
-    EXPECT_FALSE(ids[s].empty()) << "sampler " << s;
-  }
-}
-
-TEST_F(SharedTreeTest, ParallelSamplerAbandonedMidStream) {
-  // Destroying the sampler with workers mid-prefetch must join cleanly
-  // (no leaked threads, no use-after-free — TSan enforces).
-  core::ParallelAceSampler::Options options;
-  options.threads = 4;
-  for (int i = 0; i < 5; ++i) {
-    core::ParallelAceSampler sampler(
-        tree_.get(), sampling::RangeQuery::OneDim(20000.0, 70000.0),
-        /*seed=*/i, options);
-    auto batch = sampler.NextBatch();
-    ASSERT_TRUE(batch.ok());
-    // Dropped here with most leaves still queued.
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Session pool: N MSVQL scripts against one executor
+// Executor concurrency: N MSVQL scripts on plain threads, one executor
 // ---------------------------------------------------------------------------
 
-TEST(SessionPoolTest, ConcurrentReadScripts) {
+TEST(ExecutorConcurrencyTest, ConcurrentReadScripts) {
   auto env = io::NewMemEnv();
   auto exec = ValueOrDie(query::Executor::Open(env.get()));
   auto setup = exec->Run(
@@ -240,7 +199,7 @@ TEST(SessionPoolTest, ConcurrentReadScripts) {
                       std::to_string(lo) + " AND " +
                       std::to_string(lo + 30000.0) + " LIMIT 30;");
   }
-  auto results = query::SessionPool::RunScripts(exec.get(), scripts, 8);
+  auto results = msv::testing::RunScriptsOnThreads(exec.get(), scripts, 8);
   ASSERT_EQ(results.size(), scripts.size());
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].ok())
@@ -248,7 +207,7 @@ TEST(SessionPoolTest, ConcurrentReadScripts) {
   }
 }
 
-TEST(SessionPoolTest, WritersSerializeAgainstReaders) {
+TEST(ExecutorConcurrencyTest, WritersSerializeAgainstReaders) {
   auto env = io::NewMemEnv();
   auto exec = ValueOrDie(query::Executor::Open(env.get()));
   auto setup = exec->Run(
@@ -271,7 +230,7 @@ TEST(SessionPoolTest, WritersSerializeAgainstReaders) {
       "INDEX ON day;");
   scripts.push_back(
       "SAMPLE FROM v WHERE day BETWEEN 0 AND 90000 LIMIT 40;");
-  auto results = query::SessionPool::RunScripts(exec.get(), scripts, 4);
+  auto results = msv::testing::RunScriptsOnThreads(exec.get(), scripts, 4);
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(results[i].ok())
         << "script " << i << ": " << results[i].status().ToString();

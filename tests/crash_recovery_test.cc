@@ -16,12 +16,10 @@
 #include "core/ace_builder.h"
 #include "core/ace_sampler.h"
 #include "core/ace_tree.h"
-#include "core/parallel_sampler.h"
 #include "gtest/gtest.h"
 #include "io/env.h"
 #include "io/fault_env.h"
 #include "query/executor.h"
-#include "query/session_pool.h"
 #include "storage/record.h"
 #include "test_util.h"
 
@@ -160,39 +158,7 @@ TEST(CrashSweepTest, RebuildOverExistingKeepsOldOrNew) {
 // Fault injection during serving
 // ---------------------------------------------------------------------------
 
-TEST(FaultServingTest, ParallelSamplerSurfacesFaultAndDrainsWorkers) {
-  auto inner = io::NewMemEnv();
-  msv::testing::MakeSale(inner.get(), "sale", 2000, /*seed=*/7);
-  const storage::RecordLayout layout = storage::SaleRecord::Layout1D();
-  AceBuildOptions build = SmallBuild();
-  build.page_size = 4096;
-  MSV_ASSERT_OK(BuildAceTree(inner.get(), "sale", "sale.ace", layout, build));
-
-  auto fault = io::NewFaultInjectionEnv(inner.get());
-  auto tree = ValueOrDie(AceTree::Open(fault.get(), "sale.ace", layout));
-  fault->ArmFault(fault->op_count(), io::FaultMode::kError, /*sticky=*/true);
-
-  ParallelAceSampler::Options options;
-  options.threads = 4;
-  ParallelAceSampler sampler(tree.get(),
-                             sampling::RangeQuery::OneDim(20000.0, 70000.0),
-                             /*seed=*/123, options);
-  Status seen = Status::OK();
-  for (int pulls = 0; !sampler.done() && pulls < 100000; ++pulls) {
-    auto batch = sampler.NextBatch();
-    if (!batch.ok()) {
-      seen = batch.status();
-      break;
-    }
-  }
-  EXPECT_TRUE(seen.IsIOError()) << seen.ToString();
-  EXPECT_NE(seen.ToString().find("injected"), std::string::npos)
-      << seen.ToString();
-  // Destruction joins the worker pool; the test finishing (instead of
-  // hanging) is the drain assertion, and tsan checks the shutdown path.
-}
-
-TEST(FaultServingTest, SessionPoolReturnsErrorsWithoutHanging) {
+TEST(FaultServingTest, ExecutorReturnsErrorsWithoutHanging) {
   auto inner = io::NewMemEnv();
   auto fault = io::NewFaultInjectionEnv(inner.get());
   auto exec = ValueOrDie(query::Executor::Open(fault.get()));
@@ -210,11 +176,11 @@ TEST(FaultServingTest, SessionPoolReturnsErrorsWithoutHanging) {
         "SAMPLES 100;");
     scripts.push_back("SAMPLE FROM v WHERE day BETWEEN 0 AND 90000 LIMIT 30;");
   }
-  auto results = query::SessionPool::RunScripts(exec.get(), scripts, 4);
+  auto results = msv::testing::RunScriptsOnThreads(exec.get(), scripts, 4);
   ASSERT_EQ(results.size(), scripts.size());
   for (size_t i = 0; i < results.size(); ++i) {
     // Every leaf read hits the dead device: each script must come back
-    // with a clean error Status — no crash, no hang, workers drained.
+    // with a clean error Status — no crash, no hang, threads joined.
     EXPECT_FALSE(results[i].ok()) << "script " << i << " succeeded";
     EXPECT_TRUE(results[i].status().IsIOError())
         << "script " << i << ": " << results[i].status().ToString();

@@ -1,15 +1,13 @@
 // Determinism goldens: the exact byte sequences this PR must not change.
 //
-// Three layers are pinned:
+// Two layers are pinned:
 //   1. SplitMix64 / DeriveRngStream — the per-query stream derivation.
 //      Concurrent queries draw from independent Pcg64 streams derived
 //      from one root seed; these values are the contract.
 //   2. The serial AceSampler's full sample sequence for a fixed tree,
 //      query and seed — same root seed + one thread must stay
-//      byte-identical across refactors of the stab path.
-//   3. ParallelAceSampler == AceSampler, byte for byte, at any worker
-//      count: the parallel fan-out may reorder disk reads but never the
-//      emitted stream.
+//      byte-identical across refactors of the stab path, and across
+//      both leaf I/O policies (leaf-at-a-time and full drain).
 
 #include <cstdint>
 #include <memory>
@@ -19,7 +17,6 @@
 #include "core/ace_builder.h"
 #include "core/ace_sampler.h"
 #include "core/ace_tree.h"
-#include "core/parallel_sampler.h"
 #include "gtest/gtest.h"
 #include "io/env.h"
 #include "relation/sale_generator.h"
@@ -180,51 +177,28 @@ TEST_F(DeterminismTest, StabLeafOrderMatchesSamplerReads) {
   EXPECT_EQ(precomputed, sampler.leaf_read_order());
 }
 
-TEST_F(DeterminismTest, ParallelMatchesSerialByteForByte) {
-  AceSampler serial(tree_.get(), Query(), kSamplerSeed);
-  const std::string serial_bytes = DrainBytes(&serial);
-  ASSERT_FALSE(serial_bytes.empty());
-
-  for (size_t threads : {1u, 2u, 4u}) {
-    ParallelAceSampler::Options options;
-    options.threads = threads;
-    ParallelAceSampler parallel(tree_.get(), Query(), kSamplerSeed, options);
-    const std::string parallel_bytes = DrainBytes(&parallel);
-    // Identical bytes in identical order: the fan-out reorders disk
-    // reads, never the emitted stream.
-    EXPECT_EQ(parallel_bytes, serial_bytes) << "threads=" << threads;
-    EXPECT_EQ(parallel.leaf_read_order(), serial.leaf_read_order())
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.samples_returned(), serial.samples_returned());
-    EXPECT_EQ(parallel.leaves_read(), serial.leaves_read());
-  }
-}
-
 TEST_F(DeterminismTest, BatchedWindowsEmitTheSerialByteStream) {
-  // The batched stab path (io_batch_window != 1) issues leaf reads in
-  // chunks but must consume them in exact stab order: every window —
-  // including 0 (full drain) — reproduces the window-1 goldens above.
+  // The drain policy fetches the query's whole leaf set in one batched
+  // read but must consume the leaves in exact stab order, reproducing the
+  // leaf-at-a-time goldens above.
   AceSampler baseline(tree_.get(), Query(), kSamplerSeed);
   const std::string golden_bytes = DrainBytes(&baseline);
   ASSERT_FALSE(golden_bytes.empty());
 
-  for (size_t window : {size_t{0}, size_t{2}, size_t{4}, size_t{64}}) {
-    AceSamplerOptions options;
-    options.io_batch_window = window;
-    AceSampler sampler(tree_.get(), Query(), kSamplerSeed, options);
-    EXPECT_EQ(DrainBytes(&sampler), golden_bytes) << "window=" << window;
-    EXPECT_EQ(sampler.leaf_read_order(), baseline.leaf_read_order())
-        << "window=" << window;
-    EXPECT_EQ(sampler.leaves_read(), baseline.leaves_read());
-    EXPECT_EQ(sampler.samples_returned(), baseline.samples_returned());
-  }
+  AceSamplerOptions options;
+  options.drain = true;
+  AceSampler sampler(tree_.get(), Query(), kSamplerSeed, options);
+  EXPECT_EQ(DrainBytes(&sampler), golden_bytes);
+  EXPECT_EQ(sampler.leaf_read_order(), baseline.leaf_read_order());
+  EXPECT_EQ(sampler.leaves_read(), baseline.leaves_read());
+  EXPECT_EQ(sampler.samples_returned(), baseline.samples_returned());
 }
 
 TEST_F(DeterminismTest, BatchedWindowReproducesSequenceGolden) {
-  // Belt and braces: the full-drain window checked directly against the
+  // Belt and braces: the drain policy checked directly against the
   // numeric golden, not just against another sampler run.
   AceSamplerOptions options;
-  options.io_batch_window = 0;
+  options.drain = true;
   AceSampler sampler(tree_.get(), Query(), kSamplerSeed, options);
   uint64_t fnv = 14695981039346656037ULL;
   uint64_t n = 0;
@@ -239,22 +213,6 @@ TEST_F(DeterminismTest, BatchedWindowReproducesSequenceGolden) {
   EXPECT_EQ(n, 1017u);
   EXPECT_EQ(fnv, 532171317302528852ULL);
   EXPECT_EQ(sampler.leaves_read(), 64u);
-}
-
-TEST_F(DeterminismTest, ParallelReadBatchSizesMatchSerial) {
-  AceSampler serial(tree_.get(), Query(), kSamplerSeed);
-  const std::string serial_bytes = DrainBytes(&serial);
-
-  for (size_t read_batch : {size_t{1}, size_t{3}, size_t{8}}) {
-    ParallelAceSampler::Options options;
-    options.threads = 4;
-    options.read_batch = read_batch;
-    ParallelAceSampler parallel(tree_.get(), Query(), kSamplerSeed, options);
-    EXPECT_EQ(DrainBytes(&parallel), serial_bytes)
-        << "read_batch=" << read_batch;
-    EXPECT_EQ(parallel.leaf_read_order(), serial.leaf_read_order())
-        << "read_batch=" << read_batch;
-  }
 }
 
 TEST_F(DeterminismTest, RepeatRunsAreIdentical) {

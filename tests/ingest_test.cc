@@ -1,14 +1,16 @@
 // The updatable view's LSM write path: memtable/WAL/run/manifest
 // mechanics, crash recovery (power loss at every fault index loses no
-// acknowledged insert and always leaves an openable tree), legacy-format
-// migration, and TSan-exercised concurrent insert/sample/compaction.
+// acknowledged insert and always leaves an openable tree), and
+// TSan-exercised concurrent insert/sample/compaction.
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "io/env.h"
 #include "io/fault_env.h"
 #include "obs/metrics.h"
+#include "query/executor.h"
 #include "storage/heap_file.h"
 #include "storage/record.h"
 #include "test_util.h"
@@ -377,33 +380,26 @@ TEST_F(IngestTest, InsertAfterTornTailRecoveryStaysAligned) {
   EXPECT_EQ(std::set<uint64_t>(ids.begin(), ids.end()), ExpectedIds());
 }
 
-TEST_F(IngestTest, LegacyViewLayoutMigratesOnOpen) {
-  // Fabricate the pre-manifest format: `<name>.base` tree + `<name>.delta`
-  // heap file, no manifest.
-  AceBuildOptions build = options_.build;
-  MSV_ASSERT_OK(BuildAceTree(env_.get(), "sale", "legacy.base", layout_,
-                             build));
-  std::string delta_records = MakeInserts(40);
-  {
-    auto writer = ValueOrDie(storage::HeapFileWriter::Create(
-        env_.get(), "legacy.delta", layout_.record_size));
-    for (size_t i = 0; i < 40; ++i) {
-      MSV_ASSERT_OK(
-          writer->Append(delta_records.data() + i * layout_.record_size));
-    }
-    MSV_ASSERT_OK(writer->Finish());
-  }
-  auto legacy = ValueOrDie(
-      MaterializedSampleView::Open(env_.get(), "legacy", layout_, options_));
-  EXPECT_EQ(legacy->base_records(), kBase);
-  EXPECT_EQ(legacy->delta_records(), 40u);
-  EXPECT_TRUE(ValueOrDie(env_->FileExists("legacy.manifest")));
-  // The delta was folded into a run; the old side file is gone.
-  EXPECT_FALSE(ValueOrDie(env_->FileExists("legacy.delta")));
-  auto sampler = ValueOrDie(legacy->Sample(AllDays(), 3));
-  std::vector<uint64_t> ids = msv::testing::DrainRowIds(sampler.get());
-  EXPECT_TRUE(AllDistinct(ids));
-  EXPECT_EQ(ids.size(), kBase + 40);
+TEST_F(IngestTest, OpenWithoutManifestIsNotFound) {
+  // Only a manifest names a view: a tree under the pre-manifest name
+  // `<name>.base` is not adopted.
+  MSV_ASSERT_OK(BuildAceTree(env_.get(), "sale", "bare.base", layout_,
+                             options_.build));
+  auto opened =
+      MaterializedSampleView::Open(env_.get(), "bare", layout_, options_);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_TRUE(opened.status().IsNotFound()) << opened.status().ToString();
+}
+
+TEST_F(IngestTest, TotalRecordsCountsBaseAndDelta) {
+  EXPECT_EQ(view_->total_records(), kBase);
+  InsertChunked(250);  // two flushed runs plus a memtable tail
+  EXPECT_EQ(view_->total_records(), kBase + 250);
+  EXPECT_EQ(view_->total_records(),
+            view_->base_records() + view_->delta_records());
+  MSV_ASSERT_OK(view_->Rebuild());
+  EXPECT_EQ(view_->total_records(), kBase + 250);
+  EXPECT_EQ(view_->delta_records(), 0u);
 }
 
 TEST_F(IngestTest, DropFilesRemovesEveryViewFile) {
@@ -545,6 +541,139 @@ TEST(IngestConcurrencyTest, ConcurrentInsertSampleCompact) {
   std::vector<uint64_t> ids = msv::testing::DrainRowIds(sampler.get());
   EXPECT_TRUE(AllDistinct(ids));
   EXPECT_EQ(ids.size(), kBase + kBatches * kPerBatch);
+}
+
+TEST(IngestConcurrencyTest, TotalRecordsNeverDipsDuringCompaction) {
+  // Inserts only ever add records, so the record count a reader sees
+  // must never go down — also not at the instant a compaction commit
+  // moves run records into the base.
+  auto env = io::NewMemEnv();
+  MakeSale(env.get(), "sale", kBase, /*seed=*/5);
+  MaterializedSampleView::Options options = SmallViewOptions();
+  options.ingest.compact_trigger_runs = 1;
+  options.ingest.background_compaction = true;
+  options.ingest.compact_poll_ms = 1;
+  auto view = ValueOrDie(MaterializedSampleView::Create(
+      env.get(), "v", "sale", SaleRecord::Layout1D(), options));
+
+  obs::Counter* compactions =
+      obs::MetricRegistry::Global().GetCounter("ingest.compactions");
+  const uint64_t compactions_before = compactions->Value();
+  // The writer keeps going until several compactions have committed
+  // (each 100-record flush is a run of its own, and one run triggers a
+  // compaction), so the poll loop below spans those commits. The time
+  // cap bounds slow (sanitizer) builds, where the busy poll loop lets
+  // fewer compactions through.
+  constexpr uint64_t kCompactions = 5;
+  constexpr uint64_t kPerBatch = 50;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(3);
+  std::atomic<uint64_t> inserted{0};
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    Pcg64 rng(29);
+    char buf[SaleRecord::kSize];
+    while (compactions->Value() < compactions_before + kCompactions &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::string batch;
+      for (uint64_t i = 0; i < kPerBatch; ++i) {
+        SaleRecord rec;
+        rec.day = rng.DoubleInRange(0, 100000.0);
+        rec.row_id = kBase + inserted.load() + i;
+        rec.EncodeTo(buf);
+        batch.append(buf, sizeof(buf));
+      }
+      MSV_EXPECT_OK(view->Insert(batch.data(), kPerBatch));
+      inserted += kPerBatch;
+      // A pause between batches, as a client's think time: back-to-back
+      // inserts can hold the view mutex long enough to starve the
+      // compactor.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    writer_done.store(true);
+  });
+  // Poll back to back. With a pause between polls the compactor would
+  // take the view mutex only there, between two calls, and a count read
+  // under two separate lock holds would never be caught torn.
+  uint64_t last = 0;
+  uint64_t dips = 0;
+  while (!writer_done.load()) {
+    const uint64_t now = view->total_records();
+    if (now < last) ++dips;
+    last = now;
+  }
+  writer.join();
+  EXPECT_EQ(dips, 0u);
+  EXPECT_GT(compactions->Value(), compactions_before);
+  MSV_ASSERT_OK(view->Rebuild());
+  EXPECT_EQ(view->total_records(), kBase + inserted.load());
+}
+
+TEST(IngestConcurrencyTest, ExecutorInsertRowIdsStayUniqueUnderCompaction) {
+  // INSERT numbers its rows after the view's current record count. A
+  // background compaction moves run records into the base while inserts
+  // keep coming; the count must see that move all at once or new rows
+  // reuse existing ids. The base is small, so every flushed run exceeds
+  // the view's delta fraction and triggers a compaction of its own, as
+  // with compact_trigger_runs = 1.
+  auto env = io::NewMemEnv();
+  auto exec = ValueOrDie(query::Executor::Open(env.get()));
+  constexpr uint64_t kTableRows = 2000;
+  auto setup = exec->Run(
+      "GENERATE TABLE sale ROWS " + std::to_string(kTableRows) +
+      " SEED 7; CREATE MATERIALIZED SAMPLE VIEW v AS SELECT * FROM sale "
+      "INDEX ON day;");
+  ASSERT_TRUE(setup.ok()) << setup.status().ToString();
+
+  obs::Counter* compactions =
+      obs::MetricRegistry::Global().GetCounter("ingest.compactions");
+  const uint64_t compactions_before = compactions->Value();
+  constexpr uint64_t kCompactions = 2;
+  constexpr uint64_t kMaxInserts = 5000;
+  constexpr uint64_t kRowsPerInsert = 16;
+  uint64_t inserts = 0;
+  std::atomic<bool> writer_done{false};
+  std::thread writer([&] {
+    for (; inserts < kMaxInserts &&
+           compactions->Value() < compactions_before + kCompactions;
+         ++inserts) {
+      auto out = exec->Run("INSERT INTO v ROWS " +
+                           std::to_string(kRowsPerInsert) + " SEED " +
+                           std::to_string(100 + inserts) + ";");
+      EXPECT_TRUE(out.ok()) << out.status().ToString();
+      // Think time, so the compactor gets the view mutex between inserts.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    writer_done.store(true);
+  });
+  std::thread reader([&] {
+    while (!writer_done.load()) {
+      auto out = exec->Run(
+          "SAMPLE FROM v WHERE day BETWEEN 0 AND 50000 LIMIT 50;");
+      EXPECT_TRUE(out.ok()) << out.status().ToString();
+    }
+  });
+  writer.join();
+  reader.join();
+  EXPECT_GE(compactions->Value(), compactions_before + kCompactions);
+
+  const uint64_t total = kTableRows + inserts * kRowsPerInsert;
+  auto rebuilt = exec->Run("REBUILD v;");
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  auto drained = exec->Run("SAMPLE FROM v LIMIT " + std::to_string(total + 1) +
+                           ";");
+  ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+
+  // One output line per row after the header; row_id is the last column.
+  std::istringstream lines(*drained);
+  std::string line;
+  std::getline(lines, line);  // header
+  std::vector<uint64_t> ids;
+  while (std::getline(lines, line) && !line.empty() && line[0] != '(') {
+    ids.push_back(std::stoull(line.substr(line.rfind('|') + 1)));
+  }
+  EXPECT_EQ(ids.size(), total);
+  EXPECT_TRUE(AllDistinct(ids)) << "an INSERT reused existing row ids";
 }
 
 // ---------------------------------------------------------------------------

@@ -7,10 +7,6 @@
 //     exactly once, nothing else.
 //   * Unbiasedness — OnlineAggregator's AVG over a prefix of the stream
 //     is an unbiased estimator of the true average; 200 seeded runs.
-//
-// Every test runs in BOTH serial (AceSampler) and parallel
-// (ParallelAceSampler) mode with identical assertions: the parallel
-// fan-out must not change any distributional property.
 
 #include <algorithm>
 #include <cmath>
@@ -23,7 +19,6 @@
 #include "core/ace_builder.h"
 #include "core/ace_sampler.h"
 #include "core/ace_tree.h"
-#include "core/parallel_sampler.h"
 #include "core/sample_view.h"
 #include "gtest/gtest.h"
 #include "io/env.h"
@@ -43,13 +38,7 @@ using storage::SaleRecord;
 constexpr double kQueryLo = 20000.0;
 constexpr double kQueryHi = 70000.0;
 
-enum class Mode { kSerial, kParallel };
-
-std::string ModeName(Mode mode) {
-  return mode == Mode::kSerial ? "Serial" : "Parallel";
-}
-
-class StatisticalTest : public ::testing::TestWithParam<Mode> {
+class StatisticalTest : public ::testing::Test {
  protected:
   void SetUp() override {
     env_ = io::NewMemEnv();
@@ -99,12 +88,7 @@ class StatisticalTest : public ::testing::TestWithParam<Mode> {
 
   std::unique_ptr<sampling::SampleStream> MakeSampler(const AceTree* tree,
                                                       uint64_t seed) const {
-    if (GetParam() == Mode::kSerial) {
-      return std::make_unique<AceSampler>(tree, Query(), seed);
-    }
-    ParallelAceSampler::Options options;
-    options.threads = 2;
-    return std::make_unique<ParallelAceSampler>(tree, Query(), seed, options);
+    return std::make_unique<AceSampler>(tree, Query(), seed);
   }
 
   std::unique_ptr<io::Env> env_;
@@ -115,7 +99,7 @@ class StatisticalTest : public ::testing::TestWithParam<Mode> {
   double true_avg_ = 0.0;
 };
 
-TEST_P(StatisticalTest, ExactWithoutReplacement) {
+TEST_F(StatisticalTest, ExactWithoutReplacement) {
   auto sampler = MakeSampler(tree_.get(), /*seed=*/11);
   std::vector<uint64_t> ids = msv::testing::DrainRowIds(sampler.get());
   // No duplicates over the full drain, and the delivered set is exactly
@@ -125,7 +109,7 @@ TEST_P(StatisticalTest, ExactWithoutReplacement) {
   EXPECT_EQ(sampler->samples_returned(), matching_ids_.size());
 }
 
-TEST_P(StatisticalTest, PrefixIsUniformOverMatchingRecords) {
+TEST_F(StatisticalTest, PrefixIsUniformOverMatchingRecords) {
   // Bucket the matching ids into kBuckets equal-population cells, then
   // count which cells the first kPrefix samples of each seeded run land
   // in. Under uniformity every cell is equally likely, so the chi-square
@@ -167,7 +151,7 @@ TEST_P(StatisticalTest, PrefixIsUniformOverMatchingRecords) {
   EXPECT_LT(chi2, 43.8) << "sample prefix is not uniform";
 }
 
-TEST_P(StatisticalTest, OnlineAggregatorIsUnbiased) {
+TEST_F(StatisticalTest, OnlineAggregatorIsUnbiased) {
   // 200 seeded runs, each feeding a prefix of the stream into the
   // aggregator. The mean of the 200 AVG estimates must land within four
   // standard errors of the true average — an unbiasedness check that
@@ -397,12 +381,6 @@ TEST_F(IngestStatisticalTest, UnifiedAvgIsUnbiased) {
   EXPECT_NEAR(mean, true_avg_, 4.0 * stderr_of_mean)
       << "mean of " << kRuns << " unified AVG estimates is biased";
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, StatisticalTest,
-                         ::testing::Values(Mode::kSerial, Mode::kParallel),
-                         [](const ::testing::TestParamInfo<Mode>& info) {
-                           return ModeName(info.param);
-                         });
 
 }  // namespace
 }  // namespace msv::core

@@ -3,14 +3,18 @@
 #ifndef MSV_TESTS_TEST_UTIL_H_
 #define MSV_TESTS_TEST_UTIL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "io/env.h"
+#include "query/executor.h"
 #include "relation/sale_generator.h"
 #include "relation/workload.h"
 #include "sampling/sample_stream.h"
@@ -84,6 +88,29 @@ inline std::vector<uint64_t> TakeRowIds(sampling::SampleStream* stream,
 inline bool AllDistinct(const std::vector<uint64_t>& ids) {
   std::set<uint64_t> s(ids.begin(), ids.end());
   return s.size() == ids.size();
+}
+
+/// Runs `scripts` through one shared executor on `threads` plain
+/// std::threads, each claiming the next unclaimed script until none is
+/// left. Returns every script's result, in script order.
+inline std::vector<Result<std::string>> RunScriptsOnThreads(
+    query::Executor* exec, const std::vector<std::string>& scripts,
+    size_t threads) {
+  std::vector<std::optional<Result<std::string>>> slots(scripts.size());
+  std::atomic<size_t> next{0};
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      for (size_t i = next++; i < scripts.size(); i = next++) {
+        slots[i] = exec->Run(scripts[i]);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  std::vector<Result<std::string>> results;
+  results.reserve(slots.size());
+  for (auto& slot : slots) results.push_back(std::move(*slot));
+  return results;
 }
 
 }  // namespace msv::testing
