@@ -13,12 +13,13 @@
 //   emit       baseline: per-record SampleBatch::Append of a shuffled
 //              round with no pre-sizing (the old EmitShuffled).
 //              new:      SampleBatch::Reserve then Append.
-//   estimate   baseline: OnlineAggregator's std::function ctor fed the
-//              executor's pre-change lambda (TableSchema::Value behind an
-//              indirect call, per record, into the per-record Welford
-//              fold).
-//              new:      compiled storage::FieldAccessor ctor (batch
-//              moments + one Chan merge per batch).
+//   estimate   baseline: the executor's pre-change lambda
+//              (TableSchema::Value behind a std::function, one indirect
+//              call per record) feeding the per-record Welford fold
+//              RunningStats::Add.
+//              new:      OnlineAggregator over a compiled
+//              storage::FieldAccessor (batch moments + one Chan merge per
+//              batch).
 //              Both consume the same cache-resident batch — in the real
 //              pipeline a batch is consumed right after the combiner
 //              wrote it, so the estimate loop is a CPU benchmark, not a
@@ -52,6 +53,7 @@
 #include "util/cpu.h"
 #include "util/logging.h"
 #include "util/random.h"
+#include "util/stats.h"
 
 namespace msv::bench {
 namespace {
@@ -239,19 +241,22 @@ int Run(int argc, char** argv) {
       est_batch_records ? (n + est_batch_records - 1) / est_batch_records : 0;
   const uint64_t est_total = est_rounds * est_batch_records;
 
-  // Pre-change path: the executor's schema lambda behind std::function.
+  // Pre-change path: the executor's schema lambda behind std::function,
+  // folded one record at a time.
   const query::TableSchema& schema = query::TableSchema::Sale();
   const query::Column* amount = schema.Find("amount");
   MSV_CHECK(amount != nullptr);
+  const std::function<double(const char*)> expression =
+      [&schema, amount](const char* rec) { return schema.Value(rec, *amount); };
   double base_avg = 0.0, new_avg = 0.0;
   double est_base_ms = MinMs(reps, [&] {
-    sampling::OnlineAggregator agg(
-        [&schema, amount](const char* rec) {
-          return schema.Value(rec, *amount);
-        },
-        /*population=*/est_total);
-    for (uint64_t r = 0; r < est_rounds; ++r) agg.Consume(batch);
-    base_avg = agg.Avg().value;
+    RunningStats stats;
+    for (uint64_t r = 0; r < est_rounds; ++r) {
+      for (size_t i = 0; i < batch.count(); ++i) {
+        stats.Add(expression(batch.record(i)));
+      }
+    }
+    base_avg = stats.mean();
   });
   double est_new_ms = MinMs(reps, [&] {
     sampling::OnlineAggregator agg(
@@ -260,7 +265,7 @@ int Run(int argc, char** argv) {
     for (uint64_t r = 0; r < est_rounds; ++r) agg.Consume(batch);
     new_avg = agg.Avg().value;
   });
-  // The two forms accumulate the same moments in a different association:
+  // The two folds accumulate the same moments in a different association:
   // equal to rounding error, not bit-for-bit.
   MSV_CHECK_MSG(std::abs(base_avg - new_avg) <=
                     1e-9 * std::max(1.0, std::abs(base_avg)),

@@ -109,7 +109,6 @@ int Run(int argc, char** argv) {
     options.build.seed = seed;
     options.ingest.memtable_max_records = memtable_records;
     options.ingest.background_compaction = true;
-    options.ingest.compact_poll_ms = 5;
     auto view_or = core::MaterializedSampleView::Create(
         env.get(), "v", "sale", SaleRecord::Layout1D(), options);
     MSV_CHECK(view_or.ok());

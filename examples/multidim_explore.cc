@@ -16,6 +16,7 @@
 #include "relation/sale_generator.h"
 #include "sampling/online_aggregator.h"
 #include "storage/record.h"
+#include "storage/record_view.h"
 #include "util/logging.h"
 
 using msv::storage::SaleRecord;
@@ -59,7 +60,7 @@ int main() {
     uint64_t population = tree->EstimateMatchCount(region.q).value_or(0);
     msv::core::AceSampler sampler(tree.get(), region.q, 11);
     msv::sampling::OnlineAggregator agg(
-        [](const char* rec) { return SaleRecord::DecodeFrom(rec).amount; },
+        msv::storage::FieldAccessor::Double(SaleRecord::kAmountOffset),
         population, 0.95);
     // A quick probe: at most 40 leaf reads' worth of samples.
     uint64_t pulls = 0;

@@ -23,6 +23,7 @@
 #include "relation/workload.h"
 #include "sampling/online_aggregator.h"
 #include "storage/heap_file.h"
+#include "storage/record_view.h"
 #include "util/logging.h"
 
 using msv::sampling::OnlineAggregator;
@@ -35,7 +36,9 @@ double Amount(const char* rec) { return SaleRecord::DecodeFrom(rec).amount; }
 void RunEstimation(msv::sampling::SampleStream* stream,
                    msv::io::DiskDevice* device, uint64_t population,
                    double truth, double scan_ms) {
-  OnlineAggregator agg(&Amount, population, 0.95);
+  OnlineAggregator agg(
+      msv::storage::FieldAccessor::Double(SaleRecord::kAmountOffset),
+      population, 0.95);
   double next_report_pct = 0.25;
   std::printf("  %%scan   samples       AVG estimate (95%% CI)     rel.err\n");
   while (!stream->done() && device->clock().NowMs() < scan_ms * 0.04) {

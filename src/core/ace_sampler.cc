@@ -86,69 +86,43 @@ std::vector<uint64_t> ComputeStabLeafOrder(
   return order;
 }
 
-void ApportionDiskUsAcrossLevels(uint64_t delta_us, const LeafData& leaf,
-                                 uint32_t height,
-                                 std::vector<uint64_t>* level_us) {
-  uint64_t total_bytes = 0;
-  for (const std::string& s : leaf.sections) total_bytes += s.size();
-  if (total_bytes == 0 || height == 0) {
-    if (height > 0) (*level_us)[0] += delta_us;
-    return;
-  }
-  // Largest-remainder split: integer shares proportional to section
-  // bytes whose sum is exactly delta_us.
-  uint64_t assigned = 0;
-  std::vector<std::pair<uint64_t, uint32_t>> remainders;  // (remainder, level-1)
-  remainders.reserve(height);
-  for (uint32_t i = 0; i < height; ++i) {
-    uint64_t numer = delta_us * leaf.sections[i].size();
-    (*level_us)[i] += numer / total_bytes;
-    assigned += numer / total_bytes;
-    remainders.emplace_back(numer % total_bytes, i);
-  }
-  std::sort(remainders.begin(), remainders.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first > b.first
-                                        : a.second < b.second;
-            });
-  for (uint64_t r = delta_us - assigned, i = 0; r > 0; --r, ++i) {
-    ++(*level_us)[remainders[i % remainders.size()].second];
-  }
-}
+namespace {
 
-std::vector<uint64_t> ApportionDiskUsAcrossLeaves(
-    uint64_t delta_us, const std::vector<LeafData>& leaves) {
-  std::vector<uint64_t> shares(leaves.size(), 0);
-  if (leaves.empty()) return shares;
-  uint64_t total_bytes = 0;
-  std::vector<uint64_t> leaf_bytes(leaves.size(), 0);
-  for (size_t i = 0; i < leaves.size(); ++i) {
-    for (const std::string& s : leaves[i].sections) leaf_bytes[i] += s.size();
-    total_bytes += leaf_bytes[i];
-  }
-  if (total_bytes == 0) {
-    shares[0] = delta_us;
+/// Splits `total` into integer shares proportional to `weights` with
+/// largest-remainder rounding, so the shares sum to exactly `total` and
+/// per-leaf and per-level disk-µs attribution reconciles with DiskStats to
+/// the microsecond. `weights` is non-empty; with all-zero weights the
+/// first share takes it all.
+std::vector<uint64_t> SplitLargestRemainder(
+    uint64_t total, const std::vector<uint64_t>& weights) {
+  std::vector<uint64_t> shares(weights.size(), 0);
+  uint64_t weight_sum = 0;
+  for (uint64_t w : weights) weight_sum += w;
+  if (weight_sum == 0) {
+    shares[0] = total;
     return shares;
   }
   uint64_t assigned = 0;
   std::vector<std::pair<uint64_t, size_t>> remainders;  // (remainder, index)
-  remainders.reserve(leaves.size());
-  for (size_t i = 0; i < leaves.size(); ++i) {
-    uint64_t numer = delta_us * leaf_bytes[i];
-    shares[i] = numer / total_bytes;
+  remainders.reserve(weights.size());
+  for (size_t i = 0; i < weights.size(); ++i) {
+    uint64_t numer = total * weights[i];
+    shares[i] = numer / weight_sum;
     assigned += shares[i];
-    remainders.emplace_back(numer % total_bytes, i);
+    remainders.emplace_back(numer % weight_sum, i);
   }
   std::sort(remainders.begin(), remainders.end(),
             [](const auto& a, const auto& b) {
               return a.first != b.first ? a.first > b.first
                                         : a.second < b.second;
             });
-  for (uint64_t r = delta_us - assigned, i = 0; r > 0; --r, ++i) {
+  for (uint64_t r = total - assigned, i = 0; r > 0; --r, ++i) {
     ++shares[remainders[i % remainders.size()].second];
   }
   return shares;
 }
+
+}  // namespace
 
 AceSampler::AceSampler(const AceTree* tree, sampling::RangeQuery query,
                        uint64_t seed)
@@ -203,11 +177,11 @@ void AceSampler::EmitLevelSpans() {
 }
 
 Status AceSampler::FillPending() {
-  // Pull every remaining stab position. The cursor is the sole
-  // authority on order; prefetching only changes *when* the bytes move,
-  // never which leaf feeds the combiner next.
+  // The cursor is the sole authority on order; the drain prefetch only
+  // changes *when* the bytes move, never which leaf feeds the combiner
+  // next.
   std::vector<uint64_t> heap_ids;
-  while (!cursor_->exhausted()) {
+  while (!cursor_->exhausted() && (options_.drain || heap_ids.empty())) {
     uint64_t id = cursor_->NextLeafId();
     if (id == 0) break;
     heap_ids.push_back(id);
@@ -220,11 +194,22 @@ Status AceSampler::FillPending() {
   for (uint64_t id : heap_ids) {
     leaf_indices.push_back(tree_->splits().LeafIndexOf(id));
   }
+  // The busy delta is the calling thread's own attribution, so concurrent
+  // samplers hammering the same arm never inflate each other's levels.
   uint64_t busy_before = io::ThreadDiskBusyUs();
-  MSV_ASSIGN_OR_RETURN(std::vector<LeafData> leaves,
-                       tree_->ReadLeaves(leaf_indices));
-  std::vector<uint64_t> shares = ApportionDiskUsAcrossLeaves(
-      io::ThreadDiskBusyUs() - busy_before, leaves);
+  std::vector<LeafData> leaves;
+  if (options_.drain) {
+    MSV_ASSIGN_OR_RETURN(leaves, tree_->ReadLeaves(leaf_indices));
+  } else {
+    MSV_ASSIGN_OR_RETURN(LeafData leaf, tree_->ReadLeaf(leaf_indices[0]));
+    leaves.push_back(std::move(leaf));
+  }
+  std::vector<uint64_t> leaf_bytes(leaves.size(), 0);
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    for (const std::string& s : leaves[i].sections) leaf_bytes[i] += s.size();
+  }
+  std::vector<uint64_t> shares = SplitLargestRemainder(
+      io::ThreadDiskBusyUs() - busy_before, leaf_bytes);
   for (size_t i = 0; i < heap_ids.size(); ++i) {
     pending_.push_back(
         PendingLeaf{heap_ids[i], std::move(leaves[i]), shares[i]});
@@ -233,44 +218,27 @@ Status AceSampler::FillPending() {
 }
 
 Status AceSampler::Stab(sampling::SampleBatch* out) {
-  if (options_.drain) {
-    if (pending_.empty()) MSV_RETURN_IF_ERROR(FillPending());
-    PendingLeaf p = std::move(pending_.front());
-    pending_.pop_front();
-    // Attribution, read order and counters are recorded at *consumption*
-    // (stab order), so diagnostics match the serial path exactly.
-    ApportionDiskUsAcrossLevels(p.disk_us, p.leaf, tree_->meta().height,
-                                &level_disk_us_);
-    ++leaves_read_;
-    c_leaf_reads_->Add();
-    leaf_read_order_.push_back(p.leaf.leaf_index);
-    combiner_->AddLeaf(p.heap_id, p.leaf, out, &rng_);
-    if (cursor_->exhausted() && pending_.empty()) {
-      combiner_->Flush(out, &rng_);
-      finished_ = true;
-    }
-    return Status::OK();
+  if (pending_.empty()) MSV_RETURN_IF_ERROR(FillPending());
+  PendingLeaf p = std::move(pending_.front());
+  pending_.pop_front();
+  // Attribution, read order and counters are recorded at consumption
+  // (stab order), so diagnostics do not depend on the I/O policy. The
+  // leaf's disk µs are split across its section levels by section bytes.
+  std::vector<uint64_t> section_bytes;
+  section_bytes.reserve(p.leaf.sections.size());
+  for (const std::string& s : p.leaf.sections) {
+    section_bytes.push_back(s.size());
   }
-
-  uint64_t id = cursor_->NextLeafId();
-  if (id == 0) {
-    return Status::Internal("stab on an exhausted cursor");
+  std::vector<uint64_t> level_shares =
+      SplitLargestRemainder(p.disk_us, section_bytes);
+  for (size_t i = 0; i < level_shares.size(); ++i) {
+    level_disk_us_[i] += level_shares[i];
   }
-
-  // Leaf reached: retrieve and combine. The busy delta is the calling
-  // thread's own attribution, so concurrent samplers hammering the same
-  // arm never inflate each other's levels.
-  uint64_t busy_before = io::ThreadDiskBusyUs();
-  MSV_ASSIGN_OR_RETURN(LeafData leaf,
-                       tree_->ReadLeaf(tree_->splits().LeafIndexOf(id)));
-  ApportionDiskUsAcrossLevels(io::ThreadDiskBusyUs() - busy_before, leaf,
-                              tree_->meta().height, &level_disk_us_);
   ++leaves_read_;
   c_leaf_reads_->Add();
-  leaf_read_order_.push_back(tree_->splits().LeafIndexOf(id));
-  combiner_->AddLeaf(id, leaf, out, &rng_);
-
-  if (cursor_->exhausted()) {
+  leaf_read_order_.push_back(p.leaf.leaf_index);
+  combiner_->AddLeaf(p.heap_id, p.leaf, out, &rng_);
+  if (cursor_->exhausted() && pending_.empty()) {
     // Every leaf consumed. All combine rounds have balanced out (each
     // covering node at level i received exactly 2^(h-i) contributions),
     // so the flush is a no-op safety net completing the match set.

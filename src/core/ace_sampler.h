@@ -61,22 +61,6 @@ class StabCursor {
 std::vector<uint64_t> ComputeStabLeafOrder(const SplitTree& splits,
                                            const sampling::RangeQuery& query);
 
-/// Splits one leaf read's disk-µs delta across the leaf's section levels
-/// proportionally to section bytes, largest-remainder rounding, adding the
-/// shares into `level_us` (size `height`, index level-1). The shares sum
-/// to exactly `delta_us`.
-void ApportionDiskUsAcrossLevels(uint64_t delta_us, const LeafData& leaf,
-                                 uint32_t height,
-                                 std::vector<uint64_t>* level_us);
-
-/// Splits one batched read's disk-µs delta across the leaves it fetched,
-/// proportionally to each leaf's total bytes, largest-remainder rounding.
-/// The returned shares (one per leaf) sum to exactly `delta_us`, so the
-/// per-leaf → per-level apportionment chain still reconciles with
-/// DiskStats to the microsecond.
-std::vector<uint64_t> ApportionDiskUsAcrossLeaves(
-    uint64_t delta_us, const std::vector<LeafData>& leaves);
-
 struct AceSamplerOptions {
   /// Leaf I/O policy. false (the default) reads one leaf per NextBatch,
   /// so the first samples arrive after a single read. true fetches the
@@ -127,9 +111,8 @@ class AceSampler : public sampling::SampleStream {
   }
 
  private:
-  /// A leaf fetched ahead of consumption by the drain read, waiting for
-  /// its stab turn. disk_us is the leaf's apportioned share of the
-  /// batch's busy delta.
+  /// A fetched leaf waiting for its stab turn. disk_us is the leaf's
+  /// share of its read's busy delta.
   struct PendingLeaf {
     uint64_t heap_id = 0;
     LeafData leaf;
@@ -139,8 +122,9 @@ class AceSampler : public sampling::SampleStream {
   /// One stab; appends emitted samples to `out`.
   Status Stab(sampling::SampleBatch* out);
 
-  /// Pulls every remaining leaf id from the cursor and fetches them with
-  /// one elevator-ordered batched read into pending_.
+  /// Fetches the next stab position's leaf into pending_ (ReadLeaf) or,
+  /// under the drain policy, every remaining one in one elevator-ordered
+  /// batched read (ReadLeaves).
   Status FillPending();
 
   /// Closes out the trace: one child span per section level carrying the

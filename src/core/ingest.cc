@@ -19,12 +19,10 @@ void Memtable::Append(const char* records, size_t count) {
 
 void Memtable::CollectMatches(const storage::RecordLayout& layout,
                               const sampling::RangeQuery& query,
-                              std::vector<std::string>* out) const {
+                              sampling::SampleBatch* out) const {
   for (uint64_t i = 0; i < count_; ++i) {
     const char* rec = record(i);
-    if (query.Matches(layout, rec)) {
-      out->emplace_back(rec, record_size_);
-    }
+    if (query.Matches(layout, rec)) out->Append(rec);
   }
 }
 

@@ -29,6 +29,7 @@
 
 #include "io/env.h"
 #include "sampling/range_query.h"
+#include "sampling/sample_stream.h"
 #include "storage/record.h"
 #include "util/result.h"
 
@@ -47,8 +48,6 @@ struct IngestOptions {
   /// Run compaction on a background thread. When false, runs accumulate
   /// until an explicit Compact()/Rebuild().
   bool background_compaction = true;
-  /// Poll period of the compaction thread between trigger checks.
-  uint64_t compact_poll_ms = 50;
 };
 
 /// An append-only in-memory buffer of fixed-size records; the mutable
@@ -70,10 +69,10 @@ class Memtable {
     return data_.data() + i * record_size_;
   }
 
-  /// Copies the records matching `query` into `out`.
+  /// Appends the records matching `query` to `out`, packed.
   void CollectMatches(const storage::RecordLayout& layout,
                       const sampling::RangeQuery& query,
-                      std::vector<std::string>* out) const;
+                      sampling::SampleBatch* out) const;
 
   /// Record pointers sorted by the first key dimension (the run order).
   std::vector<const char*> SortedRecords(

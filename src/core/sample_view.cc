@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <set>
 
 #include "obs/log.h"
@@ -30,28 +31,31 @@ ViewSampler::ViewSampler(std::shared_ptr<const AceTree> tree,
       c_samples_(obs::MetricRegistry::Global().GetCounter(
           "view.samples_emitted")) {
   for (ExactPartition& p : exact_) {
-    Shuffle(&p.records, &rng_);
-    exact_remaining_ += p.records.size();
+    // Shuffling indices draws exactly what shuffling the records would.
+    p.order.resize(p.records.count());
+    std::iota(p.order.begin(), p.order.end(), 0u);
+    Shuffle(&p.order, &rng_);
+    exact_remaining_ += p.order.size();
   }
 }
 
 uint64_t ViewSampler::BaseRemaining() const {
-  if (base_->done()) return base_queue_.size();
+  if (base_->done()) return base_left_;
   uint64_t estimated =
       base_estimate_ > base_emitted_ ? base_estimate_ - base_emitted_ : 0;
   if (base_exact_) {
     // The caller vouched for the count; records already pulled into the
-    // queue are matches in hand, so never report below them.
-    return std::max<uint64_t>(estimated, base_queue_.size());
+    // batch are matches in hand, so never report below them.
+    return std::max<uint64_t>(estimated, base_left_);
   }
-  // At least one more than the queue holds (the stream is not done), but
+  // At least one more than the batch holds (the stream is not done), but
   // never below what we can see; otherwise trust the estimate.
-  uint64_t seen_floor = base_queue_.size() + 1;
+  uint64_t seen_floor = base_left_ + 1;
   return std::max<uint64_t>(estimated, seen_floor);
 }
 
 bool ViewSampler::done() const {
-  bool base_done = base_->done() ? base_queue_.empty()
+  bool base_done = base_->done() ? base_left_ == 0
                                  : (base_exact_ && BaseRemaining() == 0);
   return base_done && exact_remaining_ == 0;
 }
@@ -70,15 +74,12 @@ Result<sampling::SampleBatch> ViewSampler::NextBatch() {
     // sample of the union (Brown & Haas).
     uint64_t draw = rng_.Below(total);
     if (draw < rb) {
-      while (base_queue_.empty() && !base_->done()) {
-        MSV_ASSIGN_OR_RETURN(sampling::SampleBatch pulled, base_->NextBatch());
-        for (size_t i = 0; i < pulled.count(); ++i) {
-          base_queue_.emplace_back(pulled.record(i), record_size_);
-        }
+      while (base_left_ == 0 && !base_->done()) {
+        MSV_ASSIGN_OR_RETURN(base_batch_, base_->NextBatch());
+        base_left_ = base_batch_.count();
       }
-      if (base_queue_.empty()) continue;  // base finished under estimate
-      batch.Append(base_queue_.back().data());
-      base_queue_.pop_back();
+      if (base_left_ == 0) continue;  // base finished under estimate
+      batch.Append(base_batch_.record(--base_left_));
       ++base_emitted_;
     } else {
       // Walk the in-memory partitions by their remaining counts; within
@@ -87,9 +88,9 @@ Result<sampling::SampleBatch> ViewSampler::NextBatch() {
       uint64_t offset = draw - rb;
       bool taken = false;
       for (ExactPartition& p : exact_) {
-        uint64_t remaining = p.records.size() - p.next;
+        uint64_t remaining = p.order.size() - p.next;
         if (offset < remaining) {
-          batch.Append(p.records[p.next].data());
+          batch.Append(p.records.record(p.order[p.next]));
           ++p.next;
           --exact_remaining_;
           taken = true;
@@ -111,6 +112,9 @@ Result<sampling::SampleBatch> ViewSampler::NextBatch() {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// Pause after a failed background compaction before the next attempt.
+constexpr std::chrono::seconds kCompactionRetryBackoff{1};
 
 /// Parses `text` as `<stem><decimal id>` with nothing trailing.
 bool ParseSuffixId(const std::string& text, const std::string& stem,
@@ -625,10 +629,11 @@ void MaterializedSampleView::CompactorMain() {
   for (;;) {
     {
       MutexLock lock(mu_);
+      // Every change that can fire the trigger signals cv_: Insert,
+      // Flush, the end of CompactOnce and StopCompactor.
       while (!stop_requested_ &&
              !(CompactionTriggeredLocked() && !compacting_)) {
-        cv_.WaitFor(mu_,
-                    std::chrono::milliseconds(options_.ingest.compact_poll_ms));
+        cv_.Wait(mu_);
       }
       if (stop_requested_) return;
     }
@@ -639,8 +644,7 @@ void MaterializedSampleView::CompactorMain() {
       // Back off so a persistently failing compaction doesn't spin.
       MutexLock lock(mu_);
       if (stop_requested_) return;
-      cv_.WaitFor(mu_, std::chrono::milliseconds(
-                           options_.ingest.compact_poll_ms * 20));
+      cv_.WaitFor(mu_, kCompactionRetryBackoff);
     }
   }
 }
@@ -711,6 +715,7 @@ Result<std::unique_ptr<ViewSampler>> MaterializedSampleView::Sample(
   std::shared_ptr<const AceTree> tree;
   std::vector<RunHandle> runs;
   ViewSampler::ExactPartition memtable_matches;
+  memtable_matches.records.record_size = layout_.record_size;
   {
     MutexLock lock(mu_);
     tree = tree_;
@@ -728,13 +733,12 @@ Result<std::unique_ptr<ViewSampler>> MaterializedSampleView::Sample(
   exact.reserve(runs.size() + 1);
   for (const RunHandle& run : runs) {
     ViewSampler::ExactPartition p;
+    p.records.record_size = layout_.record_size;
     auto scanner = run.file->NewScanner();
     for (;;) {
       MSV_ASSIGN_OR_RETURN(const char* rec, scanner.Next());
       if (rec == nullptr) break;
-      if (query.Matches(layout_, rec)) {
-        p.records.emplace_back(rec, layout_.record_size);
-      }
+      if (query.Matches(layout_, rec)) p.records.Append(rec);
     }
     exact.push_back(std::move(p));
   }

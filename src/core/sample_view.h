@@ -70,10 +70,12 @@ class ViewSampler : public sampling::SampleStream {
  private:
   friend class MaterializedSampleView;
 
-  /// One fully in-memory partition (a run's or the memtable's matches),
-  /// pre-shuffled; next_ records have been emitted.
+  /// One fully in-memory partition: a run's or the memtable's matches,
+  /// packed, emitted in a pre-shuffled order of record indices; `next`
+  /// records have been emitted.
   struct ExactPartition {
-    std::vector<std::string> records;
+    sampling::SampleBatch records;
+    std::vector<uint32_t> order;
     size_t next = 0;
   };
 
@@ -87,7 +89,10 @@ class ViewSampler : public sampling::SampleStream {
 
   std::shared_ptr<const AceTree> tree_;  // keeps the sampled generation alive
   std::unique_ptr<AceSampler> base_;
-  std::vector<std::string> base_queue_;  // pulled but not yet emitted
+  /// The last pulled base batch; its first base_left_ records are not yet
+  /// emitted and go out from the back.
+  sampling::SampleBatch base_batch_;
+  size_t base_left_ = 0;
   uint64_t base_estimate_;               // matching count (estimate or exact)
   bool base_exact_;                      // caller vouched for base_estimate_
   uint64_t base_emitted_ = 0;

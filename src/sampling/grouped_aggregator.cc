@@ -11,16 +11,6 @@ GroupedAggregator::GroupedAggregator(storage::FieldAccessor group_acc,
                                      uint64_t population, double confidence)
     : group_acc_(group_acc),
       value_acc_(value_acc),
-      use_accessors_(true),
-      population_(population),
-      z_(NormalCriticalValue(confidence)) {}
-
-GroupedAggregator::GroupedAggregator(
-    std::function<uint64_t(const char*)> group_fn,
-    std::function<double(const char*)> expression, uint64_t population,
-    double confidence)
-    : group_fn_(std::move(group_fn)),
-      expression_(std::move(expression)),
       population_(population),
       z_(NormalCriticalValue(confidence)) {}
 
@@ -33,20 +23,13 @@ void GroupedAggregator::Fold(uint64_t group, double x) {
 }
 
 void GroupedAggregator::Consume(const SampleBatch& batch) {
+  // Both loads inline, so the per-record cost is the map probe and the
+  // three accumulator updates.
   const size_t n = batch.count();
-  if (use_accessors_) {
-    // Compiled accessors: both loads inline, so the per-record cost is
-    // the map probe and the three accumulator updates.
-    const char* rec = batch.data.data();
-    const size_t record_size = batch.record_size;
-    for (size_t i = 0; i < n; ++i, rec += record_size) {
-      Fold(group_acc_.LoadU64(rec), value_acc_.Load(rec));
-    }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const char* rec = batch.record(i);
-      Fold(group_fn_(rec), expression_(rec));  // NOLINT(msv-hot-path-alloc) ad-hoc-expression cold path
-    }
+  const char* rec = batch.data.data();
+  const size_t record_size = batch.record_size;
+  for (size_t i = 0; i < n; ++i, rec += record_size) {
+    Fold(group_acc_.LoadU64(rec), value_acc_.Load(rec));
   }
 }
 

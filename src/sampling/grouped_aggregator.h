@@ -8,15 +8,13 @@
 // with a CLT interval from var(y); only per-group (count, sum, sum-of-
 // squares) plus the global sample count need be stored.
 //
-// Like OnlineAggregator, the hot path takes compiled FieldAccessors for
-// the group key and the aggregated expression (no per-record indirect
-// calls); the std::function pair remains for ad-hoc expressions.
+// Like OnlineAggregator, it takes compiled FieldAccessors for the group
+// key and the aggregated expression (no per-record indirect calls).
 
 #ifndef MSV_SAMPLING_GROUPED_AGGREGATOR_H_
 #define MSV_SAMPLING_GROUPED_AGGREGATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <vector>
 
@@ -28,17 +26,12 @@ namespace msv::sampling {
 
 class GroupedAggregator {
  public:
-  /// Hot path: `group_acc` extracts the (integer) group key, `value_acc`
+  /// `group_acc` extracts the (integer) group key, `value_acc`
   /// the value being aggregated; `population` is |σ_Q(R)| (for SUM/COUNT
   /// scale-up).
   GroupedAggregator(storage::FieldAccessor group_acc,
                     storage::FieldAccessor value_acc, uint64_t population,
                     double confidence = 0.95);
-
-  /// Cold path: arbitrary expressions via std::function.
-  GroupedAggregator(std::function<uint64_t(const char*)> group_fn,
-                    std::function<double(const char*)> expression,
-                    uint64_t population, double confidence = 0.95);
 
   void Consume(const SampleBatch& batch);
 
@@ -67,9 +60,6 @@ class GroupedAggregator {
 
   storage::FieldAccessor group_acc_;
   storage::FieldAccessor value_acc_;
-  bool use_accessors_ = false;
-  std::function<uint64_t(const char*)> group_fn_;
-  std::function<double(const char*)> expression_;
   uint64_t population_;
   double z_;
   uint64_t n_ = 0;

@@ -6,23 +6,16 @@
 // motivating application (Sec. 1): with an online sample, the interval
 // shrinks continuously and is valid at every instant.
 //
-// Two expression forms are supported. The hot path is a compiled
-// storage::FieldAccessor (offset + kind enum): Consume() folds a whole
-// SampleBatch at once — batch moments with chain-free independent
-// accumulators, then one Chan merge into the running state — instead of
-// a per-record indirect call feeding a per-record Welford divide. The
-// std::function form remains for ad-hoc expressions (tests, cold paths)
-// and keeps the historical per-record Welford fold; this is why the
-// MSVQL executor compiles its column references down to accessors
-// (DESIGN.md §15). The two forms accumulate the same moments in a
-// different association, so estimates agree to rounding error (ulps),
-// not bit-for-bit; sample streams themselves are unaffected.
+// The aggregated expression is a compiled storage::FieldAccessor (offset
+// + kind enum); the MSVQL executor compiles its column references down to
+// one (DESIGN.md §15). Consume() folds a whole SampleBatch at once —
+// batch moments with chain-free independent accumulators, then one Chan
+// merge into the running state — instead of a per-record Welford divide.
 
 #ifndef MSV_SAMPLING_ONLINE_AGGREGATOR_H_
 #define MSV_SAMPLING_ONLINE_AGGREGATOR_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "sampling/sample_stream.h"
 #include "storage/record_view.h"
@@ -44,18 +37,13 @@ struct Estimate {
 /// Streaming AVG/SUM estimator over matching records.
 class OnlineAggregator {
  public:
-  /// Hot path: `accessor` is the compiled form of the aggregated
-  /// expression (e.g. AMOUNT at its record offset). `population` is the
-  /// number of records matching the query (the ACE tree's internal-node
-  /// counts provide it, per Sec. 3.2 of the paper); required for SUM and
-  /// COUNT-style scale-up, not for AVG.
+  /// `accessor` is the compiled form of the aggregated expression (e.g.
+  /// AMOUNT at its record offset). `population` is the number of records
+  /// matching the query (the ACE tree's internal-node counts provide it,
+  /// per Sec. 3.2 of the paper); required for SUM and COUNT-style
+  /// scale-up, not for AVG.
   OnlineAggregator(storage::FieldAccessor accessor, uint64_t population,
                    double confidence = 0.95);
-
-  /// Cold path: arbitrary expression via std::function — one indirect
-  /// call per record; prefer the FieldAccessor form on batch loops.
-  OnlineAggregator(std::function<double(const char*)> expression,
-                   uint64_t population, double confidence = 0.95);
 
   /// Folds every record of a batch into the estimate.
   void Consume(const SampleBatch& batch);
@@ -76,8 +64,6 @@ class OnlineAggregator {
   void MaybeEmitCheckpoint();
 
   storage::FieldAccessor accessor_;
-  bool use_accessor_ = false;
-  std::function<double(const char*)> expression_;
   uint64_t population_;
   double z_;
   RunningStats stats_;

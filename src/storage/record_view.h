@@ -8,11 +8,10 @@
 // the caller's contract (the combine engine ties span lifetime to its
 // per-query arena; see DESIGN.md §15).
 //
-// A FieldAccessor is the "compiled" form of the aggregation expressions
-// the MSVQL executor used to pass around as std::function<double(const
-// char*)>: an offset plus a kind enum, fully inlineable, so consuming a
-// whole SampleBatch is a tight load loop instead of one indirect call
-// per record.
+// A FieldAccessor is the "compiled" form of an aggregation expression:
+// an offset plus a kind enum, fully inlineable, so consuming a whole
+// SampleBatch is a tight load loop instead of one indirect call per
+// record. It is the only way the aggregators read a record.
 
 #ifndef MSV_STORAGE_RECORD_VIEW_H_
 #define MSV_STORAGE_RECORD_VIEW_H_
@@ -64,8 +63,7 @@ struct FieldAccessor {
   }
 
   /// Raw u64 load (GROUP BY keys). Only meaningful for kUint64; kDouble
-  /// truncates through double the same way the std::function path's
-  /// static_cast<uint64_t>(Value(...)) did.
+  /// truncates through static_cast<uint64_t>.
   uint64_t LoadU64(const char* rec) const {
     switch (kind) {
       case Kind::kUint64:

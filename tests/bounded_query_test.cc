@@ -34,6 +34,7 @@
 #include "sampling/online_aggregator.h"
 #include "sampling/stopping_rule.h"
 #include "storage/record.h"
+#include "storage/record_view.h"
 #include "test_util.h"
 
 namespace msv {
@@ -237,7 +238,7 @@ TEST_F(BoundedCoverageTest, ErrorBoundCiCoversTruthAtNominalRate) {
                              sampling::RangeQuery::OneDim(kLo, kHi),
                              /*seed=*/900 + static_cast<uint64_t>(run));
     sampling::OnlineAggregator agg(
-        [](const char* rec) { return SaleRecord::DecodeFrom(rec).amount; },
+        storage::FieldAccessor::Double(SaleRecord::kAmountOffset),
         matching_, kConfidence);
 
     StoppingRule::Options options;

@@ -12,10 +12,12 @@
 //   4. Arena, FieldAccessor and SampleBatch bulk paths behave as the
 //      combine engine and aggregators assume.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,6 +40,7 @@
 #include "util/coding.h"
 #include "util/cpu.h"
 #include "util/random.h"
+#include "util/stats.h"
 
 namespace msv {
 namespace {
@@ -383,7 +386,7 @@ TEST_F(DispatchStreamTest, SampleStreamIsByteIdenticalAtEveryLevel) {
 }
 
 // ---------------------------------------------------------------------------
-// Aggregator: compiled accessors vs std::function
+// Aggregator: the batch fold vs per-record reference folds
 // ---------------------------------------------------------------------------
 
 SampleBatch MakeAmountBatch(size_t n, uint64_t seed) {
@@ -403,74 +406,98 @@ SampleBatch MakeAmountBatch(size_t n, uint64_t seed) {
   return batch;
 }
 
+double AmountOf(const char* rec) {
+  return DecodeDouble(rec + SaleRecord::kAmountOffset);
+}
+
+/// The aggregator's AVG half-width, recomputed from reference moments.
+double ReferenceHalfWidth(const RunningStats& ref, uint64_t population) {
+  const double fpc =
+      std::sqrt(static_cast<double>(population - ref.count()) /
+                static_cast<double>(population - 1));
+  return NormalCriticalValue(0.95) * ref.stderr_mean() * fpc;
+}
+
 TEST(AggregatorEquivalenceTest, AccessorMatchesFunctionWithinRounding) {
-  // The accessor path folds batch moments and merges (one divide per
-  // batch); the std::function path keeps per-record Welford. Same
-  // moments, different association: equal to relative rounding error.
-  sampling::OnlineAggregator fn_agg(
-      [](const char* rec) {
-        return DecodeDouble(rec + SaleRecord::kAmountOffset);
-      },
-      /*population=*/100000);
-  sampling::OnlineAggregator acc_agg(
-      FieldAccessor::Double(SaleRecord::kAmountOffset),
-      /*population=*/100000);
+  // The aggregator folds batch moments and merges (one divide per batch);
+  // the reference is a per-record Welford fold. Same moments, different
+  // association: equal to relative rounding error.
+  constexpr uint64_t kPopulation = 100000;
+  RunningStats ref;
+  sampling::OnlineAggregator agg(
+      FieldAccessor::Double(SaleRecord::kAmountOffset), kPopulation);
   for (uint64_t seed : {1u, 2u, 3u}) {
     SampleBatch batch = MakeAmountBatch(997, seed);  // odd: exercises tails
-    fn_agg.Consume(batch);
-    acc_agg.Consume(batch);
+    for (size_t i = 0; i < batch.count(); ++i) {
+      ref.Add(AmountOf(batch.record(i)));
+    }
+    agg.Consume(batch);
   }
-  ASSERT_EQ(fn_agg.samples_seen(), acc_agg.samples_seen());
-  EXPECT_NEAR(acc_agg.Avg().value, fn_agg.Avg().value,
-              1e-9 * std::abs(fn_agg.Avg().value));
-  EXPECT_NEAR(acc_agg.Avg().half_width, fn_agg.Avg().half_width,
-              1e-6 * fn_agg.Avg().half_width);
-  EXPECT_NEAR(acc_agg.Sum().value, fn_agg.Sum().value,
-              1e-9 * std::abs(fn_agg.Sum().value));
+  ASSERT_EQ(agg.samples_seen(), ref.count());
+  EXPECT_NEAR(agg.Avg().value, ref.mean(), 1e-9 * std::abs(ref.mean()));
+  const double half_width = ReferenceHalfWidth(ref, kPopulation);
+  EXPECT_NEAR(agg.Avg().half_width, half_width, 1e-9 * half_width);
+  const double sum = ref.mean() * static_cast<double>(kPopulation);
+  EXPECT_NEAR(agg.Sum().value, sum, 1e-9 * std::abs(sum));
 }
 
 TEST(AggregatorEquivalenceTest, CountStyleConstOneIsExact) {
-  // COUNT folds the constant 1.0: both paths produce mean exactly 1 and
-  // variance exactly 0, so this case stays bit-identical.
-  sampling::OnlineAggregator fn_agg([](const char*) { return 1.0; },
-                                    /*population=*/5000);
-  sampling::OnlineAggregator acc_agg(FieldAccessor::ConstOne(),
-                                     /*population=*/5000);
+  // COUNT folds the constant 1.0: the batch fold and the per-record
+  // reference both give mean exactly 1 and variance exactly 0.
+  constexpr uint64_t kPopulation = 5000;
+  RunningStats ref;
+  sampling::OnlineAggregator agg(FieldAccessor::ConstOne(), kPopulation);
   SampleBatch batch = MakeAmountBatch(513, 9);
-  fn_agg.Consume(batch);
-  acc_agg.Consume(batch);
-  EXPECT_EQ(acc_agg.Avg().value, fn_agg.Avg().value);
-  EXPECT_EQ(acc_agg.Avg().half_width, fn_agg.Avg().half_width);
-  EXPECT_EQ(acc_agg.Sum().value, fn_agg.Sum().value);
+  for (size_t i = 0; i < batch.count(); ++i) ref.Add(1.0);
+  agg.Consume(batch);
+  EXPECT_EQ(agg.Avg().value, ref.mean());
+  EXPECT_EQ(agg.Avg().value, 1.0);
+  EXPECT_EQ(agg.Avg().half_width, 0.0);
+  EXPECT_EQ(agg.Sum().value, static_cast<double>(kPopulation));
 }
 
 TEST(AggregatorEquivalenceTest, GroupedAccessorIsBitIdentical) {
-  // GroupedAggregator's two forms share the exact per-record Fold order,
-  // so their estimates must match bit for bit.
-  sampling::GroupedAggregator fn_agg(
-      [](const char* rec) { return DecodeFixed64(rec + SaleRecord::kCustOffset); },
-      [](const char* rec) {
-        return DecodeDouble(rec + SaleRecord::kAmountOffset);
-      },
-      /*population=*/20000);
-  sampling::GroupedAggregator acc_agg(
+  // The grouped aggregator folds record by record in batch order, so a
+  // per-group fold written out here must match it bit for bit.
+  constexpr uint64_t kPopulation = 20000;
+  sampling::GroupedAggregator agg(
       FieldAccessor::Uint64(SaleRecord::kCustOffset),
-      FieldAccessor::Double(SaleRecord::kAmountOffset),
-      /*population=*/20000);
+      FieldAccessor::Double(SaleRecord::kAmountOffset), kPopulation);
   SampleBatch batch = MakeAmountBatch(1201, 13);
-  fn_agg.Consume(batch);
-  acc_agg.Consume(batch);
+  agg.Consume(batch);
 
-  auto fn_groups = fn_agg.Groups();
-  auto acc_groups = acc_agg.Groups();
-  ASSERT_EQ(fn_groups.size(), acc_groups.size());
-  for (size_t i = 0; i < fn_groups.size(); ++i) {
-    EXPECT_EQ(acc_groups[i].group, fn_groups[i].group);
-    EXPECT_EQ(acc_groups[i].samples, fn_groups[i].samples);
-    EXPECT_EQ(acc_groups[i].avg.value, fn_groups[i].avg.value);
-    EXPECT_EQ(acc_groups[i].avg.half_width, fn_groups[i].avg.half_width);
-    EXPECT_EQ(acc_groups[i].sum.value, fn_groups[i].sum.value);
-    EXPECT_EQ(acc_groups[i].count.value, fn_groups[i].count.value);
+  struct Fold {
+    uint64_t n = 0;
+    double sum = 0.0;
+    double sumsq = 0.0;
+  };
+  std::map<uint64_t, Fold> folds;
+  for (size_t i = 0; i < batch.count(); ++i) {
+    const char* rec = batch.record(i);
+    const double x = AmountOf(rec);
+    Fold& f = folds[DecodeFixed64(rec + SaleRecord::kCustOffset)];
+    ++f.n;
+    f.sum += x;
+    f.sumsq += x * x;
+  }
+  const double z = NormalCriticalValue(0.95);
+  const double n = static_cast<double>(batch.count());
+  const double pop = static_cast<double>(kPopulation);
+
+  auto groups = agg.Groups();
+  ASSERT_EQ(groups.size(), folds.size());
+  size_t i = 0;
+  for (const auto& [key, f] : folds) {
+    const double group_n = static_cast<double>(f.n);
+    const double var = (f.sumsq - f.sum * f.sum / group_n) / (group_n - 1);
+    EXPECT_EQ(groups[i].group, key);
+    EXPECT_EQ(groups[i].samples, f.n);
+    EXPECT_EQ(groups[i].avg.value, f.sum / group_n);
+    EXPECT_EQ(groups[i].avg.half_width,
+              z * std::sqrt(std::max(0.0, var) / group_n));
+    EXPECT_EQ(groups[i].sum.value, pop * (f.sum / n));
+    EXPECT_EQ(groups[i].count.value, pop * (group_n / n));
+    ++i;
   }
 }
 

@@ -30,6 +30,7 @@
 #include "sampling/online_aggregator.h"
 #include "sampling/stopping_rule.h"
 #include "storage/record.h"
+#include "storage/record_view.h"
 #include "test_util.h"
 
 namespace msv {
@@ -83,7 +84,7 @@ class DeadlineTest : public ::testing::Test {
                              sampling::RangeQuery::OneDim(20000.0, 70000.0),
                              seed);
     sampling::OnlineAggregator agg(
-        [](const char* rec) { return SaleRecord::DecodeFrom(rec).amount; },
+        storage::FieldAccessor::Double(SaleRecord::kAmountOffset),
         /*population=*/10000);
     const uint64_t disk_before = io::ThreadDiskBusyUs();
     StoppingRule::Options options;

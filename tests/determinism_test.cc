@@ -8,15 +8,19 @@
 //      query and seed — same root seed + one thread must stay
 //      byte-identical across refactors of the stab path, and across
 //      both leaf I/O policies (leaf-at-a-time and full drain).
+//   3. The ViewSampler's unified sequence over base tree + sorted runs +
+//      memtable, with an estimated and with an exact base count.
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/ace_builder.h"
 #include "core/ace_sampler.h"
 #include "core/ace_tree.h"
+#include "core/sample_view.h"
 #include "gtest/gtest.h"
 #include "io/env.h"
 #include "relation/sale_generator.h"
@@ -224,6 +228,81 @@ TEST_F(DeterminismTest, RepeatRunsAreIdentical) {
   AceSampler c(tree_.get(), Query(), kSamplerSeed + 1);
   DrainBytes(&c);
   EXPECT_EQ(c.samples_returned(), a.samples_returned());
+}
+
+// ---------------------------------------------------------------------------
+// View sampler sequence goldens
+// ---------------------------------------------------------------------------
+
+/// The fixture's relation and build recipe as an updatable view with two
+/// flushed runs and a non-empty memtable; inserts land both inside and
+/// outside the query range.
+std::unique_ptr<MaterializedSampleView> MakeGoldenView(io::Env* env) {
+  MaterializedSampleView::Options options;
+  options.build.page_size = 4096;
+  options.build.key_dims = 1;
+  options.build.seed = kBuildSeed;
+  options.build.sort.memory_budget_bytes = 1 << 20;
+  options.ingest.background_compaction = false;
+  auto view = ValueOrDie(MaterializedSampleView::Create(
+      env, "v", "sale", SaleRecord::Layout1D(), options));
+  Pcg64 rng(kGenSeed);
+  uint64_t next_row = kRecords;
+  auto insert = [&](uint64_t n) {
+    std::string buf(n * SaleRecord::kSize, '\0');
+    for (uint64_t i = 0; i < n; ++i) {
+      SaleRecord rec;
+      rec.day = rng.DoubleInRange(0.0, 100000.0);
+      rec.amount = rng.DoubleInRange(0.0, 10000.0);
+      rec.row_id = next_row++;
+      rec.EncodeTo(buf.data() + i * SaleRecord::kSize);
+    }
+    EXPECT_TRUE(view->Insert(buf.data(), n).ok());
+  };
+  insert(150);
+  EXPECT_TRUE(view->Flush().ok());
+  insert(90);
+  EXPECT_TRUE(view->Flush().ok());
+  insert(60);
+  EXPECT_EQ(view->run_count(), 2u);
+  EXPECT_EQ(view->memtable_records(), 60u);
+  return view;
+}
+
+TEST_F(DeterminismTest, ViewSamplerSequenceMatchesGolden) {
+  auto view = MakeGoldenView(env_.get());
+  struct Golden {
+    std::optional<uint64_t> base_count;  // nullopt: internal-node estimate
+    uint64_t fnv;
+  };
+  // 1017 base matches (the AceSampler golden) + 145 delta matches. The
+  // two runs share a prefix and then diverge, because the estimated and
+  // the exact base count weight the interleave differently.
+  const Golden goldens[] = {{std::nullopt, 5812228476570766344ULL},
+                            {1017, 16873420819907862876ULL}};
+  const std::vector<uint64_t> first16 = {536,  1843, 583,  1566, 1339, 788,
+                                         2239, 2297, 51,   1984, 1347, 931,
+                                         982,  537,  314,  280};
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.base_count ? "exact base count" : "estimated base count");
+    auto sampler =
+        ValueOrDie(view->Sample(Query(), kSamplerSeed, g.base_count));
+    EXPECT_EQ(sampler->partitions(), 4u);
+    std::vector<uint64_t> ids;
+    uint64_t fnv = 14695981039346656037ULL;
+    while (!sampler->done()) {
+      auto batch = ValueOrDie(sampler->NextBatch());
+      for (size_t i = 0; i < batch.count(); ++i) {
+        uint64_t rid = SaleRecord::DecodeFrom(batch.record(i)).row_id;
+        ids.push_back(rid);
+        fnv = (fnv ^ rid) * 1099511628211ULL;
+      }
+    }
+    EXPECT_EQ(ids.size(), 1162u);
+    EXPECT_EQ(fnv, g.fnv);
+    ASSERT_GE(ids.size(), first16.size());
+    EXPECT_EQ(std::vector<uint64_t>(ids.begin(), ids.begin() + 16), first16);
+  }
 }
 
 }  // namespace

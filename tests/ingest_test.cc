@@ -491,7 +491,6 @@ TEST(IngestConcurrencyTest, ConcurrentInsertSampleCompact) {
   options.ingest.memtable_max_records = 200;
   options.ingest.compact_trigger_runs = 2;
   options.ingest.background_compaction = true;
-  options.ingest.compact_poll_ms = 5;
   auto view = ValueOrDie(MaterializedSampleView::Create(env.get(), "v",
                                                         "sale", layout,
                                                         options));
@@ -552,7 +551,6 @@ TEST(IngestConcurrencyTest, TotalRecordsNeverDipsDuringCompaction) {
   MaterializedSampleView::Options options = SmallViewOptions();
   options.ingest.compact_trigger_runs = 1;
   options.ingest.background_compaction = true;
-  options.ingest.compact_poll_ms = 1;
   auto view = ValueOrDie(MaterializedSampleView::Create(
       env.get(), "v", "sale", SaleRecord::Layout1D(), options));
 

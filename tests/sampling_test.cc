@@ -7,6 +7,7 @@
 #include "sampling/grouped_aggregator.h"
 #include "sampling/online_aggregator.h"
 #include "sampling/sample_stream.h"
+#include "storage/record_view.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -44,6 +45,9 @@ class OnlineAggregatorTest : public ::testing::Test {
   static double Amount(const char* rec) {
     return SaleRecord::DecodeFrom(rec).amount;
   }
+  static storage::FieldAccessor AmountAccessor() {
+    return storage::FieldAccessor::Double(SaleRecord::kAmountOffset);
+  }
 };
 
 TEST_F(OnlineAggregatorTest, AvgConvergesToTruth) {
@@ -68,7 +72,7 @@ TEST_F(OnlineAggregatorTest, AvgConvergesToTruth) {
   auto layout = SaleRecord::Layout1D();
   auto q = RangeQuery::OneDim(-1e18, 1e18);
   permuted::PermutedFileSampler sampler(perm.get(), layout, q, 100 * 64);
-  OnlineAggregator agg(&Amount, kRecords, 0.95);
+  OnlineAggregator agg(AmountAccessor(), kRecords, 0.95);
 
   double last_width = 1e18;
   uint64_t checkpoints = 0;
@@ -88,10 +92,13 @@ TEST_F(OnlineAggregatorTest, AvgConvergesToTruth) {
 }
 
 TEST_F(OnlineAggregatorTest, SumScalesByPopulation) {
-  OnlineAggregator agg([](const char*) { return 2.0; }, 1000, 0.95);
+  OnlineAggregator agg(AmountAccessor(), 1000, 0.95);
   SampleBatch batch;
   batch.record_size = SaleRecord::kSize;
-  char rec[SaleRecord::kSize] = {0};
+  char rec[SaleRecord::kSize];
+  SaleRecord r;
+  r.amount = 2.0;
+  r.EncodeTo(rec);
   for (int i = 0; i < 50; ++i) batch.Append(rec);
   agg.Consume(batch);
   Estimate sum = agg.Sum();
@@ -104,9 +111,7 @@ TEST_F(OnlineAggregatorTest, FinitePopulationCorrectionTightensAtEnd) {
   // When the sample approaches the whole population the interval must
   // collapse towards zero.
   Pcg64 rng(5);
-  OnlineAggregator agg(
-      [](const char* rec) { return SaleRecord::DecodeFrom(rec).amount; }, 200,
-      0.95);
+  OnlineAggregator agg(AmountAccessor(), 200, 0.95);
   SampleBatch batch;
   batch.record_size = SaleRecord::kSize;
   char buf[SaleRecord::kSize];
@@ -129,9 +134,7 @@ TEST_F(OnlineAggregatorTest, CoverageOfConfidenceInterval) {
   int covered = 0;
   const int kTrials = 300;
   for (int t = 0; t < kTrials; ++t) {
-    OnlineAggregator agg(
-        [](const char* rec) { return SaleRecord::DecodeFrom(rec).amount; },
-        1'000'000'000, 0.95);
+    OnlineAggregator agg(AmountAccessor(), 1'000'000'000, 0.95);
     SampleBatch batch;
     batch.record_size = SaleRecord::kSize;
     char buf[SaleRecord::kSize];
@@ -156,12 +159,19 @@ TEST_F(OnlineAggregatorTest, CoverageOfConfidenceInterval) {
 
 class GroupedAggregatorTest : public ::testing::Test {
  protected:
-  // Synthetic population: 3 groups (supp % 3) with distinct means.
+  // Synthetic population: 3 groups (supp in {0, 1, 2}) with distinct
+  // means.
   static uint64_t Group(const char* rec) {
-    return SaleRecord::DecodeFrom(rec).supp % 3;
+    return SaleRecord::DecodeFrom(rec).supp;
   }
   static double Value(const char* rec) {
     return SaleRecord::DecodeFrom(rec).amount;
+  }
+  static GroupedAggregator MakeAggregator(uint64_t population) {
+    return GroupedAggregator(
+        storage::FieldAccessor::Uint64(SaleRecord::kSuppOffset),
+        storage::FieldAccessor::Double(SaleRecord::kAmountOffset),
+        population, 0.95);
   }
 
   SampleBatch MakePopulationSample(uint64_t n, uint64_t seed) {
@@ -171,9 +181,9 @@ class GroupedAggregatorTest : public ::testing::Test {
     char buf[SaleRecord::kSize];
     for (uint64_t i = 0; i < n; ++i) {
       SaleRecord r;
-      r.supp = rng.Below(3000);
+      r.supp = rng.Below(3000) % 3;
       // Group means 100, 200, 300 with +/-10 noise.
-      r.amount = 100.0 * static_cast<double>(r.supp % 3 + 1) +
+      r.amount = 100.0 * static_cast<double>(r.supp + 1) +
                  (rng.NextDouble() - 0.5) * 20.0;
       r.EncodeTo(buf);
       batch.Append(buf);
@@ -183,7 +193,7 @@ class GroupedAggregatorTest : public ::testing::Test {
 };
 
 TEST_F(GroupedAggregatorTest, PerGroupAvgConverges) {
-  GroupedAggregator agg(&Group, &Value, 3'000'000, 0.95);
+  GroupedAggregator agg = MakeAggregator(3'000'000);
   agg.Consume(MakePopulationSample(6000, 3));
   auto groups = agg.Groups();
   ASSERT_EQ(groups.size(), 3u);
@@ -197,7 +207,7 @@ TEST_F(GroupedAggregatorTest, PerGroupAvgConverges) {
 
 TEST_F(GroupedAggregatorTest, CountEstimatesSplitThePopulation) {
   const uint64_t kPop = 900'000;
-  GroupedAggregator agg(&Group, &Value, kPop, 0.95);
+  GroupedAggregator agg = MakeAggregator(kPop);
   agg.Consume(MakePopulationSample(9000, 4));
   auto groups = agg.Groups();
   ASSERT_EQ(groups.size(), 3u);
@@ -210,7 +220,7 @@ TEST_F(GroupedAggregatorTest, CountEstimatesSplitThePopulation) {
 }
 
 TEST_F(GroupedAggregatorTest, SumEstimateMatchesAvgTimesCount) {
-  GroupedAggregator agg(&Group, &Value, 300'000, 0.95);
+  GroupedAggregator agg = MakeAggregator(300'000);
   agg.Consume(MakePopulationSample(3000, 5));
   for (const auto& g : agg.Groups()) {
     // SUM_g ~ AVG_g * COUNT_g (they are estimated from the same sample).
@@ -231,7 +241,7 @@ TEST_F(GroupedAggregatorTest, SumCoverageMonteCarlo) {
   Pcg64 rng(7);
   int covered = 0, checks = 0;
   for (int trial = 0; trial < 100; ++trial) {
-    GroupedAggregator agg(&Group, &Value, population.count(), 0.95);
+    GroupedAggregator agg = MakeAggregator(population.count());
     SampleBatch sample;
     sample.record_size = SaleRecord::kSize;
     for (uint64_t idx :
@@ -252,7 +262,7 @@ TEST_F(GroupedAggregatorTest, SumCoverageMonteCarlo) {
 }
 
 TEST_F(GroupedAggregatorTest, EmptyAggregatorHasNoGroups) {
-  GroupedAggregator agg(&Group, &Value, 100, 0.95);
+  GroupedAggregator agg = MakeAggregator(100);
   EXPECT_EQ(agg.Groups().size(), 0u);
   EXPECT_EQ(agg.samples_seen(), 0u);
 }

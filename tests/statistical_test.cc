@@ -25,6 +25,7 @@
 #include "relation/sale_generator.h"
 #include "sampling/online_aggregator.h"
 #include "storage/record.h"
+#include "storage/record_view.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -165,7 +166,7 @@ TEST_F(StatisticalTest, OnlineAggregatorIsUnbiased) {
     auto tree = BuildTree(/*build_seed=*/5000 + run);
     auto sampler = MakeSampler(tree.get(), /*seed=*/5000 + run);
     sampling::OnlineAggregator agg(
-        [](const char* rec) { return SaleRecord::DecodeFrom(rec).amount; },
+        storage::FieldAccessor::Double(SaleRecord::kAmountOffset),
         matching_ids_.size());
     while (!sampler->done() && agg.samples_seen() < kTarget) {
       auto batch = ValueOrDie(sampler->NextBatch());
@@ -189,7 +190,7 @@ TEST_F(StatisticalTest, OnlineAggregatorIsUnbiased) {
   // once enough samples arrived.
   auto sampler = MakeSampler(tree_.get(), /*seed=*/77);
   sampling::OnlineAggregator agg(
-      [](const char* rec) { return SaleRecord::DecodeFrom(rec).amount; },
+      storage::FieldAccessor::Double(SaleRecord::kAmountOffset),
       matching_ids_.size());
   while (!sampler->done() && agg.samples_seen() < kTarget) {
     agg.Consume(ValueOrDie(sampler->NextBatch()));
@@ -361,7 +362,7 @@ TEST_F(IngestStatisticalTest, UnifiedAvgIsUnbiased) {
     auto sampler =
         ValueOrDie(view->Sample(Query(), /*seed=*/5000 + run, base_matches_));
     sampling::OnlineAggregator agg(
-        [](const char* rec) { return SaleRecord::DecodeFrom(rec).amount; },
+        storage::FieldAccessor::Double(SaleRecord::kAmountOffset),
         matching_ids_.size());
     while (!sampler->done() && agg.samples_seen() < kTarget) {
       agg.Consume(ValueOrDie(sampler->NextBatch()));

@@ -397,8 +397,8 @@ def check_batched_io(path: Path, lines: list[str], findings: list[Finding]):
 # references and pointers are free) and (b) calls through stored
 # callables (data members end in `_`, so `name_(...)` is a functor
 # invocation, std::function on every offender to date). Cold paths
-# (builders, manifest parsing, ad-hoc expression aggregation) carry
-# `// NOLINT(msv-hot-path-alloc)` with a justifying comment.
+# (builders, manifest parsing) carry `// NOLINT(msv-hot-path-alloc)`
+# with a justifying comment.
 HOT_PATH_DIRS = {("src", "core"), ("src", "sampling")}
 HOT_PATH_STRING_RE = re.compile(r"\bstd\s*::\s*string\b(?!\s*[&*>])")
 HOT_PATH_FUNCTOR_RE = re.compile(r"(?<![\w.>])[a-z]\w*_\s*\(")
