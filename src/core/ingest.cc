@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
-#include "storage/heap_file.h"
 #include "util/crc32c.h"
 
 namespace msv::core {
@@ -20,13 +20,14 @@ void Memtable::Append(const char* records, size_t count) {
 void Memtable::CollectMatches(const storage::RecordLayout& layout,
                               const sampling::RangeQuery& query,
                               sampling::SampleBatch* out) const {
+  out->record_size = record_size_;
   for (uint64_t i = 0; i < count_; ++i) {
     const char* rec = record(i);
     if (query.Matches(layout, rec)) out->Append(rec);
   }
 }
 
-std::vector<const char*> Memtable::SortedRecords(
+std::shared_ptr<const Memtable> Memtable::Sealed(
     const storage::RecordLayout& layout) const {
   std::vector<const char*> recs;
   recs.reserve(count_);
@@ -35,7 +36,11 @@ std::vector<const char*> Memtable::SortedRecords(
                    [&layout](const char* a, const char* b) {
                      return layout.Key(a, 0) < layout.Key(b, 0);
                    });
-  return recs;
+  auto run = std::make_shared<Memtable>(id_, record_size_);
+  run->data_.reserve(data_.size());
+  for (const char* rec : recs) run->data_.append(rec, record_size_);
+  run->count_ = count_;
+  return run;
 }
 
 // ---------------------------------------------------------------------------
@@ -51,9 +56,8 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(io::Env* env,
                        env->OpenFile(name, /*create=*/true));
   MSV_ASSIGN_OR_RETURN(uint64_t size, file->Size());
   if (!existed) {
-    // The empty WAL's directory entry must survive a crash, or replay
-    // would miss the memtable entirely while the manifest already names
-    // its id as live.
+    // The empty WAL's directory entry must survive a crash, or records
+    // acknowledged after syncing its data would vanish with the file.
     MSV_RETURN_IF_ERROR(env->SyncDir());
   }
   const uint64_t whole = (size / record_size) * record_size;
@@ -101,14 +105,13 @@ Result<std::string> ReadWal(io::Env* env, const std::string& name,
 
 namespace {
 
-constexpr char kManifestMagic[] = "msview1";
+constexpr char kManifestMagic[] = "msview2";
 
 std::string ManifestPayload(const ViewManifest& m) {
   std::ostringstream out;
   out << "base " << m.base_file << "\n";
   out << "next " << m.next_id << "\n";
-  out << "flushed " << m.flushed_through << "\n";
-  for (uint64_t id : m.runs) out << "run " << id << "\n";
+  out << "folded " << m.folded << "\n";
   return out.str();
 }
 
@@ -179,12 +182,8 @@ Result<ViewManifest> LoadManifest(io::Env* env, const std::string& file) {
       fields >> m.base_file;
     } else if (kind == "next") {
       fields >> m.next_id;
-    } else if (kind == "flushed") {
-      fields >> m.flushed_through;
-    } else if (kind == "run") {
-      uint64_t id = 0;
-      fields >> id;
-      m.runs.push_back(id);
+    } else if (kind == "folded") {
+      fields >> m.folded;
     } else {
       return Status::Corruption("view manifest: bad line '" + line + "'");
     }
@@ -193,31 +192,6 @@ Result<ViewManifest> LoadManifest(io::Env* env, const std::string& file) {
     return Status::Corruption("view manifest: no base file");
   }
   return m;
-}
-
-// ---------------------------------------------------------------------------
-// WriteRunFile
-// ---------------------------------------------------------------------------
-
-Status WriteRunFile(io::Env* env, const std::string& file, size_t record_size,
-                    const std::vector<const char*>& records) {
-  const std::string tmp_name = file + ".tmp";
-  auto write_tmp = [&]() -> Status {
-    MSV_ASSIGN_OR_RETURN(
-        std::unique_ptr<storage::HeapFileWriter> writer,
-        storage::HeapFileWriter::Create(env, tmp_name, record_size));
-    for (const char* rec : records) {
-      MSV_RETURN_IF_ERROR(writer->Append(rec));
-    }
-    return writer->Finish();  // flushes and syncs the file
-  };
-  Status st = write_tmp();
-  if (!st.ok()) {
-    env->DeleteFile(tmp_name).IgnoreError();  // best-effort scratch cleanup
-    return st;
-  }
-  MSV_RETURN_IF_ERROR(env->RenameFile(tmp_name, file));
-  return env->SyncDir();
 }
 
 }  // namespace msv::core

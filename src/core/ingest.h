@@ -2,20 +2,20 @@
 //
 // A MaterializedSampleView absorbs Insert() into an in-memory Memtable
 // whose records are made durable by a write-ahead log (WalWriter). When
-// the memtable reaches its size threshold it is flushed to an immutable
-// sorted run (WriteRunFile — the crash-atomic tmp + Sync + rename +
-// SyncDir protocol), and a background compaction folds runs into a fresh
-// ACE tree. The set of live files — base tree generation, sorted runs,
-// WAL ids — is named by a checksummed manifest (ViewManifest) whose
-// atomic rewrite is the single commit point for every structural change;
-// recovery after a crash at any point therefore sees either the old or
-// the new file set, never a mix.
+// the memtable reaches its size threshold it is sealed: its WAL is synced
+// and kept as the only durable copy, and its records, sorted by the first
+// key, become an immutable in-memory run (Memtable::Sealed). A background
+// compaction folds runs into a fresh ACE tree. A checksummed manifest
+// (ViewManifest) names the live tree generation and the highest WAL id
+// folded into it; its atomic rewrite at compaction is the single commit
+// point, so recovery after a crash at any point sees either the old or
+// the new tree, never a mix, and replays every WAL the tree lacks.
 //
 // File naming, all under the view's name prefix:
 //   <view>.manifest     checksummed manifest (the commit point)
 //   <view>.base.g<N>    ACE tree generation N (never overwritten in place)
-//   <view>.run.<N>      immutable sorted run flushed from memtable N
-//   <view>.wal.<N>      write-ahead log of memtable N (raw records)
+//   <view>.wal.<N>      write-ahead log of memtable N (raw records); the
+//                       durable copy of run N once that memtable is sealed
 // Ids are drawn from one monotone counter so a file name is never reused
 // across the view's lifetime.
 
@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "io/env.h"
 #include "sampling/range_query.h"
@@ -40,19 +39,21 @@ struct IngestOptions {
   /// Memtable record count that triggers a flush to a sorted run.
   size_t memtable_max_records = 4096;
   /// Sync the WAL on every Insert() so acknowledged inserts survive power
-  /// loss. Disable only when durability of the tail is expendable.
+  /// loss. Disable only when durability of the tail is expendable; a
+  /// flush syncs the WAL regardless, so only the memtable is at risk.
   bool sync_wal = true;
   /// Background compaction folds runs into the base tree once this many
   /// runs exist (or the run fraction exceeds max_delta_fraction).
   size_t compact_trigger_runs = 4;
   /// Run compaction on a background thread. When false, runs accumulate
-  /// until an explicit Compact()/Rebuild().
+  /// in memory until an explicit Compact()/Rebuild().
   bool background_compaction = true;
 };
 
-/// An append-only in-memory buffer of fixed-size records; the mutable
-/// head of the view. Not internally synchronized — the owning view
-/// guards it with its mutex.
+/// An append-only in-memory buffer of fixed-size records: the mutable
+/// head of the view, and once sealed an immutable sorted run. Not
+/// internally synchronized — the owning view guards the live memtable
+/// with its mutex; sealed runs are read-only and shared freely.
 class Memtable {
  public:
   Memtable(uint64_t id, size_t record_size)
@@ -69,13 +70,15 @@ class Memtable {
     return data_.data() + i * record_size_;
   }
 
-  /// Appends the records matching `query` to `out`, packed.
+  /// Appends the records matching `query` to `out`, packed, in record
+  /// order (a sealed run's is key order).
   void CollectMatches(const storage::RecordLayout& layout,
                       const sampling::RangeQuery& query,
                       sampling::SampleBatch* out) const;
 
-  /// Record pointers sorted by the first key dimension (the run order).
-  std::vector<const char*> SortedRecords(
+  /// An immutable copy with the records stably sorted by the first key
+  /// dimension (the run order), under the same id.
+  std::shared_ptr<const Memtable> Sealed(
       const storage::RecordLayout& layout) const;
 
  private:
@@ -104,6 +107,9 @@ class WalWriter {
   /// crash-durable when this returns OK.
   Status Append(const char* records, size_t record_size, size_t count);
 
+  /// Makes every appended record crash-durable.
+  Status Sync() { return file_->Sync(); }
+
   uint64_t bytes() const { return offset_; }
 
  private:
@@ -122,28 +128,21 @@ Result<std::string> ReadWal(io::Env* env, const std::string& name,
                             size_t record_size);
 
 /// The durable description of a view's live file set. Saving it
-/// atomically (tmp + Sync + rename-over + SyncDir) commits a structural
-/// change; every field is covered by a masked CRC32C.
+/// atomically (tmp + Sync + rename-over + SyncDir) commits a compaction;
+/// every field is covered by a masked CRC32C.
 struct ViewManifest {
   /// File name of the live ACE tree generation.
   std::string base_file;
-  /// Next unallocated id for memtables/runs/base generations.
+  /// Next unallocated id for memtables and base generations.
   uint64_t next_id = 1;
-  /// Highest memtable id whose records are fully contained in runs or the
-  /// base; WALs with ids <= flushed_through are dead.
-  uint64_t flushed_through = 0;
-  /// Ids of the live sorted runs, oldest first.
-  std::vector<uint64_t> runs;
+  /// Highest memtable id whose records are in the base tree; WALs with
+  /// ids <= folded are dead.
+  uint64_t folded = 0;
 };
 
 Status SaveManifest(io::Env* env, const std::string& file,
                     const ViewManifest& manifest);
 Result<ViewManifest> LoadManifest(io::Env* env, const std::string& file);
-
-/// Writes `records` (pre-sorted) as heap file `file` via the crash-atomic
-/// protocol: the file either exists complete and synced, or not at all.
-Status WriteRunFile(io::Env* env, const std::string& file, size_t record_size,
-                    const std::vector<const char*>& records);
 
 }  // namespace msv::core
 

@@ -1,12 +1,17 @@
 #include "core/sample_view.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
 #include <numeric>
-#include <set>
+#include <string_view>
 
 #include "obs/log.h"
 #include "obs/trace.h"
+#include "storage/heap_file.h"
 #include "util/logging.h"
 
 namespace msv::core {
@@ -37,6 +42,7 @@ ViewSampler::ViewSampler(std::shared_ptr<const AceTree> tree,
     Shuffle(&p.order, &rng_);
     exact_remaining_ += p.order.size();
   }
+  population_ = base_estimate_ + exact_remaining_;
 }
 
 uint64_t ViewSampler::BaseRemaining() const {
@@ -116,20 +122,50 @@ namespace {
 /// Pause after a failed background compaction before the next attempt.
 constexpr std::chrono::seconds kCompactionRetryBackoff{1};
 
+/// Hands the heap pages a compaction just freed back to the OS. A
+/// compaction frees tens of megabytes at once (the old generation, the
+/// scratch file, the sort buffers), and glibc keeps freed chunks in the
+/// arena of whichever thread allocated them; without a trim, the resident
+/// size after a compaction depends on how the threads happened to
+/// interleave rather than on the view's live data.
+void ReleaseFreedHeap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
+
 /// Parses `text` as `<stem><decimal id>` with nothing trailing.
-bool ParseSuffixId(const std::string& text, const std::string& stem,
+bool ParseSuffixId(std::string_view text, std::string_view stem,
                    uint64_t* id) {
-  if (text.size() <= stem.size() || text.compare(0, stem.size(), stem) != 0) {
-    return false;
-  }
+  if (text.size() <= stem.size() || !text.starts_with(stem)) return false;
   uint64_t value = 0;
-  for (size_t i = stem.size(); i < text.size(); ++i) {
-    char c = text[i];
+  for (char c : text.substr(stem.size())) {
     if (c < '0' || c > '9') return false;
     value = value * 10 + static_cast<uint64_t>(c - '0');
   }
   *id = value;
   return true;
+}
+
+/// The kinds of file a view owns, told apart by the suffix after
+/// "<view>.". kScratch covers compaction scratch and any torn atomic
+/// write (".tmp"); kBase and kWal carry an id.
+enum class ViewFile { kNotOurs, kManifest, kScratch, kBase, kWal };
+
+ViewFile ClassifyViewFile(std::string_view file, const std::string& name,
+                          uint64_t* id) {
+  if (file.size() <= name.size() || !file.starts_with(name) ||
+      file[name.size()] != '.') {
+    return ViewFile::kNotOurs;
+  }
+  const std::string_view suffix = file.substr(name.size() + 1);
+  if (suffix == "manifest") return ViewFile::kManifest;
+  if (suffix == "scratch" || suffix.ends_with(".tmp")) {
+    return ViewFile::kScratch;
+  }
+  if (ParseSuffixId(suffix, "base.g", id)) return ViewFile::kBase;
+  if (ParseSuffixId(suffix, "wal.", id)) return ViewFile::kWal;
+  return ViewFile::kNotOurs;
 }
 
 }  // namespace
@@ -166,7 +202,14 @@ MaterializedSampleView::MaterializedSampleView(io::Env* env, std::string name,
       h_compact_us_(
           obs::MetricRegistry::Global().GetHistogram("ingest.compact_us")) {}
 
-MaterializedSampleView::~MaterializedSampleView() { StopCompactor(); }
+MaterializedSampleView::~MaterializedSampleView() {
+  {
+    MutexLock lock(mu_);
+    stop_requested_ = true;
+    cv_.SignalAll();
+  }
+  if (compactor_thread_.joinable()) compactor_thread_.join();
+}
 
 Result<std::unique_ptr<MaterializedSampleView>> MaterializedSampleView::Create(
     io::Env* env, const std::string& name, const std::string& relation_name,
@@ -188,7 +231,7 @@ Result<std::unique_ptr<MaterializedSampleView>> MaterializedSampleView::Create(
     // The manifest commit makes the view exist; a crash before it leaves
     // only orphans that DropFiles/recovery clean up.
     MSV_RETURN_IF_ERROR(SaveManifest(env, view->ManifestName(),
-                                     view->CurrentManifestLocked()));
+                                     ViewManifest{base, view->next_id_, 0}));
     view->memtable_ =
         std::make_unique<Memtable>(memtable_id, layout.record_size);
     MSV_ASSIGN_OR_RETURN(view->wal_,
@@ -197,7 +240,10 @@ Result<std::unique_ptr<MaterializedSampleView>> MaterializedSampleView::Create(
                                          options.ingest.sync_wal));
     view->UpdateGaugesLocked();
   }
-  view->StartCompactor();
+  if (options.ingest.background_compaction) {
+    view->compactor_thread_ =
+        std::thread(&MaterializedSampleView::CompactorMain, view.get());
+  }
   return view;
 }
 
@@ -210,12 +256,14 @@ Result<std::unique_ptr<MaterializedSampleView>> MaterializedSampleView::Open(
     MutexLock lock(view->mu_);
     MSV_RETURN_IF_ERROR(view->RecoverLocked());
   }
-  view->StartCompactor();
+  if (options.ingest.background_compaction) {
+    view->compactor_thread_ =
+        std::thread(&MaterializedSampleView::CompactorMain, view.get());
+  }
   return view;
 }
 
 Status MaterializedSampleView::RecoverLocked() {
-  bool dirty = false;  // structural changes to persist before returning
   MSV_ASSIGN_OR_RETURN(bool have_manifest,
                        env_->FileExists(ManifestName()));
   if (!have_manifest) {
@@ -229,132 +277,71 @@ Status MaterializedSampleView::RecoverLocked() {
   tree_ = std::move(tree);
   base_file_ = manifest.base_file;
   next_id_ = manifest.next_id;
-  flushed_through_ = manifest.flushed_through;
-  runs_.clear();
-  run_records_ = 0;
-  for (uint64_t id : manifest.runs) {
-    MSV_RETURN_IF_ERROR(OpenRunLocked(id));
-  }
 
-  // WAL replay: every WAL newer than flushed_through holds acknowledged
-  // inserts that never reached a run. All but the newest are sealed —
-  // flush them to runs; the newest becomes the live memtable again.
+  // One pass over the view's files: collect the WALs the base lacks,
+  // move next_id_ above every id in use so no name is ever reused, and
+  // drop what no commit names (scratch, torn writes, stale generations,
+  // folded WALs).
   MSV_ASSIGN_OR_RETURN(std::vector<std::string> files, env_->ListFiles());
-  const std::string prefix = name_ + ".";
   std::vector<uint64_t> wal_ids;
   for (const std::string& f : files) {
-    if (f.rfind(prefix, 0) != 0) continue;
     uint64_t id = 0;
-    if (ParseSuffixId(f.substr(prefix.size()), "wal.", &id) &&
-        id > flushed_through_) {
-      wal_ids.push_back(id);
-    }
-  }
-  std::sort(wal_ids.begin(), wal_ids.end());
-  for (size_t i = 0; i + 1 < wal_ids.size(); ++i) {
-    const uint64_t id = wal_ids[i];
-    MSV_ASSIGN_OR_RETURN(std::string data,  // NOLINT(msv-hot-path-alloc) WAL replay, recovery-time cold path
-                         ReadWal(env_, WalName(id), layout_.record_size));
-    const uint64_t n = data.size() / layout_.record_size;
-    if (n > 0) {
-      Memtable replay(id, layout_.record_size);
-      replay.Append(data.data(), n);
-      MSV_RETURN_IF_ERROR(WriteRunFile(env_, RunName(id),
-                                       layout_.record_size,
-                                       replay.SortedRecords(layout_)));
-      MSV_RETURN_IF_ERROR(OpenRunLocked(id));
-    }
-    flushed_through_ = id;
-    next_id_ = std::max(next_id_, id + 1);
-    dirty = true;
-  }
-  uint64_t memtable_id;
-  if (!wal_ids.empty()) {
-    memtable_id = wal_ids.back();
-    memtable_ = std::make_unique<Memtable>(memtable_id, layout_.record_size);
-    MSV_ASSIGN_OR_RETURN(
-        std::string data,
-        ReadWal(env_, WalName(memtable_id), layout_.record_size));
-    const uint64_t n = data.size() / layout_.record_size;
-    if (n > 0) memtable_->Append(data.data(), n);
-    next_id_ = std::max(next_id_, memtable_id + 1);
-  } else {
-    memtable_id = next_id_++;
-    memtable_ = std::make_unique<Memtable>(memtable_id, layout_.record_size);
-  }
-  MSV_ASSIGN_OR_RETURN(wal_, WalWriter::Open(env_, WalName(memtable_id),
-                                             layout_.record_size,
-                                             options_.ingest.sync_wal));
-
-  if (dirty) {
-    MSV_RETURN_IF_ERROR(
-        SaveManifest(env_, ManifestName(), CurrentManifestLocked()));
-  }
-  MSV_RETURN_IF_ERROR(CleanOrphansLocked());
-  UpdateGaugesLocked();
-  return Status::OK();
-}
-
-Status MaterializedSampleView::CleanOrphansLocked() {
-  MSV_ASSIGN_OR_RETURN(std::vector<std::string> files, env_->ListFiles());
-  const std::string prefix = name_ + ".";
-  std::set<uint64_t> live_runs;
-  for (const RunHandle& run : runs_) live_runs.insert(run.id);
-  for (const std::string& f : files) {
-    if (f.rfind(prefix, 0) != 0) continue;
-    const std::string suffix = f.substr(prefix.size());  // NOLINT(msv-hot-path-alloc) file GC scan, cold
     bool drop = false;
-    uint64_t id = 0;
-    if (suffix.size() > 4 && suffix.compare(suffix.size() - 4, 4, ".tmp") == 0) {
-      drop = true;  // torn atomic write of any view file
-    } else if (suffix == "scratch" || suffix == "rebuild") {
-      drop = true;  // compaction scratch
-    } else if (ParseSuffixId(suffix, "base.g", &id)) {
-      drop = f != base_file_;
-    } else if (ParseSuffixId(suffix, "run.", &id)) {
-      drop = live_runs.count(id) == 0;
-    } else if (ParseSuffixId(suffix, "wal.", &id)) {
-      drop = id <= flushed_through_;
+    switch (ClassifyViewFile(f, name_, &id)) {
+      case ViewFile::kNotOurs:
+      case ViewFile::kManifest:
+        continue;
+      case ViewFile::kScratch:
+        drop = true;
+        break;
+      case ViewFile::kBase:
+        drop = f != base_file_;
+        break;
+      case ViewFile::kWal:
+        drop = id <= manifest.folded;
+        if (!drop) wal_ids.push_back(id);
+        break;
     }
+    next_id_ = std::max(next_id_, id + 1);
     if (drop) env_->DeleteFile(f).IgnoreError();
   }
+
+  // Every WAL but the newest belongs to a sealed memtable: replay it into
+  // a run. The newest becomes the live memtable again.
+  std::sort(wal_ids.begin(), wal_ids.end());
+  for (size_t i = 0; i < wal_ids.size(); ++i) {
+    MSV_ASSIGN_OR_RETURN(std::string data,  // NOLINT(msv-hot-path-alloc) WAL replay, recovery-time cold path
+                         ReadWal(env_, WalName(wal_ids[i]),
+                                 layout_.record_size));
+    auto replay =
+        std::make_unique<Memtable>(wal_ids[i], layout_.record_size);
+    replay->Append(data.data(), data.size() / layout_.record_size);
+    if (i + 1 == wal_ids.size()) {
+      memtable_ = std::move(replay);
+    } else if (!replay->empty()) {
+      run_records_ += replay->count();
+      runs_.push_back(replay->Sealed(layout_));
+    }
+  }
+  if (memtable_ == nullptr) {
+    memtable_ = std::make_unique<Memtable>(next_id_++, layout_.record_size);
+  }
+  MSV_ASSIGN_OR_RETURN(wal_, WalWriter::Open(env_, WalName(memtable_->id()),
+                                             layout_.record_size,
+                                             options_.ingest.sync_wal));
+  UpdateGaugesLocked();
   return Status::OK();
 }
 
 Status MaterializedSampleView::DropFiles(io::Env* env,
                                          const std::string& name) {
   MSV_ASSIGN_OR_RETURN(std::vector<std::string> files, env->ListFiles());
-  const std::string prefix = name + ".";
   for (const std::string& f : files) {
-    if (f.rfind(prefix, 0) != 0) continue;
-    const std::string suffix = f.substr(prefix.size());  // NOLINT(msv-hot-path-alloc) file listing scan, cold
     uint64_t id = 0;
-    bool ours =
-        suffix == "manifest" || suffix == "scratch" || suffix == "rebuild" ||
-        (suffix.size() > 4 &&
-         suffix.compare(suffix.size() - 4, 4, ".tmp") == 0) ||
-        ParseSuffixId(suffix, "base.g", &id) ||
-        ParseSuffixId(suffix, "run.", &id) ||
-        ParseSuffixId(suffix, "wal.", &id);
-    if (ours) env->DeleteFile(f).IgnoreError();
+    if (ClassifyViewFile(f, name, &id) != ViewFile::kNotOurs) {
+      env->DeleteFile(f).IgnoreError();
+    }
   }
-  return Status::OK();
-}
-
-ViewManifest MaterializedSampleView::CurrentManifestLocked() const {
-  ViewManifest m;
-  m.base_file = base_file_;
-  m.next_id = next_id_;
-  m.flushed_through = flushed_through_;
-  for (const RunHandle& run : runs_) m.runs.push_back(run.id);
-  return m;
-}
-
-Status MaterializedSampleView::OpenRunLocked(uint64_t id) {
-  MSV_ASSIGN_OR_RETURN(std::unique_ptr<storage::HeapFile> file,
-                       storage::HeapFile::Open(env_, RunName(id)));
-  run_records_ += file->record_count();
-  runs_.push_back(RunHandle{id, std::move(file)});
   return Status::OK();
 }
 
@@ -401,55 +388,26 @@ Status MaterializedSampleView::Flush() {
 Status MaterializedSampleView::FlushLocked() {
   if (memtable_->empty()) return Status::OK();
   const uint64_t start_us = obs::WallTimeUs();
-  const uint64_t run_id = memtable_->id();
   const uint64_t new_memtable_id = next_id_;
 
-  // Every fallible step is staged before the commit point: run written
-  // and opened, next WAL created. A failure anywhere backs out with the
-  // old memtable, WAL and manifest fully intact, and after the manifest
-  // commits nothing below can fail — so the committed run is never
-  // missing from runs_ and wal_ is never left null.
-  std::shared_ptr<storage::HeapFile> run_file;
-  std::unique_ptr<WalWriter> new_wal;
-  auto stage = [&]() -> Status {
-    MSV_RETURN_IF_ERROR(WriteRunFile(env_, RunName(run_id),
-                                     layout_.record_size,
-                                     memtable_->SortedRecords(layout_)));
-    MSV_ASSIGN_OR_RETURN(run_file,
-                         storage::HeapFile::Open(env_, RunName(run_id)));
-    // The next memtable's WAL is created pre-commit on purpose: if we
-    // crash here, recovery sees an empty WAL newer than flushed_through
-    // and replays zero records from it — harmless.
-    MSV_ASSIGN_OR_RETURN(new_wal,
-                         WalWriter::Open(env_, WalName(new_memtable_id),
-                                         layout_.record_size,
-                                         options_.ingest.sync_wal));
-    // Manifest commit: the run becomes live and its WAL dead in one
-    // atomic step. A crash before this replays the WAL; after it, opens
-    // the run.
-    ViewManifest m = CurrentManifestLocked();
-    m.runs.push_back(run_id);
-    m.flushed_through = run_id;
-    m.next_id = new_memtable_id + 1;
-    return SaveManifest(env_, ManifestName(), m);
-  };
-  Status staged = stage();
-  if (!staged.ok()) {
-    env_->DeleteFile(RunName(run_id)).IgnoreError();
-    if (new_wal != nullptr) {
-      new_wal.reset();
-      env_->DeleteFile(WalName(new_memtable_id)).IgnoreError();
-    }
-    return staged;
+  // Both fallible steps come first, so a failure backs out with the live
+  // memtable and WAL intact. The sealed memtable's WAL stays as the run's
+  // only durable copy, so it is synced even when sync_wal is off. Once
+  // the next WAL exists, recovery reads the old one as a sealed run.
+  MSV_RETURN_IF_ERROR(wal_->Sync());
+  auto new_wal = WalWriter::Open(env_, WalName(new_memtable_id),
+                                 layout_.record_size,
+                                 options_.ingest.sync_wal);
+  if (!new_wal.ok()) {
+    env_->DeleteFile(WalName(new_memtable_id)).IgnoreError();
+    return new_wal.status();
   }
 
-  flushed_through_ = run_id;
   next_id_ = new_memtable_id + 1;
+  run_records_ += memtable_->count();
+  runs_.push_back(memtable_->Sealed(layout_));
   memtable_ = std::make_unique<Memtable>(new_memtable_id, layout_.record_size);
-  wal_ = std::move(new_wal);
-  run_records_ += run_file->record_count();
-  runs_.push_back(RunHandle{run_id, std::move(run_file)});
-  env_->DeleteFile(WalName(run_id)).IgnoreError();  // dead per the manifest
+  wal_ = std::move(new_wal).value();
   c_flushes_->Add(1);
   h_flush_us_->Record(obs::WallTimeUs() - start_us);
   return Status::OK();
@@ -476,8 +434,9 @@ Status MaterializedSampleView::Rebuild() {
 
 Status MaterializedSampleView::BuildCompactedBase(const CompactionPlan& plan) {
   // Dump the sealed inputs — base leaves in order (a sequential read of
-  // the data region) plus every sealed run — into a scratch heap file,
-  // then rebuild. All inputs are immutable; no lock is held.
+  // the data region) plus every sealed run from memory, oldest first —
+  // into a scratch heap file, then rebuild. All inputs are immutable; no
+  // lock is held.
   const std::string scratch = ScratchName();
   auto write_scratch = [&]() -> Status {
     MSV_ASSIGN_OR_RETURN(std::unique_ptr<storage::HeapFileWriter> writer,
@@ -491,12 +450,9 @@ Status MaterializedSampleView::BuildCompactedBase(const CompactionPlan& plan) {
         }
       }
     }
-    for (const RunHandle& run : plan.runs) {
-      auto scanner = run.file->NewScanner();
-      for (;;) {
-        MSV_ASSIGN_OR_RETURN(const char* rec, scanner.Next());
-        if (rec == nullptr) break;
-        MSV_RETURN_IF_ERROR(writer->Append(rec));
+    for (const std::shared_ptr<const Memtable>& run : plan.runs) {
+      for (uint64_t i = 0; i < run->count(); ++i) {
+        MSV_RETURN_IF_ERROR(writer->Append(run->record(i)));
       }
     }
     return writer->Finish();
@@ -537,42 +493,34 @@ Status MaterializedSampleView::CompactOnce() {
         result = opened.status();
       } else {
         // Commit: the manifest swap retires the old generation and the
-        // sealed runs in one atomic step. Runs flushed while we built
-        // (ids not in the plan) stay live. The old base file is deleted
-        // only after the commit — never before — so a crash anywhere
-        // leaves an openable tree.
-        std::set<uint64_t> sealed;
-        for (const RunHandle& run : plan.runs) sealed.insert(run.id);
-        ViewManifest m = CurrentManifestLocked();
+        // folded runs' WALs in one atomic step. The plan's runs are the
+        // oldest runs_, so the newest of them bounds `folded`; runs sealed
+        // while we built stay live. The old base file and WALs are
+        // deleted only after the commit — never before — so a crash
+        // anywhere leaves an openable tree and every record.
+        ViewManifest m;
         m.base_file = plan.output_file;
-        m.runs.clear();
-        for (const RunHandle& run : runs_) {
-          if (sealed.count(run.id) == 0) m.runs.push_back(run.id);
-        }
+        m.next_id = next_id_;
+        m.folded = plan.runs.back()->id();
         Status saved = SaveManifest(env_, ManifestName(), m);
         if (!saved.ok()) {
           result = saved;
         } else {
           committed = true;
           obsolete.push_back(base_file_);
-          uint64_t folded = 0;
-          for (const RunHandle& run : plan.runs) {
-            obsolete.push_back(RunName(run.id));
-            folded += run.file->record_count();
+          uint64_t folded_records = 0;
+          for (const std::shared_ptr<const Memtable>& run : plan.runs) {
+            obsolete.push_back(WalName(run->id()));
+            folded_records += run->count();
           }
+          MSV_DCHECK(runs_.size() >= plan.runs.size() &&
+                     runs_.front() == plan.runs.front());
+          runs_.erase(runs_.begin(), runs_.begin() + plan.runs.size());
+          run_records_ -= folded_records;
           base_file_ = plan.output_file;
           tree_ = std::shared_ptr<const AceTree>(std::move(opened.value()));
-          std::vector<RunHandle> remaining;
-          run_records_ = 0;
-          for (RunHandle& run : runs_) {
-            if (sealed.count(run.id) == 0) {
-              run_records_ += run.file->record_count();
-              remaining.push_back(std::move(run));
-            }
-          }
-          runs_ = std::move(remaining);
           c_compactions_->Add(1);
-          c_compacted_records_->Add(folded);
+          c_compacted_records_->Add(folded_records);
           h_compact_us_->Record(obs::WallTimeUs() - start_us);
           UpdateGaugesLocked();
         }
@@ -584,45 +532,20 @@ Status MaterializedSampleView::CompactOnce() {
   if (!committed) {
     env_->DeleteFile(plan.output_file).IgnoreError();
   }
-  // Old generation and folded runs: open handles (live samplers, MemEnv
-  // shared file data, POSIX fd semantics) keep their data readable.
+  // Old generation: open handles (live samplers, MemEnv shared file data,
+  // POSIX fd semantics) keep its data readable. Folded runs stay in
+  // memory for as long as a sampler's snapshot holds them.
   for (const std::string& f : obsolete) env_->DeleteFile(f).IgnoreError();
+  // The plan may hold the last handles on the old generation and the
+  // folded runs; drop them before trimming so their memory goes too.
+  plan = CompactionPlan();
+  ReleaseFreedHeap();
   return result;
 }
 
 // ---------------------------------------------------------------------------
-// Background compactor lifecycle (the MetricsPoller pattern)
+// Background compactor
 // ---------------------------------------------------------------------------
-
-void MaterializedSampleView::StartCompactor() {
-  if (!options_.ingest.background_compaction) return;
-  MutexLock lock(mu_);
-  // A concurrent StopCompactor() owns the thread until it finishes
-  // joining.
-  while (compactor_state_ == CompactorState::kStopping) cv_.Wait(mu_);
-  if (compactor_state_ == CompactorState::kRunning) return;
-  stop_requested_ = false;
-  compactor_thread_ =
-      std::thread(&MaterializedSampleView::CompactorMain, this);
-  compactor_state_ = CompactorState::kRunning;
-}
-
-void MaterializedSampleView::StopCompactor() {
-  std::thread to_join;
-  {
-    MutexLock lock(mu_);
-    while (compactor_state_ == CompactorState::kStopping) cv_.Wait(mu_);
-    if (compactor_state_ == CompactorState::kStopped) return;
-    compactor_state_ = CompactorState::kStopping;
-    stop_requested_ = true;
-    cv_.SignalAll();
-    to_join = std::move(compactor_thread_);
-  }
-  to_join.join();
-  MutexLock lock(mu_);
-  compactor_state_ = CompactorState::kStopped;
-  cv_.SignalAll();
-}
 
 void MaterializedSampleView::CompactorMain() {
   obs::SetThreadLabel("view-compactor");
@@ -630,7 +553,7 @@ void MaterializedSampleView::CompactorMain() {
     {
       MutexLock lock(mu_);
       // Every change that can fire the trigger signals cv_: Insert,
-      // Flush, the end of CompactOnce and StopCompactor.
+      // Flush, the end of CompactOnce and the destructor.
       while (!stop_requested_ &&
              !(CompactionTriggeredLocked() && !compacting_)) {
         cv_.Wait(mu_);
@@ -659,7 +582,7 @@ uint64_t MaterializedSampleView::base_records() const {
 }
 
 uint64_t MaterializedSampleView::DeltaRecordsLocked() const {
-  return run_records_ + (memtable_ != nullptr ? memtable_->count() : 0);
+  return run_records_ + memtable_->count();
 }
 
 uint64_t MaterializedSampleView::delta_records() const {
@@ -674,7 +597,7 @@ uint64_t MaterializedSampleView::total_records() const {
 
 uint64_t MaterializedSampleView::memtable_records() const {
   MutexLock lock(mu_);
-  return memtable_ != nullptr ? memtable_->count() : 0;
+  return memtable_->count();
 }
 
 uint64_t MaterializedSampleView::run_count() const {
@@ -695,12 +618,10 @@ std::shared_ptr<const AceTree> MaterializedSampleView::tree() const {
 }
 
 void MaterializedSampleView::UpdateGaugesLocked() {
-  g_memtable_records_->Set(
-      static_cast<double>(memtable_ != nullptr ? memtable_->count() : 0));
+  g_memtable_records_->Set(static_cast<double>(memtable_->count()));
   g_run_count_->Set(static_cast<double>(runs_.size()));
   g_run_records_->Set(static_cast<double>(run_records_));
-  g_base_records_->Set(
-      static_cast<double>(tree_ != nullptr ? tree_->meta().num_records : 0));
+  g_base_records_->Set(static_cast<double>(tree_->meta().num_records));
 }
 
 Result<std::unique_ptr<ViewSampler>> MaterializedSampleView::Sample(
@@ -709,38 +630,23 @@ Result<std::unique_ptr<ViewSampler>> MaterializedSampleView::Sample(
   MSV_RETURN_IF_ERROR(query.Validate(layout_));
 
   // Under the lock, take only a consistent snapshot: the tree handle,
-  // shared run handles, and a copy of the memtable's matches (the
-  // memtable mutates under mu_, but it is small — bounded by the flush
-  // threshold). The runs themselves are scanned after release.
+  // the shared runs, and a copy of the memtable's matches (the memtable
+  // mutates under mu_, but it is small — bounded by the flush threshold).
+  // Runs are immutable, so their matches are collected after release and
+  // a sampler never stalls Insert/Flush. Partition order: runs oldest
+  // first, then the memtable.
   std::shared_ptr<const AceTree> tree;
-  std::vector<RunHandle> runs;
+  std::vector<std::shared_ptr<const Memtable>> runs;
   ViewSampler::ExactPartition memtable_matches;
-  memtable_matches.records.record_size = layout_.record_size;
   {
     MutexLock lock(mu_);
     tree = tree_;
     runs = runs_;
-    if (memtable_ != nullptr) {
-      memtable_->CollectMatches(layout_, query, &memtable_matches.records);
-    }
+    memtable_->CollectMatches(layout_, query, &memtable_matches.records);
   }
-
-  // Scan the runs without mu_ held, so a sampler over large or many runs
-  // never stalls Insert/Flush for the scan duration. Runs are immutable,
-  // and the shared handles keep a concurrently compacted-away run
-  // readable. Partition order: runs oldest first, then the memtable.
-  std::vector<ViewSampler::ExactPartition> exact;
-  exact.reserve(runs.size() + 1);
-  for (const RunHandle& run : runs) {
-    ViewSampler::ExactPartition p;
-    p.records.record_size = layout_.record_size;
-    auto scanner = run.file->NewScanner();
-    for (;;) {
-      MSV_ASSIGN_OR_RETURN(const char* rec, scanner.Next());
-      if (rec == nullptr) break;
-      if (query.Matches(layout_, rec)) p.records.Append(rec);
-    }
-    exact.push_back(std::move(p));
+  std::vector<ViewSampler::ExactPartition> exact(runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    runs[i]->CollectMatches(layout_, query, &exact[i].records);
   }
   exact.push_back(std::move(memtable_matches));
 

@@ -8,17 +8,21 @@
 // with LSM structuring:
 //
 //   view "V" = V.base.g<N>  the live ACE tree generation
-//            + V.run.<i>    immutable sorted runs (flushed memtables)
-//            + memtable     the in-memory insert buffer, WAL-backed
-//            + V.manifest   checksummed; names the live file set
+//            + runs         sealed memtables, sorted, in memory
+//            + memtable     the in-memory insert buffer
+//            + V.wal.<i>    one WAL per memtable; a run's stays until
+//                           compaction folds the run into the tree
+//            + V.manifest   checksummed; names the live tree and the
+//                           highest WAL id folded into it
 //
 // Insert() appends to the WAL (durable before acknowledgement) and the
-// memtable; a full memtable flushes to a sorted run via the crash-atomic
-// write protocol; a background compaction thread folds base + runs into
-// a fresh tree generation with BuildAceTree and commits the swap by
-// atomically rewriting the manifest — the old generation is deleted only
-// after the new one is durably committed, so a crash at any point leaves
-// an openable view and every acknowledged insert.
+// memtable; a full memtable is sealed into a run by syncing its WAL and
+// opening the next one — no file is written and the manifest is not
+// touched. A background compaction thread folds base + runs into a fresh
+// tree generation with BuildAceTree and commits the swap by atomically
+// rewriting the manifest — the old generation and the folded WALs are
+// deleted only after the new one is durably committed, so a crash at any
+// point leaves an openable view and every acknowledged insert.
 //
 // Sampling interleaves the base tree's online sampler with in-memory
 // shuffles of each run's and the memtable's matching records: each
@@ -45,7 +49,6 @@
 #include "io/env.h"
 #include "obs/metrics.h"
 #include "sampling/sample_stream.h"
-#include "storage/heap_file.h"
 #include "util/result.h"
 #include "util/sync.h"
 
@@ -64,6 +67,10 @@ class ViewSampler : public sampling::SampleStream {
 
   /// Number of partitions in the interleave (base + runs + memtable).
   size_t partitions() const { return 1 + exact_.size(); }
+  /// Matching records in the sampled snapshot: the base count the
+  /// interleave uses plus the exact run and memtable matches. The
+  /// population SUM and COUNT estimates scale by.
+  uint64_t population() const { return population_; }
   /// Leaf pages the base partition has read (I/O visibility for tests).
   uint64_t base_leaves_read() const { return base_->leaves_read(); }
 
@@ -99,6 +106,7 @@ class ViewSampler : public sampling::SampleStream {
 
   std::vector<ExactPartition> exact_;  // runs (oldest first), then memtable
   uint64_t exact_remaining_ = 0;
+  uint64_t population_ = 0;
 
   size_t record_size_;
   Pcg64 rng_;
@@ -155,7 +163,7 @@ class MaterializedSampleView {
   /// it is safe to retry the batch.
   Status Insert(const char* records, size_t count) MSV_EXCLUDES(mu_);
 
-  /// Flushes the memtable (if non-empty) to an immutable sorted run.
+  /// Seals the memtable (if non-empty) into an immutable sorted run.
   Status Flush() MSV_EXCLUDES(mu_);
 
   /// Folds all current runs into a fresh base tree generation. No-op when
@@ -192,8 +200,8 @@ class MaterializedSampleView {
   /// survives concurrent compaction.
   std::shared_ptr<const AceTree> tree() const MSV_EXCLUDES(mu_);
 
-  /// Deletes every file belonging to view `name` (base generations, runs,
-  /// WALs, manifest, scratch). Best-effort; missing files are fine.
+  /// Deletes every file belonging to view `name` (base generations, WALs,
+  /// manifest, scratch). Best-effort; missing files are fine.
   static Status DropFiles(io::Env* env, const std::string& name);
 
  private:
@@ -204,33 +212,21 @@ class MaterializedSampleView {
   std::string BaseGenName(uint64_t id) const {
     return name_ + ".base.g" + std::to_string(id);
   }
-  std::string RunName(uint64_t id) const {
-    return name_ + ".run." + std::to_string(id);
-  }
   std::string WalName(uint64_t id) const {
     return name_ + ".wal." + std::to_string(id);
   }
   std::string ScratchName() const { return name_ + ".scratch"; }
 
-  /// A live sorted run: its id and an open read handle.
-  struct RunHandle {
-    uint64_t id = 0;
-    std::shared_ptr<storage::HeapFile> file;
-  };
-
   /// The inputs of one compaction, sealed under mu_ and processed
   /// without it (all inputs are immutable).
   struct CompactionPlan {
     std::shared_ptr<const AceTree> base;
-    std::vector<RunHandle> runs;
+    std::vector<std::shared_ptr<const Memtable>> runs;
     std::string output_file;
     uint64_t build_seed = 0;
   };
 
   Status RecoverLocked() MSV_REQUIRES(mu_);
-  Status CleanOrphansLocked() MSV_REQUIRES(mu_);
-  ViewManifest CurrentManifestLocked() const MSV_REQUIRES(mu_);
-  Status OpenRunLocked(uint64_t id) MSV_REQUIRES(mu_);
   Status FlushLocked() MSV_REQUIRES(mu_);
   bool CompactionTriggeredLocked() const MSV_REQUIRES(mu_);
   uint64_t DeltaRecordsLocked() const MSV_REQUIRES(mu_);
@@ -241,8 +237,6 @@ class MaterializedSampleView {
   Status CompactOnce() MSV_EXCLUDES(mu_);
   Status BuildCompactedBase(const CompactionPlan& plan);
 
-  void StartCompactor() MSV_EXCLUDES(mu_);
-  void StopCompactor() MSV_EXCLUDES(mu_);
   void CompactorMain() MSV_EXCLUDES(mu_);
 
   io::Env* const env_;
@@ -251,29 +245,22 @@ class MaterializedSampleView {
   const Options options_;
 
   mutable Mutex mu_;
-  /// Signaled on: compaction trigger, compaction completion, compactor
-  /// lifecycle transitions.
+  /// Signaled on: compaction trigger, compaction completion, shutdown.
   mutable CondVar cv_;
 
   std::shared_ptr<const AceTree> tree_ MSV_GUARDED_BY(mu_);
   std::string base_file_ MSV_GUARDED_BY(mu_);
   std::unique_ptr<Memtable> memtable_ MSV_GUARDED_BY(mu_);
   std::unique_ptr<WalWriter> wal_ MSV_GUARDED_BY(mu_);
-  std::vector<RunHandle> runs_ MSV_GUARDED_BY(mu_);
+  /// Sealed memtables, oldest first; each is backed by its WAL.
+  std::vector<std::shared_ptr<const Memtable>> runs_ MSV_GUARDED_BY(mu_);
   uint64_t run_records_ MSV_GUARDED_BY(mu_) = 0;
   uint64_t next_id_ MSV_GUARDED_BY(mu_) = 1;
-  uint64_t flushed_through_ MSV_GUARDED_BY(mu_) = 0;
   /// True while one compaction is between seal and commit; compactions
   /// are serialized through this flag (the builder runs unlocked).
   bool compacting_ MSV_GUARDED_BY(mu_) = false;
 
-  // Background compactor lifecycle (the MetricsPoller pattern: Stop()
-  // joins outside the lock while kStopping parks concurrent Start/Stop).
-  enum class CompactorState { kStopped, kRunning, kStopping };
-  CompactorState compactor_state_ MSV_GUARDED_BY(mu_) =
-      CompactorState::kStopped;
   bool stop_requested_ MSV_GUARDED_BY(mu_) = false;
-  std::thread compactor_thread_ MSV_GUARDED_BY(mu_);
 
   // Process-wide ingest metrics (registry-owned).
   obs::Counter* const c_inserted_records_;
@@ -289,6 +276,11 @@ class MaterializedSampleView {
   obs::Gauge* const g_base_records_;
   obs::LogHistogram* const h_flush_us_;
   obs::LogHistogram* const h_compact_us_;
+
+  /// Runs CompactorMain(). Started at the end of Create()/Open() and
+  /// joined by the destructor; no other code touches it. Declared last,
+  /// after everything the thread uses.
+  std::thread compactor_thread_;
 };
 
 }  // namespace msv::core

@@ -462,12 +462,11 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
     target = std::numeric_limits<uint64_t>::max();
   }
 
-  // Population of the predicate from the tree's internal-node counts,
-  // plus the matching delta records.
-  MSV_ASSIGN_OR_RETURN(uint64_t base_population,
-                       view->tree()->EstimateMatchCount(query));
+  // The population SUM/COUNT scale by is the sampler's own snapshot: the
+  // base's internal-node count plus the exact run and memtable matches.
   MSV_ASSIGN_OR_RETURN(std::unique_ptr<core::ViewSampler> sampler,
                        view->Sample(query, ++next_seed_));
+  const uint64_t population = sampler->population();
 
   if (!stmt.group_by.empty()) {
     const Column* group_column = schema.Find(stmt.group_by);
@@ -478,7 +477,7 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
       return Status::NotSupported("GROUP BY needs an integer column");
     }
     sampling::GroupedAggregator agg(AccessorFor(group_column),
-                                    AccessorFor(column), base_population,
+                                    AccessorFor(column), population,
                                     stmt.confidence);
     bool deadline_hit = false;
     while (!sampler->done() && agg.samples_seen() < target) {
@@ -533,14 +532,12 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
 
   if (stmt.agg == EstimateStmt::Agg::kCount) {
     std::ostringstream out;
-    out << "COUNT(*) ~ " << base_population
-        << " (from index counts; delta adds <= " << view->delta_records()
-        << ")\n";
-    // COUNT(*) is answered from the index counts without sampling: any
-    // WITHIN bound is trivially met and the result is never partial.
+    out << "COUNT(*) ~ " << population << "\n";
+    // COUNT(*) is answered from the counts without sampling: any WITHIN
+    // bound is trivially met and the result is never partial.
     obs::StatementLedger& ledger = obs::ThreadStatementLedger();
     ledger.has_estimate = true;
-    ledger.estimate_value = static_cast<double>(base_population);
+    ledger.estimate_value = static_cast<double>(population);
     ledger.confidence = stmt.confidence;
     ledger.target_rel_pct = stmt.within_pct;
     ledger.deadline_us = stmt.within_ms * 1000;
@@ -548,7 +545,7 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
     return out.str();
   }
 
-  sampling::OnlineAggregator agg(AccessorFor(column), base_population,
+  sampling::OnlineAggregator agg(AccessorFor(column), population,
                                  stmt.confidence);
   // The stopping rule is checked once per batch: a deadline can overshoot
   // by at most one batch's cost, an error bound by one batch of samples.

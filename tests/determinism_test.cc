@@ -305,5 +305,31 @@ TEST_F(DeterminismTest, ViewSamplerSequenceMatchesGolden) {
   }
 }
 
+TEST_F(DeterminismTest, CompactedViewMatchesGolden) {
+  // Pins the compaction input order (base leaves, then runs oldest first)
+  // and the id/seed sequence that names and seeds the compacted tree.
+  auto view = MakeGoldenView(env_.get());
+  ASSERT_TRUE(view->Compact().ok());
+  EXPECT_EQ(view->run_count(), 0u);
+  auto sampler = ValueOrDie(view->Sample(Query(), kSamplerSeed));
+  std::vector<uint64_t> ids;
+  uint64_t fnv = 14695981039346656037ULL;
+  while (!sampler->done()) {
+    auto batch = ValueOrDie(sampler->NextBatch());
+    for (size_t i = 0; i < batch.count(); ++i) {
+      uint64_t rid = SaleRecord::DecodeFrom(batch.record(i)).row_id;
+      ids.push_back(rid);
+      fnv = (fnv ^ rid) * 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(ids.size(), 1162u);
+  EXPECT_EQ(fnv, 9419708275385457132ULL);
+  const std::vector<uint64_t> first16 = {433,  483,  124, 1253, 1812, 888,
+                                         992,  1221, 640, 1360, 1806, 99,
+                                         1120, 657,  2046, 2154};
+  ASSERT_GE(ids.size(), first16.size());
+  EXPECT_EQ(std::vector<uint64_t>(ids.begin(), ids.begin() + 16), first16);
+}
+
 }  // namespace
 }  // namespace msv::core

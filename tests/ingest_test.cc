@@ -1,4 +1,4 @@
-// The updatable view's LSM write path: memtable/WAL/run/manifest
+// The updatable view's LSM write path: memtable/WAL/sealed-run/manifest
 // mechanics, crash recovery (power loss at every fault index loses no
 // acknowledged insert and always leaves an openable tree), and
 // TSan-exercised concurrent insert/sample/compaction.
@@ -22,7 +22,6 @@
 #include "io/fault_env.h"
 #include "obs/metrics.h"
 #include "query/executor.h"
-#include "storage/heap_file.h"
 #include "storage/record.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -133,24 +132,27 @@ TEST_F(IngestTest, FlushAtThresholdCreatesSortedRun) {
   EXPECT_EQ(view_->memtable_records(), 50u);
   EXPECT_EQ(view_->delta_records(), 250u);
 
-  // Runs are sorted heap files named by their memtable id.
-  bool found_run = false;
+  // A flush writes no file: each run's WAL is its durable copy, next to
+  // the live memtable's WAL.
+  std::set<std::string> files;
   for (const std::string& f : ValueOrDie(env_->ListFiles())) {
-    if (f.rfind("v.run.", 0) != 0) continue;
-    found_run = true;
-    auto run = ValueOrDie(storage::HeapFile::Open(env_.get(), f));
-    EXPECT_EQ(run->record_count(), 100u);
-    auto scanner = run->NewScanner();
-    double prev = -1.0;
-    for (;;) {
-      const char* rec = ValueOrDie(scanner.Next());
-      if (rec == nullptr) break;
-      double day = layout_.Key(rec, 0);
-      EXPECT_GE(day, prev);
-      prev = day;
-    }
+    if (f.rfind("v.", 0) == 0) files.insert(f);
   }
-  EXPECT_TRUE(found_run);
+  EXPECT_EQ(files, (std::set<std::string>{"v.manifest", "v.base.g1",
+                                          "v.wal.2", "v.wal.3", "v.wal.4"}));
+
+  // A sealed run holds the memtable's records stably sorted by key 0,
+  // under the memtable's id.
+  Memtable memtable(7, layout_.record_size);
+  std::string batch = MakeInserts(100);
+  memtable.Append(batch.data(), 100);
+  std::shared_ptr<const Memtable> run = memtable.Sealed(layout_);
+  EXPECT_EQ(run->id(), 7u);
+  ASSERT_EQ(run->count(), 100u);
+  for (uint64_t i = 1; i < run->count(); ++i) {
+    EXPECT_LE(layout_.Key(run->record(i - 1), 0),
+              layout_.Key(run->record(i), 0));
+  }
 }
 
 TEST_F(IngestTest, UnifiedDrainCoversMemtableRunsAndTree) {
@@ -177,16 +179,14 @@ TEST_F(IngestTest, RebuildFoldsEverythingAndCleansFiles) {
   EXPECT_EQ(view_->base_records(), kBase + 230);
   EXPECT_EQ(view_->delta_records(), 0u);
   EXPECT_EQ(view_->run_count(), 0u);
-  // Folded runs and dead WALs are deleted; exactly one base generation
-  // and one (empty) live WAL remain.
-  size_t bases = 0, runs = 0, wals = 0;
+  // The folded runs' WALs are deleted; exactly one base generation and
+  // one (empty) live WAL remain.
+  size_t bases = 0, wals = 0;
   for (const std::string& f : ValueOrDie(env_->ListFiles())) {
     if (f.rfind("v.base.g", 0) == 0) ++bases;
-    if (f.rfind("v.run.", 0) == 0) ++runs;
     if (f.rfind("v.wal.", 0) == 0) ++wals;
   }
   EXPECT_EQ(bases, 1u);
-  EXPECT_EQ(runs, 0u);
   EXPECT_EQ(wals, 1u);
   std::vector<uint64_t> ids = DrainAll();
   EXPECT_EQ(std::set<uint64_t>(ids.begin(), ids.end()), ExpectedIds());
@@ -264,15 +264,13 @@ TEST_F(IngestTest, ManifestRoundTrips) {
   ViewManifest m;
   m.base_file = "v.base.g7";
   m.next_id = 12;
-  m.flushed_through = 9;
-  m.runs = {10, 11};
+  m.folded = 9;
   MSV_ASSERT_OK(SaveManifest(env_.get(), "probe.manifest", m));
   ViewManifest loaded =
       ValueOrDie(LoadManifest(env_.get(), "probe.manifest"));
   EXPECT_EQ(loaded.base_file, m.base_file);
   EXPECT_EQ(loaded.next_id, m.next_id);
-  EXPECT_EQ(loaded.flushed_through, m.flushed_through);
-  EXPECT_EQ(loaded.runs, m.runs);
+  EXPECT_EQ(loaded.folded, m.folded);
 }
 
 TEST_F(IngestTest, CorruptManifestIsRejected) {
@@ -477,6 +475,50 @@ TEST(IngestFaultTest, InlineFlushFailureDoesNotFailAcknowledgedInsert) {
   std::vector<uint64_t> ids = msv::testing::DrainRowIds(sampler.get());
   EXPECT_TRUE(AllDistinct(ids));
   EXPECT_EQ(ids.size(), 400u + 69u);
+}
+
+TEST(IngestFaultTest, FlushedRunSurvivesPowerLossWithoutWalSync) {
+  // With sync_wal off only the unflushed tail is expendable: a flush must
+  // make the records it seals durable before the memtable moves on.
+  auto inner = io::NewMemEnv();
+  MakeSale(inner.get(), "sale", 400, /*seed=*/7);
+  const storage::RecordLayout layout = SaleRecord::Layout1D();
+  MaterializedSampleView::Options options = SmallViewOptions();
+  options.ingest.memtable_max_records = 64;
+  options.ingest.sync_wal = false;
+  {
+    auto created = ValueOrDie(MaterializedSampleView::Create(
+        inner.get(), "v", "sale", layout, options));
+  }
+  auto fenv = io::NewFaultInjectionEnv(inner.get());
+  {
+    auto view = ValueOrDie(
+        MaterializedSampleView::Open(fenv.get(), "v", layout, options));
+    Pcg64 rng(23);
+    char buf[SaleRecord::kSize];
+    for (uint64_t i = 0; i < 100; ++i) {
+      SaleRecord rec;
+      rec.day = rng.DoubleInRange(0, 100000.0);
+      rec.amount = rng.DoubleInRange(0, 10000.0);
+      rec.row_id = 400 + i;
+      rec.EncodeTo(buf);
+      MSV_ASSERT_OK(view->Insert(buf, 1));
+    }
+    EXPECT_EQ(view->run_count(), 1u);
+    EXPECT_EQ(view->memtable_records(), 36u);
+  }
+  MSV_ASSERT_OK(fenv->DropUnsyncedData());  // power loss
+
+  auto view = ValueOrDie(
+      MaterializedSampleView::Open(fenv.get(), "v", layout, options));
+  auto sampler = ValueOrDie(view->Sample(AllDays(), 41));
+  std::vector<uint64_t> ids = msv::testing::DrainRowIds(sampler.get());
+  EXPECT_TRUE(AllDistinct(ids));
+  std::set<uint64_t> recovered(ids.begin(), ids.end());
+  for (uint64_t rid = 0; rid < 400 + 64; ++rid) {
+    EXPECT_EQ(recovered.count(rid), 1u) << "lost row " << rid;
+  }
+  for (uint64_t rid : recovered) EXPECT_LT(rid, 500u) << "phantom " << rid;
 }
 
 // ---------------------------------------------------------------------------

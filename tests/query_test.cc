@@ -243,6 +243,33 @@ TEST_F(ExecutorTest, CountEstimateTracksTruth) {
   EXPECT_NEAR(count, 2000.0, 300.0);
 }
 
+TEST_F(ExecutorTest, DrainedSumAfterInsertIsExact) {
+  // The SUM/COUNT population is the sampler's own: base plus the
+  // inserted delta. A drained SUM is then exactly AVG x |view|.
+  Run("CREATE MATERIALIZED SAMPLE VIEW v AS SELECT * FROM sale "
+      "INDEX ON day;");
+  Run("INSERT INTO v ROWS 500;");
+  auto value = [](const std::string& out, const std::string& label) {
+    size_t pos = out.find(label);
+    EXPECT_NE(pos, std::string::npos) << out;
+    return pos == std::string::npos
+               ? 0.0
+               : std::stod(out.substr(pos + label.size()));
+  };
+  const double avg =
+      value(Run("ESTIMATE AVG(amount) FROM v SAMPLES 100000;"),
+            "AVG(amount) = ");
+  const double sum =
+      value(Run("ESTIMATE SUM(amount) FROM v SAMPLES 100000;"),
+            "SUM(amount) = ");
+  // AVG prints with 4 decimals; scaling that rounding by 20500 leaves
+  // about one unit of slack.
+  EXPECT_NEAR(sum, avg * 20500.0, 1.1);
+  const std::string count = Run("ESTIMATE COUNT(*) FROM v;");
+  EXPECT_EQ(value(count, "COUNT(*) ~ "), 20500.0);
+  EXPECT_EQ(count.find("<="), std::string::npos) << count;
+}
+
 TEST_F(ExecutorTest, GroupByEstimates) {
   Run("CREATE MATERIALIZED SAMPLE VIEW v AS SELECT * FROM sale "
       "INDEX ON day;");
