@@ -95,7 +95,7 @@ int Run(int argc, char** argv) {
       MSV_CHECK(size_or.ok());
       const uint64_t num_pages =
           (size_or.value() + options.page_size - 1) / options.page_size;
-      // Pool at 25% of the pages, multiple shards, so eviction churns.
+      // Pool at 25% of the pages, one lock, so eviction churns.
       io::BufferPool pool(options.page_size,
                           std::max<size_t>(8, num_pages / 4));
       const uint64_t gets_per_thread = smoke ? 2'000 : 20'000;

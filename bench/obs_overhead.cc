@@ -10,8 +10,8 @@
 //   poller    a MetricsPoller snapshotting the registry at --interval_ms
 //             while the same batch runs.
 //   slowlog   slow-query log armed with a huge threshold, so every
-//             statement pays the cost capture (ThreadDiskBusyUs /
-//             ThreadPoolPages reads, ledger reset, wall clock) but the
+//             statement pays the cost capture (ThreadDiskBusyUs
+//             reads, ledger reset, wall clock) but the
 //             ring is never written.
 //
 // Configurations alternate across --reps repetitions and the per-config

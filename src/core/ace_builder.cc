@@ -474,8 +474,7 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
   MSV_RETURN_IF_ERROR(env->SyncDir());
   phase2c_span.End();
 
-  local.overhead_bytes = meta.data_offset + num_leaves * leaf_header -
-                         0;  // region headers + per-leaf headers
+  // Region headers + per-leaf headers.
   local.overhead_bytes = meta.data_offset + num_leaves * leaf_header;
   if (metrics != nullptr) *metrics = local;
   return Status::OK();

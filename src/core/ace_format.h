@@ -10,8 +10,10 @@
 //                       split dimension, cnt_left, cnt_right
 //   [directory region]  F entries: byte offset + byte length of each leaf
 //   [leaf region]       leaf nodes in leaf-id order; each leaf is
-//                       [leaf header: section record-counts[h]]
+//                       [leaf header: leaf id u32, height u32,
+//                        section record-counts u32[h]]
 //                       [section 1 records][section 2 records]...[section h]
+//                       [masked CRC32C u32 over everything before it]
 //
 // Leaves are variable-sized and may span disk pages (the paper's chosen
 // scheme, Sec. 5.6); the directory makes every leaf a single contiguous

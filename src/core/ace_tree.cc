@@ -232,9 +232,6 @@ Result<uint64_t> AceTree::EstimateMatchCount(
     if (!BoxOverlapsQuery(item.box, q)) continue;
     uint64_t count = node_counts_[item.id];
     if (count == 0) continue;
-    if (BoxCoversQuery(item.box, q) && !BoxOverlapsQuery(item.box, q)) {
-      continue;  // unreachable; kept for clarity
-    }
     // Fully inside the query: exact contribution.
     bool inside = true;
     for (size_t d = 0; d < q.dims; ++d) {

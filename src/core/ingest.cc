@@ -21,10 +21,11 @@ void Memtable::CollectMatches(const storage::RecordLayout& layout,
                               const sampling::RangeQuery& query,
                               sampling::SampleBatch* out) const {
   out->record_size = record_size_;
-  for (uint64_t i = 0; i < count_; ++i) {
-    const char* rec = record(i);
-    if (query.Matches(layout, rec)) out->Append(rec);
-  }
+  std::vector<uint32_t> idx(count_);
+  const size_t matches = query.MatchBatch(
+      layout, data_.data(), static_cast<size_t>(count_), idx.data());
+  out->Reserve(matches);
+  for (size_t i = 0; i < matches; ++i) out->Append(record(idx[i]));
 }
 
 std::shared_ptr<const Memtable> Memtable::Sealed(

@@ -31,10 +31,14 @@ Result<std::vector<std::string>> FormRuns(io::Env* env, const HeapFile& input,
   const size_t chunk_records =
       std::max<size_t>(1, options.memory_budget_bytes / record_size);
 
+  // Buffers hold at most the input, so a small sort gets small buffers;
+  // run boundaries and write sizes follow chunk_records, not the buffers.
+  const size_t held_records = static_cast<size_t>(
+      std::min<uint64_t>(chunk_records, input.record_count()));
   std::vector<std::string> runs;
-  std::vector<char> chunk(chunk_records * record_size);
+  std::vector<char> chunk(held_records * record_size);
   std::vector<const char*> ptrs;
-  ptrs.reserve(chunk_records);
+  ptrs.reserve(held_records);
 
   auto scanner = input.NewScanner(4 << 20, /*readahead=*/true);
   uint64_t remaining = input.record_count();
@@ -58,8 +62,9 @@ Result<std::vector<std::string>> FormRuns(io::Env* env, const HeapFile& input,
     std::string run_name = RunName(options.temp_prefix, (*next_run_id)++);
     // Batched run writes: a bigger writer buffer turns the run dump into
     // fewer, larger accesses interleaving less with the input scan.
-    const size_t writer_buffer =
-        std::max<size_t>(1 << 20, options.memory_budget_bytes / 8);
+    const size_t writer_buffer = std::min(
+        std::max<size_t>(1 << 20, options.memory_budget_bytes / 8),
+        n * record_size);
     MSV_ASSIGN_OR_RETURN(
         std::unique_ptr<HeapFileWriter> writer,
         HeapFileWriter::Create(env, run_name, record_size, writer_buffer));
@@ -93,8 +98,12 @@ Status MergeRuns(io::Env* env, const std::vector<std::string>& run_names,
     MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> f, HeapFile::Open(env, name));
     record_size = f->record_size();
     total += f->record_count();
-    scanners.push_back(std::make_unique<HeapFile::Scanner>(
-        f->NewScanner(per_input_buffer, /*readahead=*/true)));
+    // A run that fits in one block is still fetched by one request, so
+    // the block shrinks to the run without changing any device access.
+    const size_t run_bytes =
+        static_cast<size_t>(f->record_count()) * record_size;
+    scanners.push_back(std::make_unique<HeapFile::Scanner>(f->NewScanner(
+        std::min(per_input_buffer, run_bytes), /*readahead=*/true)));
     files.push_back(std::move(f));
   }
 
@@ -111,8 +120,10 @@ Status MergeRuns(io::Env* env, const std::vector<std::string>& run_names,
   // Double-buffered merge: each input keeps a lookahead block fetched
   // together with the current one as a single coalesced access, and the
   // output writer's buffer is doubled to match. That halves the
-  // per-input refill seeks at ~2x the per-input buffer memory.
-  const size_t writer_buffer = 2 * per_input_buffer;
+  // per-input refill seeks at ~2x the per-input buffer memory. The
+  // writer never grows past the records it will hold.
+  const size_t writer_buffer = std::min(
+      2 * per_input_buffer, static_cast<size_t>(total) * record_size);
   MSV_ASSIGN_OR_RETURN(
       std::unique_ptr<HeapFileWriter> writer,
       HeapFileWriter::Create(env, output_name, record_size, writer_buffer));

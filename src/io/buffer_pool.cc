@@ -1,25 +1,15 @@
 #include "io/buffer_pool.h"
 
-#include <algorithm>
-#include <cstring>
 #include <limits>
 
 #include "util/logging.h"
 
 namespace msv::io {
 
-namespace {
-// Per-thread attribution of pages pinned (see ThreadPoolPages()).
-thread_local uint64_t tls_pool_pages = 0;
-}  // namespace
-
-uint64_t ThreadPoolPages() { return tls_pool_pages; }
-
 PageRef& PageRef::operator=(PageRef&& other) noexcept {
   if (this != &other) {
-    if (pool_ != nullptr) pool_->Unpin(shard_, frame_);
+    if (pool_ != nullptr) pool_->Unpin(frame_);
     pool_ = other.pool_;
-    shard_ = other.shard_;
     frame_ = other.frame_;
     data_ = other.data_;
     size_ = other.size_;
@@ -31,43 +21,17 @@ PageRef& PageRef::operator=(PageRef&& other) noexcept {
 }
 
 PageRef::~PageRef() {
-  if (pool_ != nullptr) pool_->Unpin(shard_, frame_);
+  if (pool_ != nullptr) pool_->Unpin(frame_);
 }
 
-namespace {
-
-// Below this capacity the pool stays unsharded: striping a handful of
-// frames would let hash skew starve a shard, and tiny pools are the
-// single-threaded test/bench configuration where exact global LRU
-// eviction order is observable behaviour.
-constexpr size_t kMinCapacityForAutoSharding = 64;
-constexpr size_t kDefaultShards = 8;
-constexpr size_t kMinFramesPerShard = 8;
-
-size_t PickShards(size_t capacity, size_t requested) {
-  size_t shards = requested;
-  if (shards == 0) {
-    shards = capacity < kMinCapacityForAutoSharding ? 1 : kDefaultShards;
-  }
-  shards = std::min(shards, std::max<size_t>(1, capacity / kMinFramesPerShard));
-  return std::max<size_t>(1, shards);
-}
-
-}  // namespace
-
-BufferPool::BufferPool(size_t page_size, size_t capacity_pages, size_t shards)
+BufferPool::BufferPool(size_t page_size, size_t capacity_pages)
     : page_size_(page_size), capacity_(capacity_pages) {
   MSV_CHECK(page_size_ > 0);
   MSV_CHECK(capacity_ > 0);
-  const size_t num_shards = PickShards(capacity_, shards);
-  shards_.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    // Distribute frames round-robin so sizes differ by at most one.
-    size_t frames = capacity_ / num_shards + (s < capacity_ % num_shards);
-    shard->frames.resize(frames);
-    shard->map.reserve(frames * 2);
-    shards_.push_back(std::move(shard));
+  {
+    MutexLock lock(mu_);
+    frames_.resize(capacity_);
+    map_.reserve(capacity_ * 2);
   }
   obs::MetricRegistry& reg = obs::MetricRegistry::Global();
   c_hits_ = reg.GetCounter("io.pool.hits");
@@ -80,137 +44,115 @@ BufferPool::BufferPool(size_t page_size, size_t capacity_pages, size_t shards)
 }
 
 BufferPoolStats BufferPool::total_stats() const {
-  BufferPoolStats sum;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    sum += shard->totals;
-  }
-  return sum;
+  MutexLock lock(mu_);
+  return totals_;
 }
 
 BufferPoolStats BufferPool::stats() const {
-  BufferPoolStats sum = total_stats();
-  MutexLock lock(baseline_mu_);
-  return sum - baseline_;
+  MutexLock lock(mu_);
+  return totals_ - baseline_;
 }
 
 void BufferPool::ResetStats() {
-  BufferPoolStats sum = total_stats();
   {
-    MutexLock lock(baseline_mu_);
-    baseline_ = sum;
+    MutexLock lock(mu_);
+    baseline_ = totals_;
   }
   obs::MetricRegistry::Global().BeginEpoch();
 }
 
 size_t BufferPool::resident_pages() const {
-  size_t resident = 0;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    resident += shard->map.size();
-  }
-  return resident;
+  MutexLock lock(mu_);
+  return map_.size();
 }
 
 std::string BufferPool::CheckAccounting() const {
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
-    MutexLock lock(shard.mu);
-    size_t valid = 0;
-    for (size_t i = 0; i < shard.frames.size(); ++i) {
-      const Frame& f = shard.frames[i];
-      if (f.pins < 0) {
-        return "shard " + std::to_string(s) + " frame " + std::to_string(i) +
-               ": negative pin count";
-      }
-      if (!f.valid && f.pins != 0) {
-        return "shard " + std::to_string(s) + " frame " + std::to_string(i) +
-               ": invalid frame is pinned";
-      }
-      if (f.valid) {
-        ++valid;
-        auto it = shard.map.find(Key{f.file_id, f.page_no});
-        if (it == shard.map.end() || it->second != i) {
-          return "shard " + std::to_string(s) + " frame " + std::to_string(i) +
-                 ": valid frame missing from the map";
-        }
-      }
+  MutexLock lock(mu_);
+  size_t valid = 0;
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    const Frame& f = frames_[i];
+    if (f.pins < 0) {
+      return "frame " + std::to_string(i) + ": negative pin count";
     }
-    if (valid != shard.map.size()) {
-      return "shard " + std::to_string(s) + ": map has " +
-             std::to_string(shard.map.size()) + " entries but " +
-             std::to_string(valid) + " valid frames";
+    if (!f.valid && f.pins != 0) {
+      return "frame " + std::to_string(i) + ": invalid frame is pinned";
     }
-    BufferPoolStats t = shard.totals;
-    if (t.evictions > t.misses) {
-      return "shard " + std::to_string(s) + ": more evictions than misses";
+    if (f.valid) {
+      ++valid;
+      auto it = map_.find(Key{f.file_id, f.page_no});
+      if (it == map_.end() || it->second != i) {
+        return "frame " + std::to_string(i) +
+               ": valid frame missing from the map";
+      }
     }
   }
+  if (valid != map_.size()) {
+    return "map has " + std::to_string(map_.size()) + " entries but " +
+           std::to_string(valid) + " valid frames";
+  }
+  if (totals_.evictions > totals_.misses) return "more evictions than misses";
   return "";
 }
 
-void BufferPool::Unpin(size_t shard_idx, size_t frame) {
-  Shard& shard = *shards_[shard_idx];
-  MutexLock lock(shard.mu);
-  MSV_DCHECK(frame < shard.frames.size());
-  MSV_DCHECK(shard.frames[frame].pins > 0);
-  --shard.frames[frame].pins;
+void BufferPool::Unpin(size_t frame) {
+  MutexLock lock(mu_);
+  MSV_DCHECK(frame < frames_.size());
+  MSV_DCHECK(frames_[frame].pins > 0);
+  --frames_[frame].pins;
 }
 
-Result<size_t> BufferPool::FindVictim(Shard& shard) {
-  // First prefer an empty frame, then the unpinned frame with the oldest
-  // access tick. Linear scan is fine at the per-shard sizes we use.
-  size_t victim = shard.frames.size();
+Result<size_t> BufferPool::FindVictim() {
+  // Linear scan is fine at the pool sizes the baselines use.
+  size_t victim = frames_.size();
   uint64_t oldest = std::numeric_limits<uint64_t>::max();
-  for (size_t i = 0; i < shard.frames.size(); ++i) {
-    const Frame& f = shard.frames[i];
+  for (size_t i = 0; i < frames_.size(); ++i) {
+    const Frame& f = frames_[i];
     if (!f.valid) return i;
     if (f.pins == 0 && f.tick < oldest) {
       oldest = f.tick;
       victim = i;
     }
   }
-  if (victim == shard.frames.size()) {
+  if (victim == frames_.size()) {
     return Status::ResourceExhausted("buffer pool: all pages pinned");
   }
   return victim;
 }
 
+void BufferPool::Evict(Frame& f) {
+  map_.erase(Key{f.file_id, f.page_no});
+  f.valid = false;
+  g_resident_->Set(static_cast<double>(map_.size()));
+}
+
 Result<PageRef> BufferPool::Get(File* file, uint64_t file_id,
                                 uint64_t page_no) {
   Key key{file_id, page_no};
-  const size_t shard_idx = ShardOf(key);
-  Shard& shard = *shards_[shard_idx];
-  MutexLock lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
-    Frame& f = shard.frames[it->second];
-    ++shard.totals.hits;
+  MutexLock lock(mu_);
+  auto it = map_.find(key);
+  if (it != map_.end()) {
+    Frame& f = frames_[it->second];
+    ++totals_.hits;
     c_hits_->Add();
-    ++tls_pool_pages;
-    f.tick = ++shard.tick;
+    f.tick = ++tick_;
     ++f.pins;
-    return PageRef(this, shard_idx, it->second, f.data.data(), f.length);
+    return PageRef(this, it->second, f.data.data(), f.length);
   }
 
-  ++shard.totals.misses;
+  ++totals_.misses;
   c_misses_->Add();
-  MSV_ASSIGN_OR_RETURN(size_t frame_idx, FindVictim(shard));
-  Frame& f = shard.frames[frame_idx];
+  MSV_ASSIGN_OR_RETURN(size_t frame_idx, FindVictim());
+  Frame& f = frames_[frame_idx];
   if (f.valid) {
-    shard.map.erase(Key{f.file_id, f.page_no});
-    ++shard.totals.evictions;
+    ++totals_.evictions;
     c_evictions_->Add();
-    g_resident_->Set(static_cast<double>(
-        resident_.fetch_sub(1, std::memory_order_relaxed) - 1));
-    f.valid = false;
+    Evict(f);
   }
   if (f.data.size() != page_size_) f.data.resize(page_size_);
 
-  // The read happens under the shard lock, so two threads missing on the
-  // same page never fill two frames; misses on other shards proceed in
-  // parallel. The frame is invalid and unpinned here, so no concurrent
-  // reader can observe the bytes mid-write.
+  // The read happens under the lock, so two threads missing on the same
+  // page never fill two frames. The frame is invalid and unpinned here,
+  // so no concurrent reader can observe the bytes mid-write.
   MSV_ASSIGN_OR_RETURN(
       size_t got,
       file->Read(page_no * page_size_, page_size_, f.data.data()));
@@ -223,140 +165,17 @@ Result<PageRef> BufferPool::Get(File* file, uint64_t file_id,
   f.page_no = page_no;
   f.length = got;
   f.pins = 1;
-  f.tick = ++shard.tick;
+  f.tick = ++tick_;
   f.valid = true;
-  shard.map.emplace(key, frame_idx);
-  ++tls_pool_pages;
-  g_resident_->Set(static_cast<double>(
-      resident_.fetch_add(1, std::memory_order_relaxed) + 1));
-  return PageRef(this, shard_idx, frame_idx, f.data.data(), f.length);
-}
-
-Status BufferPool::GetBatch(File* file, uint64_t file_id,
-                            const uint64_t* page_nos, size_t count,
-                            std::vector<PageRef>* out) {
-  // Phase A: probe each occurrence, pinning hits. One shard lock at a
-  // time, never two — the phases below keep that ordering invariant.
-  std::vector<PageRef> refs(count);
-  std::vector<size_t> missed_pos;
-  for (size_t i = 0; i < count; ++i) {
-    Key key{file_id, page_nos[i]};
-    const size_t shard_idx = ShardOf(key);
-    Shard& shard = *shards_[shard_idx];
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      missed_pos.push_back(i);
-      continue;
-    }
-    Frame& f = shard.frames[it->second];
-    ++shard.totals.hits;
-    c_hits_->Add();
-    ++tls_pool_pages;
-    f.tick = ++shard.tick;
-    ++f.pins;
-    refs[i] = PageRef(this, shard_idx, it->second, f.data.data(), f.length);
-  }
-
-  if (!missed_pos.empty()) {
-    // Phase B: unique missed pages in ascending order — the elevator
-    // schedule, which also makes adjacent pages contiguous in array
-    // order so File::ReadBatch can coalesce them. The device read runs
-    // outside every shard lock.
-    std::vector<uint64_t> pages;
-    pages.reserve(missed_pos.size());
-    for (size_t pos : missed_pos) pages.push_back(page_nos[pos]);
-    std::sort(pages.begin(), pages.end());
-    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-
-    std::vector<char> scratch(pages.size() * page_size_);
-    std::vector<ReadRequest> reqs(pages.size());
-    for (size_t k = 0; k < pages.size(); ++k) {
-      reqs[k].offset = pages[k] * page_size_;
-      reqs[k].n = page_size_;
-      reqs[k].scratch = scratch.data() + k * page_size_;
-    }
-    MSV_RETURN_IF_ERROR(file->ReadBatch(reqs.data(), reqs.size()));
-    for (size_t k = 0; k < pages.size(); ++k) {
-      if (reqs[k].got == 0) {
-        return Status::OutOfRange("page " + std::to_string(pages[k]) +
-                                  " is beyond end of file");
-      }
-    }
-
-    // Phase C: install each unique page and pin every occurrence inside
-    // one shard critical section (a frame pinned at insert can never be
-    // evicted between install and pin).
-    for (size_t k = 0; k < pages.size(); ++k) {
-      const uint64_t page_no = pages[k];
-      Key key{file_id, page_no};
-      const size_t shard_idx = ShardOf(key);
-      Shard& shard = *shards_[shard_idx];
-      MutexLock lock(shard.mu);
-      size_t frame_idx;
-      auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        // A concurrent Get filled this page after phase A; reuse its
-        // frame. Our device read still happened, so the miss stands.
-        frame_idx = it->second;
-      } else {
-        MSV_ASSIGN_OR_RETURN(frame_idx, FindVictim(shard));
-        Frame& fill = shard.frames[frame_idx];
-        if (fill.valid) {
-          shard.map.erase(Key{fill.file_id, fill.page_no});
-          ++shard.totals.evictions;
-          c_evictions_->Add();
-          g_resident_->Set(static_cast<double>(
-              resident_.fetch_sub(1, std::memory_order_relaxed) - 1));
-          fill.valid = false;
-        }
-        if (fill.data.size() != page_size_) fill.data.resize(page_size_);
-        std::memcpy(fill.data.data(), reqs[k].scratch, reqs[k].got);
-        fill.file_id = file_id;
-        fill.page_no = page_no;
-        fill.length = reqs[k].got;
-        fill.pins = 0;
-        fill.valid = true;
-        shard.map.emplace(key, frame_idx);
-        g_resident_->Set(static_cast<double>(
-            resident_.fetch_add(1, std::memory_order_relaxed) + 1));
-      }
-      ++shard.totals.misses;
-      c_misses_->Add();
-      Frame& f = shard.frames[frame_idx];
-      f.tick = ++shard.tick;
-      bool first = true;
-      for (size_t pos : missed_pos) {
-        if (page_nos[pos] != page_no) continue;
-        if (!first) {
-          ++shard.totals.hits;
-          c_hits_->Add();
-        }
-        first = false;
-        ++tls_pool_pages;
-        ++f.pins;
-        refs[pos] =
-            PageRef(this, shard_idx, frame_idx, f.data.data(), f.length);
-      }
-    }
-  }
-
-  *out = std::move(refs);
-  return Status::OK();
+  map_.emplace(key, frame_idx);
+  g_resident_->Set(static_cast<double>(map_.size()));
+  return PageRef(this, frame_idx, f.data.data(), f.length);
 }
 
 void BufferPool::Clear() {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock lock(shard.mu);
-    for (Frame& f : shard.frames) {
-      if (f.valid && f.pins == 0) {
-        shard.map.erase(Key{f.file_id, f.page_no});
-        g_resident_->Set(static_cast<double>(
-            resident_.fetch_sub(1, std::memory_order_relaxed) - 1));
-        f.valid = false;
-      }
-    }
+  MutexLock lock(mu_);
+  for (Frame& f : frames_) {
+    if (f.valid && f.pins == 0) Evict(f);
   }
 }
 

@@ -4,25 +4,23 @@
 // depend heavily on the DBMS buffer manager: once a leaf page is cached,
 // further samples from it are free. The pool caches fixed-size pages of a
 // File keyed by (file id, page number) and evicts the least-recently-used
-// unpinned page when full.
+// unpinned page when full. It serves the index baselines only; ACE leaves
+// are read with File::ReadBatch and never pass through a pool.
 //
-// Concurrency: the pool is safely shareable across threads. Frames are
-// striped into shards by key hash; each shard owns its frames, its LRU
-// tick and its slice of the counters under one shard mutex, so threads
-// touching different shards never contend. A page's bytes are written
-// only while its frame is invalid (no pins) under the shard lock; the
-// returned PageRef pins the frame, which blocks eviction, so readers can
-// use the bytes lock-free for the PageRef's lifetime. With a single
-// shard (the default for small pools) eviction order is exactly the
-// classic global LRU the single-threaded tests and benches assume.
+// Concurrency: the pool is safely shareable across threads. One mutex
+// guards the frame table, the page map, the LRU tick and the counters.
+// A page's bytes are written only while its frame is invalid (no pins)
+// under that lock; the returned PageRef pins the frame, which blocks
+// eviction, so readers can use the bytes lock-free for the PageRef's
+// lifetime.
 
 #ifndef MSV_IO_BUFFER_POOL_H_
 #define MSV_IO_BUFFER_POOL_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "io/env.h"
@@ -31,12 +29,6 @@
 #include "util/sync.h"
 
 namespace msv::io {
-
-/// Pages acquired (pinned) through any BufferPool by the calling thread,
-/// monotone over the thread's lifetime: hits, misses and batch pins all
-/// count one page each. Per-statement cost attribution reads it before
-/// and after the work — the same race-free idiom as ThreadDiskBusyUs().
-uint64_t ThreadPoolPages();
 
 struct BufferPoolStats {
   uint64_t hits = 0;
@@ -52,13 +44,6 @@ struct BufferPoolStats {
   BufferPoolStats operator-(const BufferPoolStats& b) const {
     return BufferPoolStats{hits - b.hits, misses - b.misses,
                            evictions - b.evictions};
-  }
-
-  BufferPoolStats& operator+=(const BufferPoolStats& b) {
-    hits += b.hits;
-    misses += b.misses;
-    evictions += b.evictions;
-    return *this;
   }
 };
 
@@ -82,55 +67,35 @@ class PageRef {
 
  private:
   friend class BufferPool;
-  PageRef(BufferPool* pool, size_t shard, size_t frame, const char* data,
-          size_t size)
-      : pool_(pool), shard_(shard), frame_(frame), data_(data), size_(size) {}
+  PageRef(BufferPool* pool, size_t frame, const char* data, size_t size)
+      : pool_(pool), frame_(frame), data_(data), size_(size) {}
 
   BufferPool* pool_ = nullptr;
-  size_t shard_ = 0;
   size_t frame_ = 0;
   const char* data_ = nullptr;
   size_t size_ = 0;
 };
 
-/// Fixed-capacity page cache, shareable across threads (sharded LRU with
+/// Fixed-capacity page cache, shareable across threads (exact LRU with
 /// per-frame pinning; see the file comment for the locking model).
 class BufferPool {
  public:
-  /// `capacity_pages` frames of `page_size` bytes each, striped over
-  /// `shards` locks. `shards == 0` picks automatically: one shard while
-  /// the pool is too small to stripe meaningfully (exact global LRU, the
-  /// historical semantics), else enough shards for concurrent serving.
-  /// The shard count is clamped so every shard owns at least one frame.
-  BufferPool(size_t page_size, size_t capacity_pages, size_t shards = 0);
+  /// `capacity_pages` frames of `page_size` bytes each.
+  BufferPool(size_t page_size, size_t capacity_pages);
 
   /// Returns a pinned reference to page `page_no` of `file`, reading it on
   /// a miss. `file_id` must uniquely identify the file across calls.
   /// Safe from any thread; `file` must support concurrent Read()s.
   Result<PageRef> Get(File* file, uint64_t file_id, uint64_t page_no);
 
-  /// Batched Get: fills `out` with one pinned reference per entry of
-  /// `page_nos`, in input order. Cached pages are pinned as hits; the
-  /// misses are sorted, deduplicated and read with one File::ReadBatch
-  /// call outside every shard lock, so runs of adjacent uncached pages
-  /// coalesce into single modeled accesses even when cached frames split
-  /// the requested range (partial-hit splitting). Counts one miss per
-  /// unique page read from the device; duplicate occurrences and pages
-  /// another thread filled concurrently count as hits. On error, no new
-  /// pins are retained and `*out` is untouched.
-  Status GetBatch(File* file, uint64_t file_id, const uint64_t* page_nos,
-                  size_t count, std::vector<PageRef>* out);
-
   /// Drops every unpinned page (e.g. between benchmark queries).
   void Clear();
 
   size_t page_size() const { return page_size_; }
   size_t capacity() const { return capacity_; }
-  size_t shard_count() const { return shards_.size(); }
   /// Counters since the last ResetStats() (delta against the baseline).
   BufferPoolStats stats() const;
-  /// Counters since pool construction; never reset. (By value: totals
-  /// are striped across shards and summed under the shard locks.)
+  /// Counters since pool construction; never reset.
   BufferPoolStats total_stats() const;
 
   /// Starts a new stats epoch: snapshots the baseline instead of zeroing
@@ -141,15 +106,17 @@ class BufferPool {
   /// Number of frames currently holding a page.
   size_t resident_pages() const;
 
-  /// Accounting invariant check for tests: every shard's pin counts are
-  /// non-negative, resident frames match the map, and (when no PageRef
-  /// is outstanding) no frame is pinned. Returns a violation message or
-  /// an empty string.
+  /// Accounting invariant check for tests: pin counts are non-negative,
+  /// resident frames match the map, and (when no PageRef is outstanding)
+  /// no frame is pinned. Returns a violation message or an empty string.
   std::string CheckAccounting() const;
 
  private:
   friend class PageRef;
 
+  /// A frame's `data` bytes are readable without the lock while the
+  /// frame is pinned (pins block eviction and rewrites), which is why
+  /// PageRef carries a raw data pointer rather than a Frame ref.
   struct Frame {
     std::vector<char> data;
     uint64_t file_id = 0;
@@ -174,36 +141,21 @@ class BufferPool {
     }
   };
 
-  /// One lock's worth of frames. Everything below `mu` is guarded by it;
-  /// a frame's `data` bytes are additionally readable without the lock
-  /// while the frame is pinned (pins block eviction and rewrites), which
-  /// is why PageRef carries a raw data pointer rather than a Frame ref.
-  struct Shard {
-    mutable Mutex mu;
-    std::vector<Frame> frames MSV_GUARDED_BY(mu);
-    std::unordered_map<Key, size_t, KeyHash> map MSV_GUARDED_BY(mu);
-    BufferPoolStats totals MSV_GUARDED_BY(mu);
-    uint64_t tick MSV_GUARDED_BY(mu) = 0;
-  };
+  void Unpin(size_t frame);
+  /// Index of the frame to fill: an empty one, else the unpinned frame
+  /// with the oldest access tick.
+  Result<size_t> FindVictim() MSV_REQUIRES(mu_);
+  /// Invalidates the resident frame `f` and drops it from the map.
+  void Evict(Frame& f) MSV_REQUIRES(mu_);
 
-  size_t ShardOf(const Key& key) const {
-    return shards_.size() == 1 ? 0 : KeyHash()(key) % shards_.size();
-  }
-
-  void Unpin(size_t shard, size_t frame);
-  /// Victim frame index within `shard` (lock held by caller).
-  Result<size_t> FindVictim(Shard& shard) MSV_REQUIRES(shard.mu);
-
-  size_t page_size_;
-  size_t capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Guards the baseline only; never held together with a shard lock.
-  mutable Mutex baseline_mu_;
-  BufferPoolStats baseline_ MSV_GUARDED_BY(baseline_mu_);
-
-  /// Cross-shard resident-frame count mirrored into the registry gauge
-  /// on every change (relaxed; the gauge is advisory telemetry).
-  std::atomic<size_t> resident_{0};
+  const size_t page_size_;
+  const size_t capacity_;
+  mutable Mutex mu_;
+  std::vector<Frame> frames_ MSV_GUARDED_BY(mu_);
+  std::unordered_map<Key, size_t, KeyHash> map_ MSV_GUARDED_BY(mu_);
+  BufferPoolStats totals_ MSV_GUARDED_BY(mu_);
+  BufferPoolStats baseline_ MSV_GUARDED_BY(mu_);
+  uint64_t tick_ MSV_GUARDED_BY(mu_) = 0;
 
   // Registry series shared by every pool (process-wide totals; the
   // gauges are last-writer-wins across pools).

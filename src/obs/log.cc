@@ -220,7 +220,7 @@ Json SlowQueryRecord::ToJson() const {
   j["ts_us"] = ts_us;
   j["wall_us"] = wall_us;
   j["disk_us"] = disk_us;
-  j["pages"] = pages;
+  j["leaves"] = leaves;
   j["samples"] = samples;
   j["ci_half_width"] = ci_half_width;
   j["statement"] = statement;
@@ -260,7 +260,7 @@ void SlowQueryLog::Record(SlowQueryRecord rec) {
             {"session", rec.session},
             {"wall_us", rec.wall_us},
             {"disk_us", rec.disk_us},
-            {"pages", rec.pages},
+            {"leaves", rec.leaves},
             {"samples", rec.samples},
             {"ci_half_width", rec.ci_half_width},
             {"ok", rec.ok}});

@@ -13,16 +13,17 @@
 //     the global threshold at startup.
 //
 //  2. SlowQueryLog — a bounded ring of per-statement cost records
-//     (wall µs, modeled disk µs, pool pages touched, samples drawn,
+//     (wall µs, modeled disk µs, ACE leaves read, samples drawn,
 //     final CI half-width, session label) that the executor appends to
 //     whenever a statement's wall time crosses the armed threshold
 //     (MSV_SLOW_QUERY_US, or set_threshold_us in-process). Disarmed
 //     cost: one relaxed atomic load per statement.
 //
 //  3. StatementLedger — a thread-local scratchpad the execution layer
-//     fills in (samples emitted, CI width reached) so the slow-query
-//     record can carry statistics the executor's dispatch loop doesn't
-//     otherwise see. Reset at statement start by the executor.
+//     fills in (samples emitted, leaves read, CI width reached) so the
+//     slow-query record can carry statistics the executor's dispatch
+//     loop doesn't otherwise see. Reset at statement start by the
+//     executor.
 
 #ifndef MSV_OBS_LOG_H_
 #define MSV_OBS_LOG_H_
@@ -129,7 +130,7 @@ struct SlowQueryRecord {
   uint64_t ts_us = 0;        ///< wall clock (system_clock since epoch)
   uint64_t wall_us = 0;      ///< statement wall time
   uint64_t disk_us = 0;      ///< modeled disk busy time on this thread
-  uint64_t pages = 0;        ///< buffer-pool pages acquired on this thread
+  uint64_t leaves = 0;       ///< ACE leaves read (from the StatementLedger)
   uint64_t samples = 0;      ///< samples drawn (from the StatementLedger)
   double ci_half_width = 0;  ///< final CI half-width (0 when n/a)
   std::string statement;     ///< statement kind ("estimate", "sample", ...)
@@ -192,6 +193,8 @@ class SlowQueryLog {
 /// partiality under a WITHIN deadline) without parsing the text output.
 struct StatementLedger {
   uint64_t samples = 0;
+  /// Leaves the sampler's base partition read (SAMPLE and ESTIMATE).
+  uint64_t leaves = 0;
   double ci_half_width = 0.0;
 
   /// True when the statement produced a point estimate (the fields below

@@ -9,7 +9,6 @@
 #include <limits>
 #include <sstream>
 
-#include "io/buffer_pool.h"
 #include "io/disk_model.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -181,7 +180,6 @@ Result<std::string> Executor::ExecuteLocked(const Statement& statement) {
     return result;
   }
   const uint64_t disk_before = io::ThreadDiskBusyUs();
-  const uint64_t pages_before = io::ThreadPoolPages();
   const auto start = std::chrono::steady_clock::now();
   Result<std::string> result = Dispatch(statement);
   if (!result.ok()) c_errors_->Add();
@@ -196,7 +194,7 @@ Result<std::string> Executor::ExecuteLocked(const Statement& statement) {
     rec.ts_us = obs::WallTimeUs();
     rec.wall_us = wall_us;
     rec.disk_us = io::ThreadDiskBusyUs() - disk_before;
-    rec.pages = io::ThreadPoolPages() - pages_before;
+    rec.leaves = ledger.leaves;
     rec.samples = ledger.samples;
     rec.ci_half_width = ledger.ci_half_width;
     rec.statement = StatementName(statement);
@@ -277,6 +275,11 @@ Result<std::string> Executor::ExplainPlan(const Statement& statement) {
   MSV_ASSIGN_OR_RETURN(
       sampling::RangeQuery query,
       BuildQuery(*info, sample ? sample->predicates : estimate->predicates));
+  // The count is the population ESTIMATE scales by: one sampler
+  // snapshot, never pulled, so no leaf is read. A fixed seed leaves
+  // next_seed_, and so every later statement's stream, untouched.
+  MSV_ASSIGN_OR_RETURN(std::unique_ptr<core::ViewSampler> sampler,
+                       view->Sample(query, /*seed=*/0));
   const std::shared_ptr<const core::AceTree> tree = view->tree();
   const core::AceMeta& meta = tree->meta();
   out << "  view=" << *view_name << " base_records=" << view->base_records()
@@ -284,9 +287,8 @@ Result<std::string> Executor::ExplainPlan(const Statement& statement) {
   out << "  ace_tree: height=" << meta.height << " leaves=" << meta.num_leaves
       << " page_size=" << meta.page_size << "\n";
   out << "  range: " << DescribeQuery(*info, query) << "\n";
-  MSV_ASSIGN_OR_RETURN(uint64_t matches,
-                       view->tree()->EstimateMatchCount(query));
-  out << "  estimated matches (index counts): " << matches << "\n";
+  out << "  estimated matches (base index count + delta): "
+      << sampler->population() << "\n";
   return out.str();
 }
 
@@ -418,7 +420,9 @@ Result<std::string> Executor::ExecSample(const SampleStmt& stmt) {
   }
   out << "(" << emitted << " random sample" << (emitted == 1 ? "" : "s")
       << ")\n";
-  obs::ThreadStatementLedger().samples = emitted;
+  obs::StatementLedger& ledger = obs::ThreadStatementLedger();
+  ledger.samples = emitted;
+  ledger.leaves = sampler->base_leaves_read();
   return out.str();
 }
 
@@ -518,6 +522,7 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
         << " samples total)\n";
     obs::StatementLedger& ledger = obs::ThreadStatementLedger();
     ledger.samples = agg.samples_seen();
+    ledger.leaves = sampler->base_leaves_read();
     if (bounded) {
       ledger.deadline_us = stmt.within_ms * 1000;
       ledger.elapsed_us = rule.ElapsedUs();
@@ -571,6 +576,7 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
       << " samples)\n";
   ledger.ci_half_width = e.half_width;
   ledger.samples = agg.samples_seen();
+  ledger.leaves = sampler->base_leaves_read();
   ledger.has_estimate = true;
   ledger.estimate_value = e.value;
   ledger.confidence = stmt.confidence;

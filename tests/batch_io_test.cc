@@ -7,11 +7,10 @@
 // (FaultInjectionEnv) and one preadv(2) (PosixEnv). This file pins both
 // halves: randomized byte-equivalence across backends, and the exact
 // seek/op/metric accounting of the coalescing layers (SimFile,
-// BufferPool::GetBatch, AceTree::ReadLeaves and the readahead scanner).
+// AceTree::ReadLeaves and the readahead scanner).
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -20,7 +19,6 @@
 #include "core/ace_builder.h"
 #include "core/ace_tree.h"
 #include "gtest/gtest.h"
-#include "io/buffer_pool.h"
 #include "io/disk_model.h"
 #include "io/env.h"
 #include "io/fault_env.h"
@@ -297,137 +295,6 @@ TEST_F(SimBatchTest, RegistryCountersTrackDeviceStats) {
   MSV_ASSERT_OK(file_->ReadBatch(reqs.data(), reqs.size()));
   EXPECT_EQ(reg.GetCounter("io.batch.accesses")->Value(), acc0 + 2);
   EXPECT_EQ(reg.GetCounter("io.batch.pages")->Value(), pages0 + 5);
-}
-
-// ---------------------------------------------------------------------------
-// BufferPool::GetBatch: partial-hit splitting and stats accounting
-// ---------------------------------------------------------------------------
-
-class BufferPoolBatchTest : public ::testing::Test {
- protected:
-  static constexpr size_t kPage = 512;
-  static constexpr size_t kFilePages = 12;
-
-  void SetUp() override {
-    inner_ = NewMemEnv();
-    device_ = std::make_shared<DiskDevice>();
-    env_ = NewSimEnv(inner_.get(), device_);
-    std::string data(kPage * kFilePages, '\0');
-    for (size_t i = 0; i < data.size(); ++i) {
-      data[i] = static_cast<char>('A' + i / kPage);
-    }
-    file_ = ValueOrDie(env_->OpenFile("f", true));
-    MSV_ASSERT_OK(file_->Write(0, data.data(), data.size()));
-    device_->ResetStats();
-  }
-
-  std::unique_ptr<Env> inner_;
-  std::shared_ptr<DiskDevice> device_;
-  std::unique_ptr<Env> env_;
-  std::unique_ptr<File> file_;
-};
-
-TEST_F(BufferPoolBatchTest, ColdBatchReadsOnceAndPinsInOrder) {
-  BufferPool pool(kPage, 8);
-  const uint64_t pages[] = {0, 1, 2, 3};
-  std::vector<PageRef> refs;
-  MSV_ASSERT_OK(pool.GetBatch(file_.get(), 1, pages, 4, &refs));
-  ASSERT_EQ(refs.size(), 4u);
-  for (size_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(refs[i].valid());
-    ASSERT_EQ(refs[i].size(), kPage);
-    EXPECT_EQ(refs[i].data()[0], static_cast<char>('A' + i)) << i;
-  }
-  BufferPoolStats s = pool.stats();
-  EXPECT_EQ(s.misses, 4u);
-  EXPECT_EQ(s.hits, 0u);
-  // Four adjacent uncached pages: one coalesced device access.
-  DiskStats d = device_->stats();
-  EXPECT_EQ(d.reads, 1u);
-  EXPECT_EQ(d.batched_accesses, 1u);
-  EXPECT_EQ(d.batched_pages, 4u);
-  refs.clear();
-  EXPECT_EQ(pool.CheckAccounting(), "");
-}
-
-TEST_F(BufferPoolBatchTest, CachedFrameSplitsTheDeviceRun) {
-  BufferPool pool(kPage, 8);
-  {
-    auto ref = ValueOrDie(pool.Get(file_.get(), 1, 2));  // warm page 2
-  }
-  device_->ResetStats();
-  const uint64_t pages[] = {0, 1, 2, 3, 4};
-  std::vector<PageRef> refs;
-  MSV_ASSERT_OK(pool.GetBatch(file_.get(), 1, pages, 5, &refs));
-  ASSERT_EQ(refs.size(), 5u);
-  for (size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(refs[i].data()[0], static_cast<char>('A' + i)) << i;
-  }
-  BufferPoolStats s = pool.stats();
-  EXPECT_EQ(s.hits, 1u);    // page 2
-  EXPECT_EQ(s.misses, 5u);  // 4 from the batch + the warm-up read
-  // The cached frame splits {0,1,2,3,4} into runs {0,1} and {3,4}.
-  DiskStats d = device_->stats();
-  EXPECT_EQ(d.batched_accesses, 2u);
-  EXPECT_EQ(d.batched_pages, 4u);
-  refs.clear();
-  EXPECT_EQ(pool.CheckAccounting(), "");
-}
-
-TEST_F(BufferPoolBatchTest, DuplicatePagesCountOneMissRestHits) {
-  BufferPool pool(kPage, 8);
-  const uint64_t pages[] = {5, 5, 5};
-  std::vector<PageRef> refs;
-  MSV_ASSERT_OK(pool.GetBatch(file_.get(), 1, pages, 3, &refs));
-  ASSERT_EQ(refs.size(), 3u);
-  for (const PageRef& r : refs) {
-    EXPECT_EQ(r.data()[0], static_cast<char>('A' + 5));
-  }
-  BufferPoolStats s = pool.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, 2u);
-  EXPECT_EQ(device_->stats().read_bytes, kPage);  // one device page
-  refs.clear();
-  EXPECT_EQ(pool.CheckAccounting(), "");
-}
-
-TEST_F(BufferPoolBatchTest, BatchBeyondEofFailsCleanly) {
-  BufferPool pool(kPage, 8);
-  const uint64_t pages[] = {0, kFilePages + 3};
-  std::vector<PageRef> refs;
-  refs.emplace_back();  // sentinel: *out must stay untouched on error
-  Status st = pool.GetBatch(file_.get(), 1, pages, 2, &refs);
-  EXPECT_TRUE(st.IsOutOfRange()) << st.ToString();
-  EXPECT_EQ(refs.size(), 1u);
-  EXPECT_EQ(pool.CheckAccounting(), "");
-}
-
-TEST_F(BufferPoolBatchTest, BatchMatchesScalarGets) {
-  // Same interleaved access pattern through GetBatch and scalar Get on
-  // two pools: byte-identical pages and identical hit/miss totals.
-  BufferPool batched(kPage, 6);
-  BufferPool scalar(kPage, 6);
-  Pcg64 rng = DeriveRngStream(7, 11);
-  for (int round = 0; round < 40; ++round) {
-    size_t count = 1 + rng.Below(6);
-    std::vector<uint64_t> pages(count);
-    for (auto& p : pages) p = rng.Below(kFilePages);
-    std::vector<PageRef> refs;
-    MSV_ASSERT_OK(
-        batched.GetBatch(file_.get(), 1, pages.data(), count, &refs));
-    ASSERT_EQ(refs.size(), count);
-    for (size_t i = 0; i < count; ++i) {
-      auto ref = ValueOrDie(scalar.Get(file_.get(), 1, pages[i]));
-      ASSERT_EQ(refs[i].size(), ref.size());
-      EXPECT_EQ(std::memcmp(refs[i].data(), ref.data(), ref.size()), 0)
-          << "round " << round << " page " << pages[i];
-    }
-  }
-  EXPECT_EQ(batched.CheckAccounting(), "");
-  // Eviction counts can differ (batch pins whole groups at once), but
-  // the evictions<=misses invariant must hold for both.
-  EXPECT_LE(batched.stats().evictions, batched.stats().misses);
-  EXPECT_LE(scalar.stats().evictions, scalar.stats().misses);
 }
 
 }  // namespace

@@ -47,12 +47,10 @@ TEST(BufferPoolConcurrencyTest, ManyThreadsOneSmallPool) {
       (ValueOrDie(file->Size()) + kPageSize - 1) / kPageSize;
   ASSERT_GT(num_pages, 256u);
 
-  // Far fewer frames than pages and an explicit multi-shard config, so
-  // every thread continuously faults, evicts and collides on shards.
-  // Each thread holds at most 2 pins (current + ring), so the worst case
-  // of 16 pins landing in one 32-frame shard can never exhaust it.
-  io::BufferPool pool(kPageSize, /*capacity_pages=*/128, /*shards=*/4);
-  EXPECT_EQ(pool.shard_count(), 4u);
+  // Far fewer frames than pages, so every thread continuously faults,
+  // evicts and collides on the pool lock. Each thread holds at most 2
+  // pins (current + ring), so 16 pins can never exhaust 128 frames.
+  io::BufferPool pool(kPageSize, /*capacity_pages=*/128);
 
   constexpr size_t kThreads = 8;
   constexpr uint64_t kGetsPerThread = 3000;
@@ -92,8 +90,8 @@ TEST(BufferPoolConcurrencyTest, ConcurrentResetStatsKeepsDeltasSane) {
   const uint64_t num_pages =
       (ValueOrDie(file->Size()) + kPageSize - 1) / kPageSize;
 
-  // 8 frames per shard against 4 single-pin threads: never exhaustible.
-  io::BufferPool pool(kPageSize, /*capacity_pages=*/16, /*shards=*/2);
+  // 16 frames against 4 single-pin threads: never exhaustible.
+  io::BufferPool pool(kPageSize, /*capacity_pages=*/16);
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
   for (size_t t = 0; t < 4; ++t) {

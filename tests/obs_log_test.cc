@@ -218,7 +218,7 @@ TEST(SlowQueryLogTest, ToJsonCarriesAllFields) {
   SlowQueryLog log;
   SlowQueryRecord rec = MakeRecord(4200);
   rec.disk_us = 3100;
-  rec.pages = 17;
+  rec.leaves = 17;
   rec.samples = 500;
   rec.ci_half_width = 1.25;
   rec.ok = false;
@@ -230,7 +230,7 @@ TEST(SlowQueryLogTest, ToJsonCarriesAllFields) {
   const Json& j = arr.at(0);
   EXPECT_DOUBLE_EQ(j.Find("wall_us")->AsNumber(), 4200.0);
   EXPECT_DOUBLE_EQ(j.Find("disk_us")->AsNumber(), 3100.0);
-  EXPECT_DOUBLE_EQ(j.Find("pages")->AsNumber(), 17.0);
+  EXPECT_DOUBLE_EQ(j.Find("leaves")->AsNumber(), 17.0);
   EXPECT_DOUBLE_EQ(j.Find("samples")->AsNumber(), 500.0);
   EXPECT_DOUBLE_EQ(j.Find("ci_half_width")->AsNumber(), 1.25);
   EXPECT_EQ(j.Find("statement")->AsString(), "estimate");
@@ -284,6 +284,33 @@ TEST(SlowQueryIntegrationTest, ExplainAnalyzeStatementIsCaptured) {
   EXPECT_GE(explain->wall_us, estimate->wall_us);
 
   SetThreadLabel("");
+}
+
+TEST(SlowQueryIntegrationTest, SampleRecordsLeavesRead) {
+  LoggingTestGuard guard;
+  SlowQueryLog& slow = SlowQueryLog::Global();
+  slow.Clear();
+  slow.set_threshold_us(1);
+
+  auto env = io::NewMemEnv();
+  auto exec = ValueOrDie(query::Executor::Open(env.get()));
+  ASSERT_TRUE(exec->Run("GENERATE TABLE sale ROWS 20000 SEED 7;"
+                        " CREATE MATERIALIZED SAMPLE VIEW v AS SELECT *"
+                        " FROM sale INDEX ON day;")
+                  .ok());
+  ASSERT_TRUE(
+      exec->Run("SAMPLE FROM v WHERE day BETWEEN 1000 AND 60000 LIMIT 50;")
+          .ok());
+
+  std::vector<SlowQueryRecord> snap = slow.Snapshot();
+  ASSERT_FALSE(snap.empty());
+  const SlowQueryRecord& rec = snap.back();
+  EXPECT_EQ(rec.statement, "sample");
+  EXPECT_GT(rec.leaves, 0u);
+  const Json j = rec.ToJson();
+  const Json* leaves = j.Find("leaves");
+  ASSERT_NE(leaves, nullptr);
+  EXPECT_GT(leaves->AsNumber(), 0.0);
 }
 
 TEST(SlowQueryIntegrationTest, DisarmedExecutorRecordsNothing) {

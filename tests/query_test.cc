@@ -270,6 +270,24 @@ TEST_F(ExecutorTest, DrainedSumAfterInsertIsExact) {
   EXPECT_EQ(count.find("<="), std::string::npos) << count;
 }
 
+TEST_F(ExecutorTest, ExplainCountsDeltaMatches) {
+  // EXPLAIN prints the population ESTIMATE scales by, delta included.
+  Run("CREATE MATERIALIZED SAMPLE VIEW v AS SELECT * FROM sale "
+      "INDEX ON day;");
+  Run("INSERT INTO v ROWS 500;");
+  auto count = [](const std::string& out, const std::string& label) {
+    size_t pos = out.find(label);
+    EXPECT_NE(pos, std::string::npos) << out;
+    if (pos == std::string::npos) return uint64_t{0};
+    pos = out.find_first_of("0123456789", pos);
+    return static_cast<uint64_t>(std::stoull(out.substr(pos)));
+  };
+  const std::string estimate = Run("ESTIMATE COUNT(*) FROM v;");
+  EXPECT_EQ(count(estimate, "COUNT(*) ~"), 20500u);
+  const std::string explain = Run("EXPLAIN ESTIMATE COUNT(*) FROM v;");
+  EXPECT_EQ(count(explain, "estimated matches"), 20500u) << explain;
+}
+
 TEST_F(ExecutorTest, GroupByEstimates) {
   Run("CREATE MATERIALIZED SAMPLE VIEW v AS SELECT * FROM sale "
       "INDEX ON day;");

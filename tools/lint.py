@@ -40,8 +40,8 @@ Custom rules (things clang-tidy cannot express for this repo):
                          in the src/core and src/extsort hot paths: a
                          page-per-call loop pays one modeled device
                          access per page where File::ReadBatch /
-                         AceTree::ReadLeaves / BufferPool::GetBatch
-                         coalesce the adjacent run into one.
+                         AceTree::ReadLeaves coalesce the adjacent run
+                         into one.
   msv-hot-path-alloc     no per-record std::string construction and no
                          calls through stored std::function callables
                          inside batch loops in src/core / src/sampling:
@@ -340,11 +340,11 @@ def check_raw_seek(path: Path, lines: list[str], findings: list[Finding]):
 # --- msv-batched-io --------------------------------------------------------
 
 # Hot-path page-fetch loops in the sampler and external-sort layers must
-# use the batched interfaces (File::ReadBatch, AceTree::ReadLeaves,
-# BufferPool::GetBatch): a scalar Read per iteration pays one modeled
-# device access per page, where a coalesced batch pays one seek for the
-# whole adjacent run. ace_verify.cc is exempt — the scrubber walks pages
-# one at a time on purpose so a torn page is attributed precisely.
+# use the batched interfaces (File::ReadBatch, AceTree::ReadLeaves): a
+# scalar Read per iteration pays one modeled device access per page,
+# where a coalesced batch pays one seek for the whole adjacent run.
+# ace_verify.cc is exempt — the scrubber walks pages one at a time on
+# purpose so a torn page is attributed precisely.
 BATCHED_IO_DIRS = {("src", "core"), ("src", "extsort")}
 BATCHED_IO_ALLOWED = {("src", "core", "ace_verify.cc")}
 LOOP_HEAD_RE = re.compile(r"(?<![\w.])(?:for|while)\s*\(")
@@ -384,8 +384,8 @@ def check_batched_io(path: Path, lines: list[str], findings: list[Finding]):
                 path, no, "msv-batched-io",
                 "scalar Read()/ReadExact() in a loop on a hot path — "
                 "coalesce the run with File::ReadBatch / "
-                "AceTree::ReadLeaves / BufferPool::GetBatch (one modeled "
-                "seek per adjacent run instead of one per page)"))
+                "AceTree::ReadLeaves (one modeled seek per adjacent run "
+                "instead of one per page)"))
 
 
 # --- msv-hot-path-alloc ----------------------------------------------------

@@ -231,7 +231,7 @@ void Render(const std::vector<Point>& points, size_t slow_rows) {
     return;
   }
   std::printf("  %-10s %10s %10s %8s %10s %s\n", "stmt", "wall_us", "disk_us",
-              "pages", "samples", "session");
+              "leaves", "samples", "session");
   size_t n = slow->size();
   size_t first = n > slow_rows ? n - slow_rows : 0;
   for (size_t i = n; i > first; --i) {  // newest first
@@ -239,14 +239,14 @@ void Render(const std::vector<Point>& points, size_t slow_rows) {
     const obs::Json* stmt = rec.Find("statement");
     const obs::Json* wall = rec.Find("wall_us");
     const obs::Json* disk = rec.Find("disk_us");
-    const obs::Json* pages = rec.Find("pages");
+    const obs::Json* leaves = rec.Find("leaves");
     const obs::Json* samples = rec.Find("samples");
     const obs::Json* session = rec.Find("session");
     const obs::Json* ok = rec.Find("ok");
     std::printf("  %-10s %10.0f %10.0f %8.0f %10.0f %s%s\n",
                 stmt ? stmt->AsString().c_str() : "?",
                 wall ? wall->AsNumber() : 0.0, disk ? disk->AsNumber() : 0.0,
-                pages ? pages->AsNumber() : 0.0,
+                leaves ? leaves->AsNumber() : 0.0,
                 samples ? samples->AsNumber() : 0.0,
                 session ? session->AsString().c_str() : "",
                 ok != nullptr && !ok->AsBool() ? "  [FAILED]" : "");
