@@ -5,14 +5,13 @@
 // ESTIMATE statements under three configurations:
 //
 //   base      poller stopped, slow-query log disarmed — the default
-//             serving configuration (disarmed fast path is one relaxed
-//             atomic load per statement).
+//             serving configuration (every statement is still timed
+//             into query.statement_us; no slow-query record is built).
 //   poller    a MetricsPoller snapshotting the registry at --interval_ms
 //             while the same batch runs.
 //   slowlog   slow-query log armed with a huge threshold, so every
-//             statement pays the cost capture (ThreadDiskBusyUs
-//             reads, ledger reset, wall clock) but the
-//             ring is never written.
+//             statement pays the armed threshold check but the ring is
+//             never written.
 //
 // Configurations alternate across --reps repetitions and the per-config
 // minimum is reported, which suppresses scheduler noise; overhead

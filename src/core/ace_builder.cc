@@ -24,6 +24,14 @@ namespace {
 
 using storage::HeapFile;
 using storage::HeapFileWriter;
+using storage::TwoBlockChunk;
+
+// Block size of the build's sequential scans; each refill reads two.
+constexpr size_t kScanBlockBytes = size_t{4} << 20;
+
+// Reservoir size for k-d split-point estimation: exact whenever the
+// sample covers the input.
+constexpr size_t kSplitSampleSize = size_t{1} << 20;
 
 uint64_t AlignUp(uint64_t v, uint64_t alignment) {
   return (v + alignment - 1) / alignment * alignment;
@@ -69,7 +77,8 @@ Result<std::string> Phase1OneDim(io::Env* env, const std::string& input_name,
 
   MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> sorted,
                        HeapFile::Open(env, sorted_name));
-  auto scanner = sorted->NewScanner(4 << 20, /*readahead=*/true);
+  auto scanner = sorted->NewScanner(
+      TwoBlockChunk(kScanBlockBytes, sorted->record_size()));
   uint64_t next_m = 1;
   double first_key = 0.0, last_key = 0.0;
   for (uint64_t r = 0; r < num_records; ++r) {
@@ -106,8 +115,7 @@ Status Phase1MultiDim(io::Env* env, const std::string& input_name,
 
   MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> input,
                        HeapFile::Open(env, input_name));
-  ReservoirSampler<KeyVec> reservoir(
-      static_cast<size_t>(options.split_sample_size));
+  ReservoirSampler<KeyVec> reservoir(kSplitSampleSize);
   Pcg64 rng(options.seed ^ 0x5eed5a3bULL);
 
   root->dims = dims;
@@ -116,7 +124,8 @@ Status Phase1MultiDim(io::Env* env, const std::string& input_name,
     root->hi[d] = -std::numeric_limits<double>::infinity();
   }
 
-  auto scanner = input->NewScanner(4 << 20, /*readahead=*/true);
+  auto scanner = input->NewScanner(
+      TwoBlockChunk(kScanBlockBytes, input->record_size()));
   for (;;) {
     MSV_ASSIGN_OR_RETURN(const char* rec, scanner.Next());
     if (rec == nullptr) break;
@@ -201,9 +210,6 @@ Status AceBuildOptions::Validate(const storage::RecordLayout& layout) const {
   if (height > 40) {
     return Status::InvalidArgument("height too large");
   }
-  if (key_dims > 1 && split_sample_size == 0) {
-    return Status::InvalidArgument("split_sample_size must be positive");
-  }
   return Status::OK();
 }
 
@@ -280,7 +286,8 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
     Pcg64 rng(options.seed);
     std::vector<char> buf(tagged_size);
     double keys[storage::kMaxKeyDims] = {0};
-    auto scanner = in->NewScanner(4 << 20, /*readahead=*/true);
+    auto scanner = in->NewScanner(
+        TwoBlockChunk(kScanBlockBytes, in->record_size()));
     for (;;) {
       MSV_ASSIGN_OR_RETURN(const char* rec, scanner.Next());
       if (rec == nullptr) break;
@@ -361,7 +368,8 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
     {
       MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> placed,
                            HeapFile::Open(env, placed_name));
-      auto scanner = placed->NewScanner(4 << 20, /*readahead=*/true);
+      auto scanner = placed->NewScanner(
+          TwoBlockChunk(kScanBlockBytes, placed->record_size()));
       MSV_ASSIGN_OR_RETURN(const char* rec, scanner.Next());
 
       // Leaf blobs accumulate here and flush as one large write, so the

@@ -38,8 +38,6 @@ struct AceBuildOptions {
   uint32_t height = 0;
   /// Number of indexed dimensions (1 = classic ACE Tree, >=2 = k-d).
   uint32_t key_dims = 1;
-  /// Reservoir size for k-d split-point estimation.
-  uint64_t split_sample_size = 1 << 20;
   /// Seed for section/leaf assignment randomness.
   uint64_t seed = 7;
   extsort::SortOptions sort;

@@ -1,6 +1,7 @@
 #include "core/ace_sampler.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "io/disk_model.h"
@@ -90,8 +91,8 @@ namespace {
 
 /// Splits `total` into integer shares proportional to `weights` with
 /// largest-remainder rounding, so the shares sum to exactly `total` and
-/// per-leaf and per-level disk-µs attribution reconciles with DiskStats to
-/// the microsecond. `weights` is non-empty; with all-zero weights the
+/// per-level disk-µs attribution reconciles with DiskStats to the
+/// microsecond. `weights` is non-empty; with all-zero weights the
 /// first share takes it all.
 std::vector<uint64_t> SplitLargestRemainder(
     uint64_t total, const std::vector<uint64_t>& weights) {
@@ -204,15 +205,21 @@ Status AceSampler::FillPending() {
     MSV_ASSIGN_OR_RETURN(LeafData leaf, tree_->ReadLeaf(leaf_indices[0]));
     leaves.push_back(std::move(leaf));
   }
-  std::vector<uint64_t> leaf_bytes(leaves.size(), 0);
-  for (size_t i = 0; i < leaves.size(); ++i) {
-    for (const std::string& s : leaves[i].sections) leaf_bytes[i] += s.size();
+  // One split of the fill's disk µs across every section of every fetched
+  // leaf, weighted by section bytes: share k belongs to level k % h.
+  const size_t height = level_disk_us_.size();
+  std::vector<uint64_t> section_bytes;
+  section_bytes.reserve(leaves.size() * height);
+  for (const LeafData& leaf : leaves) {
+    for (std::string_view s : leaf.sections) section_bytes.push_back(s.size());
   }
   std::vector<uint64_t> shares = SplitLargestRemainder(
-      io::ThreadDiskBusyUs() - busy_before, leaf_bytes);
+      io::ThreadDiskBusyUs() - busy_before, section_bytes);
+  for (size_t k = 0; k < shares.size(); ++k) {
+    level_disk_us_[k % height] += shares[k];
+  }
   for (size_t i = 0; i < heap_ids.size(); ++i) {
-    pending_.push_back(
-        PendingLeaf{heap_ids[i], std::move(leaves[i]), shares[i]});
+    pending_.push_back(PendingLeaf{heap_ids[i], std::move(leaves[i])});
   }
   return Status::OK();
 }
@@ -221,19 +228,8 @@ Status AceSampler::Stab(sampling::SampleBatch* out) {
   if (pending_.empty()) MSV_RETURN_IF_ERROR(FillPending());
   PendingLeaf p = std::move(pending_.front());
   pending_.pop_front();
-  // Attribution, read order and counters are recorded at consumption
-  // (stab order), so diagnostics do not depend on the I/O policy. The
-  // leaf's disk µs are split across its section levels by section bytes.
-  std::vector<uint64_t> section_bytes;
-  section_bytes.reserve(p.leaf.sections.size());
-  for (const std::string& s : p.leaf.sections) {
-    section_bytes.push_back(s.size());
-  }
-  std::vector<uint64_t> level_shares =
-      SplitLargestRemainder(p.disk_us, section_bytes);
-  for (size_t i = 0; i < level_shares.size(); ++i) {
-    level_disk_us_[i] += level_shares[i];
-  }
+  // Read order and counters are recorded at consumption (stab order), so
+  // diagnostics do not depend on the I/O policy.
   ++leaves_read_;
   c_leaf_reads_->Add();
   leaf_read_order_.push_back(p.leaf.leaf_index);

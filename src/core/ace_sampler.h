@@ -99,10 +99,10 @@ class AceSampler : public sampling::SampleStream {
   }
 
   /// Simulated disk microseconds attributed to section level `level`
-  /// (1-based). Each leaf read's disk-µs delta — measured with the
-  /// calling thread's io::ThreadDiskBusyUs(), so concurrent samplers
-  /// never see each other's I/O — is apportioned across the leaf's
-  /// section levels proportionally to section bytes with a
+  /// (1-based). Each fill's disk-µs delta — measured with the calling
+  /// thread's io::ThreadDiskBusyUs(), so concurrent samplers never see
+  /// each other's I/O — is split once across every section of every
+  /// leaf the fill read, proportionally to section bytes with a
   /// largest-remainder split, so
   ///   sum_level level_disk_us(level) == total busy_us of all leaf reads
   /// holds exactly (asserted by the trace end-to-end test).
@@ -111,12 +111,10 @@ class AceSampler : public sampling::SampleStream {
   }
 
  private:
-  /// A fetched leaf waiting for its stab turn. disk_us is the leaf's
-  /// share of its read's busy delta.
+  /// A fetched leaf waiting for its stab turn.
   struct PendingLeaf {
     uint64_t heap_id = 0;
     LeafData leaf;
-    uint64_t disk_us = 0;
   };
 
   /// One stab; appends emitted samples to `out`.

@@ -87,14 +87,59 @@ Result<std::unique_ptr<AceTree>> AceTree::Open(
       std::move(node_counts), file_bytes));
 }
 
+Result<LeafData> LeafData::Parse(std::vector<char> page, uint64_t leaf_index,
+                                 uint32_t height, size_t record_size) {
+  if (page.size() < 4) {
+    return Status::Corruption("leaf blob shorter than its checksum");
+  }
+  const size_t body = page.size() - 4;
+  uint32_t stored = UnmaskCrc(DecodeFixed32(page.data() + body));
+  if (stored != Crc32c(page.data(), body)) {
+    return Status::Corruption("leaf " + std::to_string(leaf_index) +
+                              " checksum mismatch");
+  }
+
+  const size_t header = LeafHeaderSize(height);
+  if (body < header) {
+    return Status::Corruption("leaf blob shorter than header");
+  }
+  uint32_t stored_index = DecodeFixed32(page.data());
+  uint32_t stored_height = DecodeFixed32(page.data() + 4);
+  if (stored_index != leaf_index || stored_height != height) {
+    return Status::Corruption("leaf header mismatch for leaf " +
+                              std::to_string(leaf_index));
+  }
+
+  LeafData leaf;
+  leaf.leaf_index = leaf_index;
+  leaf.record_size = record_size;
+  leaf.sections.reserve(height);
+  size_t off = header;
+  for (uint32_t s = 0; s < height; ++s) {
+    uint32_t count = DecodeFixed32(page.data() + 8 + 4 * s);
+    size_t bytes = static_cast<size_t>(count) * record_size;
+    if (bytes > body - off) {
+      return Status::Corruption("leaf section overruns blob");
+    }
+    leaf.sections.emplace_back(page.data() + off, bytes);
+    off += bytes;
+  }
+  if (off != body) {
+    return Status::Corruption("trailing bytes in leaf blob");
+  }
+  leaf.page_ = std::move(page);
+  return leaf;
+}
+
 Result<LeafData> AceTree::ReadLeaf(uint64_t leaf_index) const {
   if (leaf_index >= meta_.num_leaves) {
     return Status::OutOfRange("leaf index out of range");
   }
   const LeafLocation& loc = directory_[leaf_index];
-  std::string blob(loc.length, '\0');
-  MSV_RETURN_IF_ERROR(file_->ReadExact(loc.offset, loc.length, blob.data()));
-  return ParseLeafBlob(std::move(blob), leaf_index);
+  std::vector<char> page(loc.length);
+  MSV_RETURN_IF_ERROR(file_->ReadExact(loc.offset, loc.length, page.data()));
+  return LeafData::Parse(std::move(page), leaf_index, meta_.height,
+                         meta_.record_size);
 }
 
 Result<std::vector<LeafData>> AceTree::ReadLeaves(
@@ -116,15 +161,15 @@ Result<std::vector<LeafData>> AceTree::ReadLeaves(
     return a < b;
   });
 
-  std::vector<std::string> blobs(leaf_indices.size());
+  std::vector<std::vector<char>> pages(leaf_indices.size());
   std::vector<io::ReadRequest> reqs(leaf_indices.size());
   for (size_t k = 0; k < order.size(); ++k) {
     const size_t pos = order[k];
     const LeafLocation& loc = directory_[leaf_indices[pos]];
-    blobs[pos].resize(loc.length);
+    pages[pos].resize(loc.length);
     reqs[k].offset = loc.offset;
     reqs[k].n = loc.length;
-    reqs[k].scratch = blobs[pos].data();
+    reqs[k].scratch = pages[pos].data();
   }
   MSV_RETURN_IF_ERROR(file_->ReadBatch(reqs.data(), reqs.size()));
   for (size_t k = 0; k < reqs.size(); ++k) {
@@ -139,54 +184,12 @@ Result<std::vector<LeafData>> AceTree::ReadLeaves(
   std::vector<LeafData> leaves;
   leaves.reserve(leaf_indices.size());
   for (size_t i = 0; i < leaf_indices.size(); ++i) {
-    MSV_ASSIGN_OR_RETURN(LeafData leaf,
-                         ParseLeafBlob(std::move(blobs[i]), leaf_indices[i]));
+    MSV_ASSIGN_OR_RETURN(
+        LeafData leaf, LeafData::Parse(std::move(pages[i]), leaf_indices[i],
+                                       meta_.height, meta_.record_size));
     leaves.push_back(std::move(leaf));
   }
   return leaves;
-}
-
-Result<LeafData> AceTree::ParseLeafBlob(std::string blob,
-                                        uint64_t leaf_index) const {
-  if (blob.size() < 4) {
-    return Status::Corruption("leaf blob shorter than its checksum");
-  }
-  uint32_t stored = UnmaskCrc(DecodeFixed32(blob.data() + blob.size() - 4));
-  if (stored != Crc32c(blob.data(), blob.size() - 4)) {
-    return Status::Corruption("leaf " + std::to_string(leaf_index) +
-                              " checksum mismatch");
-  }
-  blob.resize(blob.size() - 4);
-
-  const size_t header = LeafHeaderSize(meta_.height);
-  if (blob.size() < header) {
-    return Status::Corruption("leaf blob shorter than header");
-  }
-  uint32_t stored_index = DecodeFixed32(blob.data());
-  uint32_t stored_height = DecodeFixed32(blob.data() + 4);
-  if (stored_index != leaf_index || stored_height != meta_.height) {
-    return Status::Corruption("leaf header mismatch for leaf " +
-                              std::to_string(leaf_index));
-  }
-
-  LeafData leaf;
-  leaf.leaf_index = leaf_index;
-  leaf.record_size = meta_.record_size;
-  leaf.sections.resize(meta_.height);
-  size_t off = header;
-  for (uint32_t s = 0; s < meta_.height; ++s) {
-    uint32_t count = DecodeFixed32(blob.data() + 8 + 4 * s);
-    size_t bytes = static_cast<size_t>(count) * meta_.record_size;
-    if (off + bytes > blob.size()) {
-      return Status::Corruption("leaf section overruns blob");
-    }
-    leaf.sections[s].assign(blob.data() + off, bytes);
-    off += bytes;
-  }
-  if (off != blob.size()) {
-    return Status::Corruption("trailing bytes in leaf blob");
-  }
-  return leaf;
 }
 
 uint64_t AceTree::NodeCount(uint64_t heap_id) const {

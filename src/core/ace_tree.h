@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,11 +26,29 @@ namespace msv::core {
 /// One leaf node read from disk: h sections, each a packed run of records.
 /// Section i (1-based) is a uniform random subset of the records in the
 /// box of the leaf's level-i ancestor.
+///
+/// The leaf owns the page bytes its one read filled, and each section is
+/// a view into them: nothing is copied between the read and the filter.
+/// The bytes live in a vector, whose move keeps their address, so the
+/// views survive a move of the leaf; copying is disabled so no copy can
+/// view into another leaf's page.
 struct LeafData {
+  LeafData() = default;
+  LeafData(LeafData&&) = default;
+  LeafData& operator=(LeafData&&) = default;
+  LeafData(const LeafData&) = delete;
+  LeafData& operator=(const LeafData&) = delete;
+
+  /// Checks a raw leaf page in place — trailing masked CRC32C, header
+  /// (leaf index, height, per-section counts) and section bounds — and
+  /// returns the leaf that owns `page` with its sections viewing into it.
+  static Result<LeafData> Parse(std::vector<char> page, uint64_t leaf_index,
+                                uint32_t height, size_t record_size);
+
   uint64_t leaf_index = 0;
   size_t record_size = 0;
-  /// sections[i-1] holds section i's records, densely packed.
-  std::vector<std::string> sections;
+  /// sections[i-1] views section i's records, densely packed.
+  std::vector<std::string_view> sections;
 
   size_t SectionCount(size_t level) const {
     return sections[level - 1].size() / record_size;
@@ -39,25 +58,16 @@ struct LeafData {
   }
   uint64_t TotalRecords() const {
     uint64_t n = 0;
-    for (const auto& s : sections) n += s.size();
+    for (std::string_view s : sections) n += s.size();
     return n / record_size;
   }
+
+ private:
+  std::vector<char> page_;
 };
 
 /// Tuning knobs for AceTree::CheckInvariants().
 struct InvariantCheckOptions {
-  /// Slack, in binomial standard deviations, allowed between a section's
-  /// observed size and its Lemma-2 expectation n_A / (h * F_A) before the
-  /// section is reported out of bounds.
-  double section_size_sigmas = 6.0;
-  /// Size bounds are only enforced when the expected section size is at
-  /// least this large; below it the relative variance makes any
-  /// fixed-sigma test either vacuous or flaky.
-  double min_expected_for_bound = 32.0;
-  /// Check that a leaf's sections are pairwise disjoint as byte strings
-  /// (Lemma 1's without-replacement property). Sound only when source
-  /// records are pairwise distinct, which holds for SALE data (row_id).
-  bool check_disjointness = true;
   /// Recount records per finest cell and compare with the persisted
   /// cnt_l/cnt_r tree. Costs one DescendToLevel per record.
   bool check_cell_counts = true;
@@ -156,9 +166,6 @@ class AceTree {
         directory_(std::move(directory)),
         node_counts_(std::move(node_counts)),
         file_bytes_(file_bytes) {}
-
-  /// Checksum-verifies and decodes one raw leaf blob (consumed).
-  Result<LeafData> ParseLeafBlob(std::string blob, uint64_t leaf_index) const;
 
   std::unique_ptr<io::File> file_;
   storage::RecordLayout layout_;

@@ -10,11 +10,12 @@
 //   * level-i leaf-set partitioning — every record stored in section i
 //     of leaf L descends (through the split tree) to L's level-i
 //     ancestor, i.e. sections really are samples of the ancestor boxes;
-//   * Lemma 2 section sizes — each section's size stays within a
-//     configurable number of binomial standard deviations of its
+//   * Lemma 2 section sizes — each section's size stays within
+//     kSectionSizeSigmas binomial standard deviations of its
 //     expectation n_A / (h * F_A);
 //   * Lemma 1 without-replacement — the h sections of a leaf are
-//     pairwise disjoint record sets;
+//     pairwise disjoint record sets (sound because source records are
+//     pairwise distinct, which holds for SALE data via row_id);
 //   * exact counts — recounting records per finest cell reproduces the
 //     persisted per-node counts used for population estimates.
 //
@@ -35,6 +36,15 @@
 namespace msv::core {
 
 namespace {
+
+/// Slack, in binomial standard deviations, allowed between a section's
+/// observed size and its Lemma-2 expectation before the section is
+/// reported out of bounds.
+constexpr double kSectionSizeSigmas = 6.0;
+/// Size bounds are only enforced when the expected section size is at
+/// least this large; below it the relative variance makes any fixed-sigma
+/// test either vacuous or flaky.
+constexpr double kMinExpectedForBound = 32.0;
 
 Status MakeStatus(StatusCode code, std::string msg) {
   switch (code) {
@@ -284,9 +294,7 @@ InvariantReport AceTree::CheckInvariants(
     const uint64_t leaf_heap = splits_->LeafHeapId(leaf);
 
     std::unordered_set<std::string_view> seen;
-    if (options.check_disjointness) {
-      seen.reserve(static_cast<size_t>(data.TotalRecords()));
-    }
+    seen.reserve(static_cast<size_t>(data.TotalRecords()));
 
     for (uint32_t level = 1; level <= h && !sink.full(); ++level) {
       const size_t count = data.SectionCount(level);
@@ -301,11 +309,11 @@ InvariantReport AceTree::CheckInvariants(
       const double p = 1.0 / (static_cast<double>(h) *
                               static_cast<double>(width));
       const double expected = static_cast<double>(n_anc) * p;
-      if (expected >= options.min_expected_for_bound) {
+      if (expected >= kMinExpectedForBound) {
         const double sd = std::sqrt(expected * (1.0 - p));
         const double dev =
             std::abs(static_cast<double>(count) - expected);
-        if (dev > options.section_size_sigmas * sd) {
+        if (dev > kSectionSizeSigmas * sd) {
           sink.Add(StatusCode::kCorruption, leaf,
                    "section " + std::to_string(level) + " size " +
                        std::to_string(count) + " deviates from Lemma-2 " +
@@ -331,8 +339,7 @@ InvariantReport AceTree::CheckInvariants(
         if (options.check_cell_counts) {
           ++cell_counts[splits_->LeafIndexOf(cell_heap)];
         }
-        if (options.check_disjointness &&
-            !seen.insert(std::string_view(rec, meta_.record_size)).second) {
+        if (!seen.insert(std::string_view(rec, meta_.record_size)).second) {
           ++duplicates;
         }
       }

@@ -27,7 +27,7 @@ CombineEngine::CombineEngine(const storage::RecordLayout* layout,
   }
 }
 
-storage::RecordSpan CombineEngine::FilterSection(const std::string& raw) {
+storage::RecordSpan CombineEngine::FilterSection(std::string_view raw) {
   const size_t count = raw.size() / record_size_;
   if (count == 0) return storage::RecordSpan{};
   if (scratch_idx_.size() < count) scratch_idx_.resize(count);

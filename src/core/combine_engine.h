@@ -18,7 +18,8 @@
 // leaf has been consumed — at that point the output is the complete match
 // set and unbiasedness is trivial.
 //
-// CPU hot path (DESIGN.md §15): sections are filtered with the batched
+// CPU hot path (DESIGN.md §15): sections are filtered straight from the
+// leaf's page (LeafData::sections are views into it) with the batched
 // branch-free RangeQuery::MatchBatch kernel instead of a per-record
 // Matches call, matching records are copied once into a per-query bump
 // arena, and everything queued/emitted from then on is a zero-copy
@@ -32,6 +33,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -95,9 +97,11 @@ class CombineEngine {
   void EmitShuffled(const std::vector<storage::RecordSpan>& spans,
                     sampling::SampleBatch* out, Pcg64* rng);
 
-  /// Filters one leaf section with the batched kernel and copies the
-  /// matching records into the arena; returns the resulting span.
-  storage::RecordSpan FilterSection(const std::string& raw);
+  /// Filters one leaf section straight from its view into the leaf's
+  /// page with the batched kernel and copies the matching records into
+  /// the arena; returns the resulting span, which never points into the
+  /// leaf, so no span outlives the page it was filtered from.
+  storage::RecordSpan FilterSection(std::string_view raw);
 
   const storage::RecordLayout* layout_;
   sampling::RangeQuery query_;

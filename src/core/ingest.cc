@@ -125,25 +125,9 @@ Status SaveManifest(io::Env* env, const std::string& file,
       MaskCrc(Crc32c(payload.data(), payload.size()));
   std::ostringstream out;
   out << kManifestMagic << " " << crc << "\n" << payload;
-  const std::string contents = out.str();
-
-  // Atomic replace (the Catalog::Save protocol): a crash mid-save leaves
-  // the previous manifest — and with it the previous file set — intact.
-  const std::string tmp_name = file + ".tmp";
-  auto write_tmp = [&]() -> Status {
-    MSV_ASSIGN_OR_RETURN(std::unique_ptr<io::File> f,
-                         env->OpenFile(tmp_name, /*create=*/true));
-    MSV_RETURN_IF_ERROR(f->Truncate(0));
-    MSV_RETURN_IF_ERROR(f->Write(0, contents.data(), contents.size()));
-    return f->Sync();
-  };
-  Status st = write_tmp();
-  if (!st.ok()) {
-    env->DeleteFile(tmp_name).IgnoreError();  // best-effort scratch cleanup
-    return st;
-  }
-  MSV_RETURN_IF_ERROR(env->RenameFile(tmp_name, file));
-  return env->SyncDir();
+  // Atomic replace: a crash mid-save leaves the previous manifest — and
+  // with it the previous file set — intact.
+  return io::WriteFileAtomic(env, file, out.str());
 }
 
 Result<ViewManifest> LoadManifest(io::Env* env, const std::string& file) {

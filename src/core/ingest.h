@@ -43,7 +43,7 @@ struct IngestOptions {
   /// flush syncs the WAL regardless, so only the memtable is at risk.
   bool sync_wal = true;
   /// Background compaction folds runs into the base tree once this many
-  /// runs exist (or the run fraction exceeds max_delta_fraction).
+  /// runs exist (or run records exceed 10% of the base).
   size_t compact_trigger_runs = 4;
   /// Run compaction on a background thread. When false, runs accumulate
   /// in memory until an explicit Compact()/Rebuild().

@@ -122,6 +122,10 @@ namespace {
 /// Pause after a failed background compaction before the next attempt.
 constexpr std::chrono::seconds kCompactionRetryBackoff{1};
 
+/// Compaction/rebuild is due once the out-of-tree record count exceeds
+/// this fraction of the base.
+constexpr double kMaxDeltaFraction = 0.10;
+
 /// Hands the heap pages a compaction just freed back to the OS. A
 /// compaction frees tens of megabytes at once (the old generation, the
 /// scratch file, the sort buffers), and glibc keeps freed chunks in the
@@ -421,8 +425,7 @@ bool MaterializedSampleView::CompactionTriggeredLocked() const {
   if (runs_.empty()) return false;
   if (runs_.size() >= options_.ingest.compact_trigger_runs) return true;
   return static_cast<double>(run_records_) >
-         options_.max_delta_fraction *
-             static_cast<double>(tree_->meta().num_records);
+         kMaxDeltaFraction * static_cast<double>(tree_->meta().num_records);
 }
 
 Status MaterializedSampleView::Compact() { return CompactOnce(); }
@@ -608,8 +611,7 @@ uint64_t MaterializedSampleView::run_count() const {
 bool MaterializedSampleView::NeedsRebuild() const {
   MutexLock lock(mu_);
   return static_cast<double>(DeltaRecordsLocked()) >
-         options_.max_delta_fraction *
-             static_cast<double>(tree_->meta().num_records);
+         kMaxDeltaFraction * static_cast<double>(tree_->meta().num_records);
 }
 
 std::shared_ptr<const AceTree> MaterializedSampleView::tree() const {

@@ -122,9 +122,6 @@ class MaterializedSampleView {
  public:
   struct Options {
     AceBuildOptions build;
-    /// Rebuild/compaction is recommended when the out-of-tree record
-    /// count (runs + memtable) exceeds this fraction of the base.
-    double max_delta_fraction = 0.10;
     /// Write-path knobs (memtable size, WAL syncing, compaction cadence).
     IngestOptions ingest;
   };

@@ -17,6 +17,7 @@ namespace {
 
 using storage::HeapFile;
 using storage::HeapFileWriter;
+using storage::TwoBlockChunk;
 
 std::string RunName(const std::string& prefix, uint64_t id) {
   return prefix + "." + std::to_string(id);
@@ -40,7 +41,7 @@ Result<std::vector<std::string>> FormRuns(io::Env* env, const HeapFile& input,
   std::vector<const char*> ptrs;
   ptrs.reserve(held_records);
 
-  auto scanner = input.NewScanner(4 << 20, /*readahead=*/true);
+  auto scanner = input.NewScanner(TwoBlockChunk(4 << 20, record_size));
   uint64_t remaining = input.record_count();
   while (remaining > 0) {
     size_t n = static_cast<size_t>(
@@ -98,12 +99,12 @@ Status MergeRuns(io::Env* env, const std::vector<std::string>& run_names,
     MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> f, HeapFile::Open(env, name));
     record_size = f->record_size();
     total += f->record_count();
-    // A run that fits in one block is still fetched by one request, so
-    // the block shrinks to the run without changing any device access.
+    // A run that fits in one block is still fetched by one read, so the
+    // block shrinks to the run without changing any device access.
     const size_t run_bytes =
         static_cast<size_t>(f->record_count()) * record_size;
     scanners.push_back(std::make_unique<HeapFile::Scanner>(f->NewScanner(
-        std::min(per_input_buffer, run_bytes), /*readahead=*/true)));
+        TwoBlockChunk(std::min(per_input_buffer, run_bytes), record_size))));
     files.push_back(std::move(f));
   }
 
@@ -117,11 +118,10 @@ Status MergeRuns(io::Env* env, const std::vector<std::string>& run_names,
       [&](size_t a, size_t b) { return less(current[a], current[b]); },
       [&](size_t i) { return current[i] == nullptr; });
 
-  // Double-buffered merge: each input keeps a lookahead block fetched
-  // together with the current one as a single coalesced access, and the
-  // output writer's buffer is doubled to match. That halves the
-  // per-input refill seeks at ~2x the per-input buffer memory. The
-  // writer never grows past the records it will hold.
+  // Each input refills two blocks per read, and the output writer's
+  // buffer is doubled to match. That halves the per-input refill seeks
+  // at ~2x the per-input buffer memory. The writer never grows past the
+  // records it will hold.
   const size_t writer_buffer = std::min(
       2 * per_input_buffer, static_cast<size_t>(total) * record_size);
   MSV_ASSIGN_OR_RETURN(

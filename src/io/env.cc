@@ -424,6 +424,25 @@ Env* Env::Memory() {
 
 std::unique_ptr<Env> NewMemEnv() { return std::make_unique<MemEnv>(); }
 
+Status WriteFileAtomic(Env* env, const std::string& name,
+                       std::string_view contents) {
+  const std::string tmp_name = name + ".tmp";
+  auto write_tmp = [&]() -> Status {
+    MSV_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
+                         env->OpenFile(tmp_name, /*create=*/true));
+    MSV_RETURN_IF_ERROR(file->Truncate(0));
+    MSV_RETURN_IF_ERROR(file->Write(0, contents.data(), contents.size()));
+    return file->Sync();
+  };
+  Status st = write_tmp();
+  if (!st.ok()) {
+    env->DeleteFile(tmp_name).IgnoreError();  // best-effort scratch cleanup
+    return st;
+  }
+  MSV_RETURN_IF_ERROR(env->RenameFile(tmp_name, name));
+  return env->SyncDir();
+}
+
 std::unique_ptr<Env> NewPosixEnv(std::string root) {
   return std::make_unique<PosixEnv>(std::move(root));
 }

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -120,6 +121,13 @@ std::unique_ptr<Env> NewMemEnv();
 /// Creates an environment backed by the host filesystem rooted at `root`
 /// (file names are interpreted relative to it). The directory must exist.
 std::unique_ptr<Env> NewPosixEnv(std::string root);
+
+/// Replaces small file `name` with `contents` atomically: writes
+/// `<name>.tmp`, Sync()s it, renames it over `name` and syncs the
+/// directory, so a crash at any point leaves the previous file or the new
+/// one, never a torn one. A failed tmp write deletes the tmp best-effort.
+Status WriteFileAtomic(Env* env, const std::string& name,
+                       std::string_view contents);
 
 }  // namespace msv::io
 

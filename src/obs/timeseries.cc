@@ -179,7 +179,7 @@ void MetricsPoller::PollOnce() {
   point.ts_us = WallTimeUs();
   point.snapshot = registry_->Snapshot();
   if (!options_.export_path.empty()) {
-    Json j = ExportPointJson(point, options_.export_slow_queries);
+    Json j = ExportPointJson(point, /*include_slow_queries=*/true);
     std::string line = j.Dump();
     line.push_back('\n');
     MutexLock lock(export_mu_);

@@ -10,10 +10,9 @@
 // idempotent, callable from any thread, and TSan-clean — the CI tsan
 // job runs the MetricsPoller tests.
 //
-// Optionally each poll appends one JSON line ({"ts_us", "counters",
-// "gauges", "histograms", "slow_queries"}) to an export file, which is
-// the transport `msv_top` tails: no server exists yet, a shared file
-// does (MSV_METRICS_EXPORT in bench/tools, --export here).
+// Optionally each poll appends one JSON line ({"ts_us", "metrics",
+// "slow_queries"}) to an export file, which is the transport `msv_top`
+// tails; `msv_serve --metrics-file` sets it.
 
 #ifndef MSV_OBS_TIMESERIES_H_
 #define MSV_OBS_TIMESERIES_H_
@@ -74,7 +73,6 @@ struct MetricsPollerOptions {
   size_t capacity = 300;           ///< ring size (5 min at 1s)
   MetricRegistry* registry = nullptr;  ///< nullptr = MetricRegistry::Global()
   std::string export_path;         ///< JSON-lines export; empty = in-memory only
-  bool export_slow_queries = true;  ///< include SlowQueryLog tail in exports
 };
 
 /// Background snapshot thread. Lifecycle:
@@ -133,8 +131,7 @@ class MetricsPoller {
 };
 
 /// Renders one poll (plus optional slow-query tail) as the JSON-lines
-/// export object — shared by MetricsPoller and msv_inspect so msv_top
-/// parses one schema.
+/// export object msv_top parses; the poller always includes the tail.
 Json ExportPointJson(const TimeSeriesPoint& point, bool include_slow_queries);
 
 }  // namespace msv::obs

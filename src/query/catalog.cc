@@ -101,24 +101,9 @@ Status Catalog::Save() const {
     }
     out << "\n";
   }
-  std::string contents = out.str();
   // Atomic replace: a crash mid-save must leave the previous catalog, not
-  // a torn one (same tmp/sync/rename/dir-sync protocol as the ACE build).
-  const std::string tmp_name = file_name_ + ".tmp";
-  auto write_tmp = [&]() -> Status {
-    MSV_ASSIGN_OR_RETURN(std::unique_ptr<io::File> file,
-                         env_->OpenFile(tmp_name, /*create=*/true));
-    MSV_RETURN_IF_ERROR(file->Truncate(0));
-    MSV_RETURN_IF_ERROR(file->Write(0, contents.data(), contents.size()));
-    return file->Sync();
-  };
-  Status st = write_tmp();
-  if (!st.ok()) {
-    env_->DeleteFile(tmp_name).IgnoreError();  // best-effort scratch cleanup
-    return st;
-  }
-  MSV_RETURN_IF_ERROR(env_->RenameFile(tmp_name, file_name_));
-  return env_->SyncDir();
+  // a torn one.
+  return io::WriteFileAtomic(env_, file_name_, out.str());
 }
 
 Status Catalog::AddTable(const std::string& name, const std::string& file,

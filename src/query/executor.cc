@@ -172,13 +172,8 @@ Result<std::string> Executor::ExecuteLocked(const Statement& statement) {
   // The ledger is reset unconditionally: the serving layer reads the
   // estimate block after every statement, armed or not.
   obs::ThreadStatementLedger().Reset();
-  obs::SlowQueryLog& slow = obs::SlowQueryLog::Global();
-  if (!slow.armed()) {
-    // Disarmed fast path: one relaxed load above, no clock reads.
-    Result<std::string> result = Dispatch(statement);
-    if (!result.ok()) c_errors_->Add();
-    return result;
-  }
+  // Every statement is timed into query.statement_us; a slow-query
+  // record is built only when the log is armed and the threshold is met.
   const uint64_t disk_before = io::ThreadDiskBusyUs();
   const auto start = std::chrono::steady_clock::now();
   Result<std::string> result = Dispatch(statement);
@@ -188,7 +183,8 @@ Result<std::string> Executor::ExecuteLocked(const Statement& statement) {
           std::chrono::steady_clock::now() - start)
           .count());
   h_statement_us_->Record(wall_us);
-  if (wall_us >= slow.threshold_us()) {
+  obs::SlowQueryLog& slow = obs::SlowQueryLog::Global();
+  if (slow.armed() && wall_us >= slow.threshold_us()) {
     const obs::StatementLedger& ledger = obs::ThreadStatementLedger();
     obs::SlowQueryRecord rec;
     rec.ts_us = obs::WallTimeUs();

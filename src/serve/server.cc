@@ -21,6 +21,10 @@ namespace msv::serve {
 
 namespace {
 
+/// Per-connection staged-output ceiling; a reader this far behind is
+/// dropped rather than buffered without bound.
+constexpr size_t kMaxOutputBytes = size_t{4} << 20;
+
 uint64_t NowUs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -429,7 +433,7 @@ void Server::StageResponse(const std::shared_ptr<Conn>& conn,
     MutexLock lock(conn->out_mu);
     if (conn->dead.load(std::memory_order_relaxed)) return;
     conn->out += EncodeFrame(payload);
-    if (conn->out.size() > options_.max_output_bytes) {
+    if (conn->out.size() > kMaxOutputBytes) {
       conn->kill.store(true, std::memory_order_relaxed);
     }
   }

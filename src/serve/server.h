@@ -53,9 +53,6 @@ struct ServerOptions {
   int workers = 4;
   size_t max_queue = 128;  ///< admitted-but-unserved request bound
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Per-connection staged-output ceiling; a reader this far behind is
-  /// dropped rather than buffered without bound.
-  size_t max_output_bytes = 4 << 20;
   /// Connections holding a partial frame with no progress for this long
   /// are closed (slow-loris sweep). 0 disables.
   uint64_t stall_timeout_ms = 10000;

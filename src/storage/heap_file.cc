@@ -130,86 +130,37 @@ Status HeapFile::ReadRecord(uint64_t index, char* out) const {
                           record_size_, out);
 }
 
-HeapFile::Scanner HeapFile::NewScanner(size_t chunk_bytes,
-                                       bool readahead) const {
-  size_t chunk_records = std::max<size_t>(1, chunk_bytes / record_size_);
-  return Scanner(this, chunk_records, readahead);
+size_t TwoBlockChunk(size_t block_bytes, size_t record_size) {
+  return 2 * std::max<size_t>(1, block_bytes / record_size) * record_size;
 }
 
-HeapFile::Scanner::Scanner(const HeapFile* file, size_t chunk_records,
-                           bool readahead)
-    : file_(file), chunk_capacity_(chunk_records), readahead_(readahead) {
-  chunk_.resize((readahead_ ? 2 : 1) * chunk_capacity_ * file_->record_size_);
+HeapFile::Scanner HeapFile::NewScanner(size_t chunk_bytes) const {
+  size_t chunk_records = std::max<size_t>(1, chunk_bytes / record_size_);
+  return Scanner(this, chunk_records);
+}
+
+HeapFile::Scanner::Scanner(const HeapFile* file, size_t chunk_records)
+    : file_(file), chunk_capacity_(chunk_records) {
+  chunk_.resize(chunk_capacity_ * file_->record_size_);
 }
 
 Result<const char*> HeapFile::Scanner::Next() {
   if (pos_ >= file_->count_) return static_cast<const char*>(nullptr);
   if (pos_ < chunk_start_ || pos_ >= chunk_start_ + chunk_count_ ||
       chunk_count_ == 0) {
+    // Refill starting at pos_ with one read of up to a chunk.
     const size_t rec = file_->record_size_;
-    const uint64_t base = kHeapFileHeaderSize + pos_ * rec;
-    if (readahead_) {
-      // Refill the current block and its lookahead with one batched
-      // read; the two requests are adjacent, so the device serves them
-      // as a single coalesced access (one seek for both blocks).
-      size_t want = static_cast<size_t>(
-          std::min<uint64_t>(2 * chunk_capacity_, file_->count_ - pos_));
-      size_t first = std::min(want, chunk_capacity_);
-      io::ReadRequest reqs[2];
-      reqs[0].offset = base;
-      reqs[0].n = first * rec;
-      reqs[0].scratch = chunk_.data();
-      size_t nreqs = 1;
-      if (want > first) {
-        reqs[1].offset = base + first * rec;
-        reqs[1].n = (want - first) * rec;
-        reqs[1].scratch = chunk_.data() + first * rec;
-        nreqs = 2;
-      }
-      MSV_RETURN_IF_ERROR(file_->file_->ReadBatch(reqs, nreqs));
-      for (size_t i = 0; i < nreqs; ++i) {
-        if (reqs[i].got != reqs[i].n) {
-          return Status::IOError(
-              "short read: wanted " + std::to_string(reqs[i].n) +
-              " bytes at offset " + std::to_string(reqs[i].offset) +
-              ", got " + std::to_string(reqs[i].got));
-        }
-      }
-      chunk_start_ = static_cast<size_t>(pos_);
-      chunk_count_ = want;
-    } else {
-      // Refill starting at pos_.
-      size_t want = static_cast<size_t>(
-          std::min<uint64_t>(chunk_capacity_, file_->count_ - pos_));
-      MSV_RETURN_IF_ERROR(
-          file_->file_->ReadExact(base, want * rec, chunk_.data()));
-      chunk_start_ = static_cast<size_t>(pos_);
-      chunk_count_ = want;
-    }
+    size_t want = static_cast<size_t>(
+        std::min<uint64_t>(chunk_capacity_, file_->count_ - pos_));
+    MSV_RETURN_IF_ERROR(file_->file_->ReadExact(
+        kHeapFileHeaderSize + pos_ * rec, want * rec, chunk_.data()));
+    chunk_start_ = static_cast<size_t>(pos_);
+    chunk_count_ = want;
   }
   const char* rec =
       chunk_.data() + (pos_ - chunk_start_) * file_->record_size_;
   ++pos_;
   return rec;
-}
-
-Status AppendToHeapFile(io::Env* env, const std::string& name,
-                        const char* records, size_t count) {
-  MSV_ASSIGN_OR_RETURN(std::unique_ptr<io::File> file,
-                       env->OpenFile(name, /*create=*/false));
-  char header[kHeapFileHeaderSize];
-  MSV_RETURN_IF_ERROR(file->ReadExact(0, sizeof(header), header));
-  if (DecodeFixed64(header) != kHeapFileMagic) {
-    return Status::Corruption("bad heap file magic in " + name);
-  }
-  size_t record_size = DecodeFixed32(header + 12);
-  uint64_t existing = DecodeFixed64(header + 16);
-  MSV_RETURN_IF_ERROR(
-      file->Write(kHeapFileHeaderSize + existing * record_size, records,
-                  count * record_size));
-  EncodeFixed64(header + 16, existing + count);
-  MSV_RETURN_IF_ERROR(file->Write(0, header, sizeof(header)));
-  return file->Sync();
 }
 
 }  // namespace msv::storage

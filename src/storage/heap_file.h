@@ -70,7 +70,7 @@ class HeapFile {
   /// Reads record `index` into `out` (record_size bytes).
   Status ReadRecord(uint64_t index, char* out) const;
 
-  /// Sequential scanner with a large read-ahead buffer.
+  /// Sequential scanner: each refill is one read of up to a chunk.
   class Scanner {
    public:
     /// Returns a pointer to the next record, or nullptr at end. The pointer
@@ -82,7 +82,7 @@ class HeapFile {
 
    private:
     friend class HeapFile;
-    Scanner(const HeapFile* file, size_t chunk_records, bool readahead);
+    Scanner(const HeapFile* file, size_t chunk_records);
 
     const HeapFile* file_;
     std::vector<char> chunk_;
@@ -90,19 +90,15 @@ class HeapFile {
     size_t chunk_start_ = 0;  // record index of chunk_[0]
     size_t chunk_count_ = 0;  // records currently in chunk_
     size_t chunk_capacity_;   // records per chunk
-    bool readahead_;          // double-buffered refills (see NewScanner)
   };
 
-  /// Creates a scanner reading `chunk_bytes` per I/O (rounded to whole
-  /// records). With `readahead`, each refill fetches *two* chunk-sized
-  /// blocks as one batched (adjacent, hence coalesced) read — the
-  /// double-buffering of the TPMMS merge phase. Under the synchronous
-  /// disk model an overlap of fetch and drain cannot be expressed, so
-  /// the benefit manifests as half the refill seeks at twice the buffer
-  /// memory (2 * chunk_bytes per scanner); callers opting in should
-  /// budget accordingly.
-  Scanner NewScanner(size_t chunk_bytes = 4 << 20,
-                     bool readahead = false) const;
+  /// Creates a scanner reading `chunk_bytes` per I/O, rounded down to
+  /// whole records (at least one). The chunk is the scanner's whole
+  /// batching policy and its buffer: each refill is a single read of up
+  /// to `chunk_bytes`, so a larger chunk means fewer refill seeks at
+  /// proportionally more memory. A caller wanting exactly k records per
+  /// refill passes k * record_size().
+  Scanner NewScanner(size_t chunk_bytes = 4 << 20) const;
 
  private:
   HeapFile(std::unique_ptr<io::File> file, size_t record_size,
@@ -113,10 +109,10 @@ class HeapFile {
   uint64_t count_;
 };
 
-/// Appends `count` records to an existing heap file, updating its header
-/// so readers opened afterwards see them. Used by differential files.
-Status AppendToHeapFile(io::Env* env, const std::string& name,
-                        const char* records, size_t count);
+/// Scanner chunk of two `block_bytes` blocks, each rounded down to whole
+/// records (at least one): every refill is one read of twice the block,
+/// so a scan costs half the refill seeks at twice the buffer memory.
+size_t TwoBlockChunk(size_t block_bytes, size_t record_size);
 
 /// Header constants shared with tests.
 inline constexpr uint64_t kHeapFileMagic = 0x3153564d50414548ULL;  // "HEAPMSV1"

@@ -1,9 +1,12 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/ace_builder.h"
+#include "core/ace_format.h"
 #include "core/ace_sampler.h"
 #include "core/ace_tree.h"
 #include "core/combine_engine.h"
@@ -11,6 +14,8 @@
 #include "io/env.h"
 #include "relation/workload.h"
 #include "test_util.h"
+#include "util/coding.h"
+#include "util/crc32c.h"
 #include "util/stats.h"
 
 namespace msv::core {
@@ -49,16 +54,76 @@ std::vector<uint64_t> Ids(const sampling::SampleBatch& batch) {
   return ids;
 }
 
+// A leaf page as the builder writes it: header (leaf index, height,
+// per-section counts), the sections back to back, then the masked CRC32C.
+std::vector<char> EncodeLeafPage(uint64_t leaf_index,
+                                 const std::vector<std::string>& sections) {
+  const uint32_t height = static_cast<uint32_t>(sections.size());
+  std::string page(LeafHeaderSize(height), '\0');
+  EncodeFixed32(page.data(), static_cast<uint32_t>(leaf_index));
+  EncodeFixed32(page.data() + 4, height);
+  for (uint32_t s = 0; s < height; ++s) {
+    EncodeFixed32(page.data() + 8 + 4 * s,
+                  static_cast<uint32_t>(sections[s].size() / kRec));
+    page += sections[s];
+  }
+  char crc[4];
+  EncodeFixed32(crc, MaskCrc(Crc32c(page.data(), page.size())));
+  page.append(crc, sizeof(crc));
+  return std::vector<char>(page.begin(), page.end());
+}
+
+static_assert(!std::is_copy_constructible_v<LeafData> &&
+                  !std::is_copy_assignable_v<LeafData>,
+              "a copied LeafData would view into another leaf's page");
+static_assert(std::is_nothrow_move_constructible_v<LeafData>);
+
+TEST(LeafDataTest, SectionViewsSurviveMoves) {
+  // An h=1 leaf with no records has a 12-byte body: short enough that a
+  // small-string-optimized owner would move its bytes and strand the
+  // views. Both leaves are moved twice (assignment, then construction)
+  // with the source destroyed in between, and read only through the
+  // final owner.
+  const std::vector<std::vector<std::string>> leaves = {
+      {""},
+      {MakeRecords({{10, 1}, {20, 2}}), "", MakeRecords({{30, 3}})}};
+  for (const std::vector<std::string>& sections : leaves) {
+    const uint32_t height = static_cast<uint32_t>(sections.size());
+    LeafData moved;
+    {
+      LeafData leaf = ValueOrDie(
+          LeafData::Parse(EncodeLeafPage(5, sections), 5, height, kRec));
+      const char* first = leaf.sections[0].data();
+      moved = std::move(leaf);
+      EXPECT_EQ(moved.sections[0].data(), first);  // the bytes stayed put
+    }
+    const LeafData owner(std::move(moved));
+    EXPECT_EQ(owner.leaf_index, 5u);
+    ASSERT_EQ(owner.sections.size(), sections.size());
+    for (size_t i = 0; i < sections.size(); ++i) {
+      EXPECT_EQ(std::string(owner.sections[i]), sections[i]) << "section " << i;
+      EXPECT_EQ(owner.SectionCount(i + 1), sections[i].size() / kRec);
+    }
+  }
+}
+
+TEST(LeafDataTest, ParseRejectsDamagedPages) {
+  std::vector<char> page = EncodeLeafPage(2, {MakeRecords({{1, 1}}), ""});
+  EXPECT_TRUE(LeafData::Parse(page, 2, 2, kRec).ok());
+  EXPECT_TRUE(LeafData::Parse(page, 3, 2, kRec).status().IsCorruption());
+  EXPECT_TRUE(LeafData::Parse(page, 2, 3, kRec).status().IsCorruption());
+  page[page.size() / 2] ^= 1;
+  EXPECT_TRUE(LeafData::Parse(page, 2, 2, kRec).status().IsCorruption());
+  EXPECT_TRUE(LeafData::Parse({'x'}, 2, 2, kRec).status().IsCorruption());
+}
+
 class CombineEngineTest : public ::testing::Test {
  protected:
   CombineEngineTest() : layout_{kRec, {0}} {}
 
   LeafData MakeLeaf(uint64_t leaf_index, std::string s1, std::string s2) {
-    LeafData leaf;
-    leaf.leaf_index = leaf_index;
-    leaf.record_size = kRec;
-    leaf.sections = {std::move(s1), std::move(s2)};
-    return leaf;
+    return ValueOrDie(LeafData::Parse(EncodeLeafPage(leaf_index, {s1, s2}),
+                                      leaf_index, 2, kRec));
   }
 
   storage::RecordLayout layout_;

@@ -3,6 +3,8 @@
 
 #include "gtest/gtest.h"
 #include "io/env.h"
+#include "obs/log.h"
+#include "obs/metrics.h"
 #include "query/executor.h"
 #include "query/lexer.h"
 #include "query/parser.h"
@@ -182,6 +184,19 @@ TEST_F(ExecutorTest, CreateSampleEstimateRoundTrip) {
       "SAMPLES 800;");
   EXPECT_NE(out.find("AVG(amount) = "), std::string::npos);
   EXPECT_NE(out.find("+/-"), std::string::npos);
+}
+
+TEST_F(ExecutorTest, StatementHistogramCountsDisarmedStatements) {
+  obs::SlowQueryLog& slow = obs::SlowQueryLog::Global();
+  const uint64_t threshold = slow.threshold_us();
+  slow.set_threshold_us(0);  // disarmed
+  obs::LogHistogram* h =
+      obs::MetricRegistry::Global().GetHistogram("query.statement_us");
+  const uint64_t before = h->count();
+  Run("CREATE MATERIALIZED SAMPLE VIEW v AS SELECT * FROM sale "
+      "INDEX ON day;");
+  EXPECT_EQ(h->count(), before + 1);
+  slow.set_threshold_us(threshold);
 }
 
 TEST_F(ExecutorTest, SampledRowsSatisfyThePredicate) {

@@ -149,32 +149,6 @@ TEST_F(HeapFileTest, WriterBufferSmallerThanRecordStillWorks) {
   EXPECT_EQ(file->record_count(), 10u);
 }
 
-TEST_F(HeapFileTest, AppendToHeapFileExtends) {
-  WriteFile("f", 5, 16);
-  std::string extra(3 * 16, '\0');
-  for (int i = 0; i < 3; ++i) {
-    EncodeFixed64(extra.data() + i * 16, 100 + i);
-  }
-  MSV_ASSERT_OK(AppendToHeapFile(env_.get(), "f", extra.data(), 3));
-  auto file = ValueOrDie(HeapFile::Open(env_.get(), "f"));
-  EXPECT_EQ(file->record_count(), 8u);
-  char rec[16];
-  MSV_ASSERT_OK(file->ReadRecord(6, rec));
-  EXPECT_EQ(DecodeFixed64(rec), 101u);
-  // Original records untouched.
-  MSV_ASSERT_OK(file->ReadRecord(4, rec));
-  EXPECT_EQ(DecodeFixed64(rec), 4u);
-}
-
-TEST_F(HeapFileTest, AppendToMissingOrCorruptFileFails) {
-  char rec[16] = {0};
-  EXPECT_FALSE(AppendToHeapFile(env_.get(), "ghost", rec, 1).ok());
-  WriteFile("bad", 1, 16);
-  auto raw = ValueOrDie(env_->OpenFile("bad", false));
-  MSV_ASSERT_OK(raw->Write(0, "XXXXXXXX", 8));
-  EXPECT_TRUE(AppendToHeapFile(env_.get(), "bad", rec, 1).IsCorruption());
-}
-
 // ---------------------------------------------------------------------------
 // Generator + workload
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // msv_top: a live terminal view of MSV serving telemetry, in the spirit
 // of `top`. It tails the JSON-lines file a MetricsPoller exports
-// (MetricsPollerOptions::export_path) and renders per-interval rates,
-// buffer-pool hit ratio, latency quantiles and the most recent slow
+// (MetricsPollerOptions::export_path; `msv_serve --metrics-file`) and
+// renders per-interval rates, latency quantiles and the most recent slow
 // queries, refreshing in place.
 //
 // Usage:
@@ -146,27 +146,13 @@ void Render(const std::vector<Point>& points, size_t slow_rows) {
   if (prev != nullptr) {
     RenderRateRow("statements", Delta(*prev, cur, "query.statements"), dt_s);
     RenderRateRow("statement errors", Delta(*prev, cur, "query.errors"), dt_s);
-    RenderRateRow("disk reads", Delta(*prev, cur, "io.disk.reads"), dt_s);
-    double read_bytes = Delta(*prev, cur, "io.disk.read_bytes");
-    std::printf("  %-22s %12.2f MB/s\n", "disk read volume",
-                dt_s > 0 ? read_bytes / 1e6 / dt_s : 0.0);
-    RenderRateRow("pool hits", Delta(*prev, cur, "io.pool.hits"), dt_s);
-    RenderRateRow("pool misses", Delta(*prev, cur, "io.pool.misses"), dt_s);
-    double hits = Delta(*prev, cur, "io.pool.hits");
-    double misses = Delta(*prev, cur, "io.pool.misses");
-    double lookups = hits + misses;
-    std::printf("  %-22s %12.1f%%\n", "pool hit ratio",
-                lookups > 0 ? 100.0 * hits / lookups : 0.0);
+    RenderRateRow("ACE leaf reads", Delta(*prev, cur, "ace.leaf_reads"),
+                  dt_s);
+    RenderRateRow("samples emitted",
+                  Delta(*prev, cur, "view.samples_emitted"), dt_s);
   } else {
     std::printf("  (n/a)\n");
   }
-
-  std::printf("\ngauges:\n");
-  std::printf("  %-22s %12.0f / %.0f pages\n", "pool resident",
-              GaugeValue(cur.root, "io.pool.resident_pages"),
-              GaugeValue(cur.root, "io.pool.capacity_pages"));
-  std::printf("  %-22s %12.1f ms\n", "sim disk clock",
-              GaugeValue(cur.root, "io.disk.clock_ms"));
 
   if (HasCounter(cur.root, "serve.requests")) {
     std::printf("\nserving:\n");
@@ -211,8 +197,8 @@ void Render(const std::vector<Point>& points, size_t slow_rows) {
 
   std::printf("\nlatency quantiles (lifetime):\n");
   for (const char* name :
-       {"query.statement_us", "io.disk.access_us", "serve.request_us",
-        "ingest.flush_us", "ingest.compact_us"}) {
+       {"query.statement_us", "serve.request_us", "ingest.flush_us",
+        "ingest.compact_us"}) {
     const obs::Json* h = HistogramEntry(cur.root, name);
     if (h == nullptr) continue;
     const obs::Json* count = h->Find("count");
