@@ -117,10 +117,10 @@ int Run(int argc, char** argv) {
       for (auto& w : workers) w.join();
       pool_phase.wall_ms = WallMsSince(start);
       pool_phase.samples = threads * gets_per_thread;
-      pool_phase.busy_us = device->total_stats().busy_us;
+      pool_phase.busy_us = device->stats().busy_us;
       std::string violation = pool.CheckAccounting();
       MSV_CHECK_MSG(violation.empty(), "pool accounting: " + violation);
-      io::BufferPoolStats s = pool.total_stats();
+      io::BufferPoolStats s = pool.stats();
       MSV_CHECK_MSG(s.hits + s.misses == threads * gets_per_thread,
                     "pool hit+miss must equal the issued Gets");
     }
@@ -139,7 +139,7 @@ int Run(int argc, char** argv) {
           options.seed + 9);
       auto queries = workload.Queries(selectivity, /*dims=*/1, threads);
 
-      const io::DiskStats before = device->total_stats();
+      const io::DiskStats before = device->stats();
       std::vector<uint64_t> attributed(threads, 0);
       std::vector<uint64_t> returned(threads, 0);
       auto start = std::chrono::steady_clock::now();
@@ -164,8 +164,7 @@ int Run(int argc, char** argv) {
         attributed_sum += attributed[t];
         samplers_phase.samples += returned[t];
       }
-      samplers_phase.busy_us =
-          (device->total_stats() - before).busy_us;
+      samplers_phase.busy_us = (device->stats() - before).busy_us;
       // The headline invariant: per-query thread-local attribution sums
       // exactly (to the microsecond) to the shared arm's busy time.
       MSV_CHECK_MSG(attributed_sum == samplers_phase.busy_us,

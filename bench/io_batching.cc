@@ -77,11 +77,11 @@ int Main(int argc, char** argv) {
       core::AceSampler sampler(tree.get(), queries[qi], options.seed + qi,
                                sampler_options);
       device->clock().Reset();
-      device->ResetStats();
+      const io::DiskStats before = device->stats();
       RunResult r = RunTimed(&sampler, *device, /*max_ms=*/1e15);
       MSV_CHECK(r.completed);
       point.mean_completion_ms += device->clock().NowMs();
-      io::DiskStats stats = device->stats();
+      const io::DiskStats stats = device->stats() - before;
       point.busy_us += stats.busy_us;
       point.seeks += stats.seeks;
       point.batched_accesses += stats.batched_accesses;

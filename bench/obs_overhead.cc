@@ -4,11 +4,12 @@
 // Drives one Executor over an in-memory SALE view with a fixed batch of
 // ESTIMATE statements under three configurations:
 //
-//   base      poller stopped, slow-query log disarmed — the default
+//   base      no poller, slow-query log disarmed — the default
 //             serving configuration (every statement is still timed
 //             into query.statement_us; no slow-query record is built).
-//   poller    a MetricsPoller snapshotting the registry at --interval_ms
-//             while the same batch runs.
+//   poller    a MetricsPoller appending one JSON line per --interval_ms
+//             to an export file in a scratch directory while the same
+//             batch runs — what `msv_serve --metrics-file` runs.
 //   slowlog   slow-query log armed with a huge threshold, so every
 //             statement pays the armed threshold check but the ring is
 //             never written.
@@ -24,9 +25,12 @@
 // Prometheus text exposition format and validates it with the built-in
 // parser, giving CI a scrape-ready artifact exercised end-to-end.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -102,6 +106,14 @@ int Run(int argc, char** argv) {
     batch.push_back(std::move(parsed.value()[0]));
   }
 
+  // The poller's export file lives in a private scratch directory that
+  // is removed at exit.
+  const std::filesystem::path scratch =
+      std::filesystem::temp_directory_path() /
+      ("msv_obs_overhead." + std::to_string(::getpid()));
+  std::filesystem::create_directories(scratch);
+  const std::string export_path = (scratch / "metrics.jsonl").string();
+
   obs::SlowQueryLog& slow = obs::SlowQueryLog::Global();
   slow.set_threshold_us(0);  // start from the disarmed default
 
@@ -111,18 +123,17 @@ int Run(int argc, char** argv) {
   double base_ms = 1e300, poller_ms = 1e300, slowlog_ms = 1e300;
   uint64_t polls = 0;
   for (size_t rep = 0; rep < reps; ++rep) {
-    // base: poller stopped, slow log disarmed.
+    // base: no poller, slow log disarmed.
     slow.set_threshold_us(0);
     base_ms = std::min(base_ms, RunBatch(exec.get(), batch));
 
-    // poller: live snapshots while the batch runs.
+    // poller: snapshot + export line at every tick while the batch runs.
     {
       obs::MetricsPollerOptions popt;
       popt.interval_ms = interval_ms;
+      popt.export_path = export_path;
       obs::MetricsPoller poller(popt);
-      poller.Start();
       poller_ms = std::min(poller_ms, RunBatch(exec.get(), batch));
-      poller.Stop();
       polls += poller.polls();
     }
 
@@ -131,6 +142,8 @@ int Run(int argc, char** argv) {
     slowlog_ms = std::min(slowlog_ms, RunBatch(exec.get(), batch));
     slow.set_threshold_us(0);
   }
+
+  std::filesystem::remove_all(scratch);
 
   const double poller_overhead_pct = (poller_ms - base_ms) / base_ms * 100.0;
   const double slowlog_overhead_pct = (slowlog_ms - base_ms) / base_ms * 100.0;

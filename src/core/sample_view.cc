@@ -5,6 +5,7 @@
 #endif
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <numeric>
 #include <string_view>
@@ -138,15 +139,19 @@ void ReleaseFreedHeap() {
 #endif
 }
 
-/// Parses `text` as `<stem><decimal id>` with nothing trailing.
+/// Parses `text` as `<stem><id>`, where <id> is spelled exactly as
+/// std::to_string writes a uint64_t: decimal digits, no sign, no leading
+/// zero, no overflow. Anything else ("wal.007", an id past 2^64 - 1) is
+/// not a name the view wrote.
 bool ParseSuffixId(std::string_view text, std::string_view stem,
                    uint64_t* id) {
-  if (text.size() <= stem.size() || !text.starts_with(stem)) return false;
+  if (!text.starts_with(stem)) return false;
+  const std::string_view digits = text.substr(stem.size());
+  if (digits.size() > 1 && digits.front() == '0') return false;
+  const char* end = digits.data() + digits.size();
   uint64_t value = 0;
-  for (char c : text.substr(stem.size())) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
   *id = value;
   return true;
 }

@@ -43,22 +43,9 @@ BufferPool::BufferPool(size_t page_size, size_t capacity_pages)
   g_resident_->Set(0.0);
 }
 
-BufferPoolStats BufferPool::total_stats() const {
-  MutexLock lock(mu_);
-  return totals_;
-}
-
 BufferPoolStats BufferPool::stats() const {
   MutexLock lock(mu_);
-  return totals_ - baseline_;
-}
-
-void BufferPool::ResetStats() {
-  {
-    MutexLock lock(mu_);
-    baseline_ = totals_;
-  }
-  obs::MetricRegistry::Global().BeginEpoch();
+  return totals_;
 }
 
 size_t BufferPool::resident_pages() const {

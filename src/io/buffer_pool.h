@@ -8,7 +8,8 @@
 // are read with File::ReadBatch and never pass through a pool.
 //
 // Concurrency: the pool is safely shareable across threads. One mutex
-// guards the frame table, the page map, the LRU tick and the counters.
+// guards the frame table, the page map, the LRU tick and the counters
+// (monotone totals; windows are caller-side deltas).
 // A page's bytes are written only while its frame is invalid (no pins)
 // under that lock; the returned PageRef pins the frame, which blocks
 // eviction, so readers can use the bytes lock-free for the PageRef's
@@ -93,15 +94,9 @@ class BufferPool {
 
   size_t page_size() const { return page_size_; }
   size_t capacity() const { return capacity_; }
-  /// Counters since the last ResetStats() (delta against the baseline).
+  /// Counters since pool construction; never reset. A caller that wants
+  /// one window subtracts two snapshots (`after - before`).
   BufferPoolStats stats() const;
-  /// Counters since pool construction; never reset.
-  BufferPoolStats total_stats() const;
-
-  /// Starts a new stats epoch: snapshots the baseline instead of zeroing
-  /// (resets can no longer discard concurrent increments) and advances
-  /// the global registry epoch in step.
-  void ResetStats();
 
   /// Number of frames currently holding a page.
   size_t resident_pages() const;
@@ -154,7 +149,6 @@ class BufferPool {
   std::vector<Frame> frames_ MSV_GUARDED_BY(mu_);
   std::unordered_map<Key, size_t, KeyHash> map_ MSV_GUARDED_BY(mu_);
   BufferPoolStats totals_ MSV_GUARDED_BY(mu_);
-  BufferPoolStats baseline_ MSV_GUARDED_BY(mu_);
   uint64_t tick_ MSV_GUARDED_BY(mu_) = 0;
 
   // Registry series shared by every pool (process-wide totals; the

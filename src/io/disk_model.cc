@@ -102,20 +102,7 @@ void DiskDevice::AccessImpl(uint64_t pos, uint64_t len, uint64_t pages,
 
 DiskStats DiskDevice::stats() const {
   MutexLock lock(mu_);
-  return totals_ - baseline_;
-}
-
-DiskStats DiskDevice::total_stats() const {
-  MutexLock lock(mu_);
   return totals_;
-}
-
-void DiskDevice::ResetStats() {
-  {
-    MutexLock lock(mu_);
-    baseline_ = totals_;
-  }
-  obs::MetricRegistry::Global().BeginEpoch();
 }
 
 double DiskDevice::SequentialScanMs(uint64_t bytes) const {

@@ -72,7 +72,8 @@ class SimClock {
   std::atomic<double> now_ms_{0.0};
 };
 
-/// Aggregate I/O counters for a device.
+/// Aggregate I/O counters for a device, totals since construction;
+/// operator- turns two snapshots into the window between them.
 struct DiskStats {
   uint64_t reads = 0;
   uint64_t writes = 0;
@@ -136,18 +137,11 @@ class DiskDevice {
 
   SimClock& clock() { return clock_; }
   const SimClock& clock() const { return clock_; }
-  /// Counters accumulated since the last ResetStats() (member-wise delta
-  /// against the reset baseline). Consistent snapshot under the arm lock.
+  /// Counters since device construction; never reset. A caller that
+  /// wants one window subtracts two snapshots (`after - before`).
+  /// Consistent snapshot under the arm lock.
   DiskStats stats() const;
-  /// Counters since device construction; never reset.
-  DiskStats total_stats() const;
   const DiskModelOptions& options() const { return options_; }
-
-  /// Starts a new stats epoch. Totals stay monotone — the baseline is
-  /// snapshotted instead of zeroing anything, so increments concurrent
-  /// with the reset are never discarded (the old `stats_ = DiskStats()`
-  /// footgun), and the global registry epoch is advanced in step.
-  void ResetStats();
 
  private:
   DiskModelOptions options_;
@@ -156,7 +150,6 @@ class DiskDevice {
   /// The arm lock: serializes Access() and guards head/stat state below.
   mutable Mutex mu_;
   DiskStats totals_ MSV_GUARDED_BY(mu_);
-  DiskStats baseline_ MSV_GUARDED_BY(mu_);
   uint64_t head_pos_ MSV_GUARDED_BY(mu_) = 0;
   bool head_valid_ MSV_GUARDED_BY(mu_) = false;
 

@@ -150,19 +150,6 @@ std::string MetricRegistry::Labeled(
   return out;
 }
 
-void MetricRegistry::BeginEpoch() {
-  MutexLock lock(mu_);
-  ++epoch_;
-  for (const auto& [name, c] : counters_) {
-    counter_baselines_[name] = c->Value();
-  }
-}
-
-uint64_t MetricRegistry::epoch() const {
-  MutexLock lock(mu_);
-  return epoch_;
-}
-
 uint64_t MetricRegistry::version() const {
   MutexLock lock(mu_);
   return version_;
@@ -181,18 +168,9 @@ void MetricRegistry::ListCounters(
 MetricsSnapshot MetricRegistry::Snapshot() const {
   MutexLock lock(mu_);
   MetricsSnapshot snap;
-  snap.epoch = epoch_;
   snap.counters.reserve(counters_.size());
   for (const auto& [name, c] : counters_) {
-    CounterSample s;
-    s.name = name;
-    s.total = c->Value();
-    auto base = counter_baselines_.find(name);
-    uint64_t baseline = base == counter_baselines_.end() ? 0 : base->second;
-    // A counter registered after BeginEpoch() has baseline 0; its whole
-    // total belongs to the current epoch.
-    s.since_epoch = s.total >= baseline ? s.total - baseline : 0;
-    snap.counters.push_back(std::move(s));
+    snap.counters.push_back(CounterSample{name, c->Value()});
   }
   snap.gauges.reserve(gauges_.size());
   for (const auto& [name, g] : gauges_) {
@@ -215,14 +193,8 @@ MetricsSnapshot MetricRegistry::Snapshot() const {
 std::string MetricsSnapshot::ToText() const {
   std::string out;
   char line[256];
-  std::snprintf(line, sizeof(line), "# epoch %llu\n",
-                static_cast<unsigned long long>(epoch));
-  out += line;
   for (const CounterSample& c : counters) {
-    std::snprintf(line, sizeof(line), "%s %llu (epoch %llu)\n",
-                  c.name.c_str(), static_cast<unsigned long long>(c.total),
-                  static_cast<unsigned long long>(c.since_epoch));
-    out += line;
+    out += c.name + " " + std::to_string(c.total) + "\n";
   }
   for (const GaugeSample& g : gauges) {
     out += g.name + " " + FormatDouble(g.value) + "\n";
@@ -240,12 +212,10 @@ std::string MetricsSnapshot::ToText() const {
 
 Json MetricsSnapshot::ToJson() const {
   Json root = Json::Object();
-  root["epoch"] = epoch;
   Json jc = Json::Object();
   for (const CounterSample& c : counters) {
     Json entry = Json::Object();
     entry["total"] = c.total;
-    entry["since_epoch"] = c.since_epoch;
     jc[c.name] = std::move(entry);
   }
   root["counters"] = std::move(jc);

@@ -8,11 +8,10 @@
 // counters; snapshot/export paths copy counts and reuse the shared
 // bucket math from util/histogram (one implementation, two facades).
 //
-// Resets are epoch-based: metrics are monotone for the lifetime of the
-// process, and BeginEpoch() only records per-counter baselines. A
-// snapshot therefore always carries both the cumulative total and the
-// delta since the last epoch — concurrent increments are never silently
-// discarded the way the old per-struct ResetStats() did.
+// There are no resets: every counter is a monotone total for the
+// lifetime of the process. A reader that wants a window (a rate, one
+// query's I/O) takes two snapshots and subtracts them, as msv_top does
+// with the poller's export lines.
 
 #ifndef MSV_OBS_METRICS_H_
 #define MSV_OBS_METRICS_H_
@@ -101,8 +100,7 @@ class LogHistogram {
 /// One counter's view inside a snapshot.
 struct CounterSample {
   std::string name;
-  uint64_t total = 0;        ///< since process start
-  uint64_t since_epoch = 0;  ///< since the last BeginEpoch()
+  uint64_t total = 0;  ///< since process start
 };
 
 struct GaugeSample {
@@ -122,12 +120,11 @@ struct HistogramSample {
 /// A consistent-enough view of the registry: every metric sampled once,
 /// in sorted name order, under the registration lock.
 struct MetricsSnapshot {
-  uint64_t epoch = 0;
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
   std::vector<HistogramSample> histograms;
 
-  /// Prometheus-flavoured text: one `name value [delta]` line per metric.
+  /// Prometheus-flavoured text: one `name value` line per metric.
   std::string ToText() const;
   Json ToJson() const;
 };
@@ -153,29 +150,13 @@ class MetricRegistry {
       const std::string& name,
       const std::vector<std::pair<std::string, std::string>>& labels);
 
-  /// Starts a new stats epoch: records every counter's current value as
-  /// the epoch baseline. Never zeroes anything — cumulative totals stay
-  /// monotone, so resets cannot discard concurrent increments.
-  ///
-  /// Memory-ordering contract (why relaxed counter ops are sufficient):
-  /// the baseline is read under mu_, and every Snapshot() also runs under
-  /// mu_, so the mutex orders the two critical sections. For any single
-  /// counter, read-read coherence then guarantees the snapshot observes a
-  /// value no earlier in that counter's modification order than the
-  /// baseline — i.e. total >= baseline and since_epoch = total - baseline
-  /// is a well-defined, non-negative delta even while other threads are
-  /// adding with memory_order_relaxed. What is NOT guaranteed is
-  /// cross-counter atomicity: a snapshot concurrent with a multi-counter
-  /// update (e.g. io.disk.reads and io.disk.busy_us from one access) may
-  /// see one bumped and not the other. Callers needing exact cross-counter
-  /// agreement must quiesce writers first (as the tests and the bench
-  /// harness do) or read the per-object struct totals, which are taken
-  /// under the owning lock. Snapshot() additionally clamps since_epoch at
-  /// zero as defense in depth. Regression-tested by
-  /// ObsConcurrencyTest.EpochBaselineNeverExceedsTotal.
-  void BeginEpoch();
-  uint64_t epoch() const;
-
+  /// Samples every metric once under the registration lock. Counters
+  /// use relaxed atomics, so a snapshot taken while another thread
+  /// updates several counters (io.disk.reads and io.disk.busy_us from
+  /// one access) may see one bumped and not the other; each counter on
+  /// its own never goes backwards between snapshots. Callers that need
+  /// exact cross-counter agreement quiesce writers first or read the
+  /// per-object struct totals, which are taken under the owning lock.
   MetricsSnapshot Snapshot() const;
 
   /// Prometheus text exposition (version 0.0.4) of every registered
@@ -194,10 +175,8 @@ class MetricRegistry {
  private:
   mutable Mutex mu_;
   uint64_t version_ MSV_GUARDED_BY(mu_) = 0;
-  uint64_t epoch_ MSV_GUARDED_BY(mu_) = 0;
   std::map<std::string, std::unique_ptr<Counter>> counters_
       MSV_GUARDED_BY(mu_);
-  std::map<std::string, uint64_t> counter_baselines_ MSV_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ MSV_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<LogHistogram>> histograms_
       MSV_GUARDED_BY(mu_);

@@ -191,9 +191,11 @@ class SimBatchTest : public ::testing::Test {
     for (size_t i = 0; i < data.size(); ++i) {
       data[i] = static_cast<char>(i / kPage);
     }
-    file_ = ValueOrDie(env_->OpenFile("f", true));
-    MSV_ASSERT_OK(file_->Write(0, data.data(), data.size()));
-    device_->ResetStats();
+    // Written beneath the device, so its stats count only the reads
+    // under test.
+    auto raw = ValueOrDie(inner_->OpenFile("f", true));
+    MSV_ASSERT_OK(raw->Write(0, data.data(), data.size()));
+    file_ = ValueOrDie(env_->OpenFile("f", false));
   }
 
   /// Builds one page-sized request per entry of `pages`.
@@ -329,7 +331,6 @@ class ReadLeavesTest : public ::testing::Test {
     MSV_ASSERT_OK(
         BuildAceTree(env_.get(), "sale", "sale.ace", layout_, build));
     tree_ = ValueOrDie(AceTree::Open(env_.get(), "sale.ace", layout_));
-    device_->ResetStats();
   }
 
   static void ExpectLeafEq(const LeafData& a, const LeafData& b) {
@@ -364,22 +365,22 @@ TEST_F(ReadLeavesTest, ResultsMatchScalarReadLeafInInputOrder) {
 TEST_F(ReadLeavesTest, AdjacentLeavesCoalesceIntoOneAccess) {
   // The builder lays leaves out contiguously in index order, so four
   // consecutive indices — in any request order — are one elevator run.
-  device_->ResetStats();
+  const io::DiskStats before = device_->stats();
   auto batch = ValueOrDie(tree_->ReadLeaves({12, 10, 13, 11}));
   ASSERT_EQ(batch.size(), 4u);
   EXPECT_EQ(batch[0].leaf_index, 12u);
   EXPECT_EQ(batch[3].leaf_index, 11u);
-  io::DiskStats d = device_->stats();
+  const io::DiskStats d = device_->stats() - before;
   EXPECT_EQ(d.reads, 1u);
   EXPECT_EQ(d.batched_accesses, 1u);
   EXPECT_EQ(d.batched_pages, 4u);
 }
 
 TEST_F(ReadLeavesTest, InvalidIndexRejectedBeforeAnyIo) {
-  device_->ResetStats();
+  const io::DiskStats before = device_->stats();
   auto result = tree_->ReadLeaves({0, tree_->meta().num_leaves});
   EXPECT_FALSE(result.ok());
-  EXPECT_EQ(device_->stats().reads, 0u);
+  EXPECT_EQ(device_->stats().reads, before.reads);
 }
 
 TEST_F(ReadLeavesTest, EmptyBatchIsEmpty) {
@@ -412,12 +413,12 @@ TEST(ReadaheadScannerTest, SameRecordsHalfTheRefillSeeks) {
     auto device = std::make_shared<io::DiskDevice>();
     auto env = io::NewSimEnv(inner.get(), device);
     auto sale = ValueOrDie(HeapFile::Open(env.get(), "sale"));
-    device->ResetStats();
+    const io::DiskStats before = device->stats();
     auto scanner = sale->NewScanner(chunk_bytes);
     while (const char* rec = ValueOrDie(scanner.Next())) {
       ids->push_back(SaleRecord::DecodeFrom(rec).row_id);
     }
-    return device->stats();
+    return device->stats() - before;
   };
 
   std::vector<uint64_t> small_ids, large_ids;

@@ -400,6 +400,42 @@ TEST_F(IngestTest, TotalRecordsCountsBaseAndDelta) {
   EXPECT_EQ(view_->delta_records(), 0u);
 }
 
+TEST_F(IngestTest, NonCanonicalIdsAreNotOurs) {
+  // Files that only look like a WAL or a base generation: a leading zero,
+  // or an id past 2^64 - 1 (2^64 + 5 would wrap to WAL 5). The view never
+  // writes such names, so recovery must neither replay nor delete them.
+  const std::string payload = MakeInserts(20);
+  const std::vector<std::string> foreign = {
+      "v.wal.007", "v.wal.18446744073709551621", "v.base.g007"};
+  view_.reset();
+  for (const std::string& name : foreign) {
+    auto file = ValueOrDie(env_->OpenFile(name, /*create=*/true));
+    MSV_ASSERT_OK(file->Append(payload.data(), payload.size()));
+  }
+
+  auto expect_untouched = [&] {
+    for (const std::string& name : foreign) {
+      ASSERT_TRUE(ValueOrDie(env_->FileExists(name))) << name;
+      auto file = ValueOrDie(env_->OpenFile(name, /*create=*/false));
+      EXPECT_EQ(ValueOrDie(file->Size()), payload.size()) << name;
+    }
+  };
+
+  view_ = ValueOrDie(
+      MaterializedSampleView::Open(env_.get(), "v", layout_, options_));
+  EXPECT_EQ(view_->memtable_records(), 0u);
+  EXPECT_EQ(view_->run_count(), 0u);
+  std::vector<uint64_t> ids = DrainAll();
+  EXPECT_EQ(ids.size(), kBase);
+  EXPECT_TRUE(AllDistinct(ids));
+  expect_untouched();
+
+  // DropFiles leaves them alone too.
+  view_.reset();
+  MSV_ASSERT_OK(MaterializedSampleView::DropFiles(env_.get(), "v"));
+  expect_untouched();
+}
+
 TEST_F(IngestTest, DropFilesRemovesEveryViewFile) {
   InsertChunked(250);
   view_.reset();

@@ -1,10 +1,10 @@
-// Tests for the time-series half of the obs stack: the TimeSeries ring,
-// the MetricsPoller background thread (lifecycle, restart, concurrent
-// Start/Stop/readers — the CI tsan job runs these), the JSON-lines
-// export that msv_top tails, and the Prometheus text exposition
+// Tests for the telemetry half of the obs stack: the MetricsPoller
+// export thread (observed through the JSON-lines file msv_top tails;
+// the CI tsan job runs these), and the Prometheus text exposition
 // (golden output, parse-back round trip, semantic validation).
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -25,189 +25,204 @@ namespace {
 
 using msv::testing::ValueOrDie;
 
-TimeSeriesPoint MakePoint(uint64_t ts_us, uint64_t reads) {
-  TimeSeriesPoint p;
-  p.ts_us = ts_us;
-  CounterSample c;
-  c.name = "io.disk.reads";
-  c.total = reads;
-  c.since_epoch = reads;
-  p.snapshot.counters.push_back(c);
-  return p;
+/// A fresh export path under the test temp dir.
+std::string FreshPath(const std::string& name) {
+  const std::string path = ::testing::TempDir() + name;
+  std::remove(path.c_str());
+  return path;
 }
 
-// ---------------------------------------------------------------------------
-// TimeSeries ring
-// ---------------------------------------------------------------------------
+/// Every line of an export file, each parsed as one JSON object.
+std::vector<Json> ReadLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<Json> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(ValueOrDie(Json::Parse(line)));
+  return lines;
+}
 
-TEST(TimeSeriesTest, PushEvictsOldestAtCapacity) {
-  TimeSeries series(3);
-  for (uint64_t i = 1; i <= 5; ++i) {
-    series.Push(MakePoint(i * 1'000'000, i * 10));
+double CounterTotal(const Json& line, const std::string& name) {
+  const Json* entry =
+      line.Find("metrics")->Find("counters")->Find(name);
+  return entry != nullptr ? entry->Find("total")->AsNumber() : 0.0;
+}
+
+/// Spins until the poller has appended `n` lines (5 s cap).
+void WaitForPolls(const MetricsPoller& poller, uint64_t n) {
+  for (int i = 0; i < 5000 && poller.polls() < n; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(series.size(), 3u);
-  std::vector<TimeSeriesPoint> points = series.Points();
-  ASSERT_EQ(points.size(), 3u);
-  EXPECT_EQ(points.front().ts_us, 3'000'000u);  // 1 and 2 evicted
-  EXPECT_EQ(points.back().ts_us, 5'000'000u);
-  EXPECT_EQ(series.Latest().ts_us, 5'000'000u);
+  ASSERT_GE(poller.polls(), n);
 }
 
-TEST(TimeSeriesTest, EmptySeriesReportsZeroes) {
-  TimeSeries series;
-  EXPECT_EQ(series.size(), 0u);
-  EXPECT_EQ(series.Latest().ts_us, 0u);
-  EXPECT_DOUBLE_EQ(series.CounterRate("io.disk.reads", 1'000'000), 0.0);
-  EXPECT_EQ(series.CounterDelta("io.disk.reads", 1'000'000), 0u);
-}
-
-TEST(TimeSeriesTest, CounterRateOverWindow) {
-  TimeSeries series(10);
-  // 100 reads/s for 4 seconds.
-  for (uint64_t s = 0; s <= 4; ++s) {
-    series.Push(MakePoint(s * 1'000'000, s * 100));
+/// Checks the invariants every export file keeps: one msv_top-shaped
+/// line per poll, timestamps and counter totals that never go back.
+void ExpectWellFormed(const std::vector<Json>& lines,
+                      const std::string& counter) {
+  for (size_t i = 0; i < lines.size(); ++i) {
+    ASSERT_NE(lines[i].Find("ts_us"), nullptr);
+    ASSERT_NE(lines[i].Find("metrics"), nullptr);
+    ASSERT_NE(lines[i].Find("slow_queries"), nullptr);
+    if (i == 0) continue;
+    EXPECT_GE(lines[i].Find("ts_us")->AsNumber(),
+              lines[i - 1].Find("ts_us")->AsNumber());
+    EXPECT_GE(CounterTotal(lines[i], counter),
+              CounterTotal(lines[i - 1], counter))
+        << "line " << i;
   }
-  // Newest vs the point >= 2s older: (400 - 200) / 2s.
-  EXPECT_DOUBLE_EQ(series.CounterRate("io.disk.reads", 2'000'000), 100.0);
-  EXPECT_EQ(series.CounterDelta("io.disk.reads", 2'000'000), 200u);
-  // Window wider than the ring clamps to the full span.
-  EXPECT_DOUBLE_EQ(series.CounterRate("io.disk.reads", 60'000'000), 100.0);
-  EXPECT_EQ(series.CounterDelta("io.disk.reads", 60'000'000), 400u);
-  // Unknown counter: no delta.
-  EXPECT_EQ(series.CounterDelta("no.such", 2'000'000), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// MetricsPoller lifecycle
+// MetricsPoller: a scoped export thread
 // ---------------------------------------------------------------------------
 
 TEST(MetricsPollerTest, StartPollsImmediatelyAndStopJoins) {
+  const std::string path = FreshPath("msv_poller_start.jsonl");
   MetricRegistry reg;
   reg.GetCounter("c")->Add(7);
   MetricsPollerOptions options;
   options.interval_ms = 3600 * 1000;  // no timer ticks during the test
   options.registry = &reg;
-  MetricsPoller poller(options);
-  EXPECT_FALSE(poller.running());
-
-  poller.Start();
-  EXPECT_TRUE(poller.running());
-  // The first poll is synchronous-ish: the thread snapshots before its
-  // first wait. Spin briefly for it.
-  for (int i = 0; i < 1000 && poller.polls() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_GE(poller.polls(), 1u);
-  EXPECT_GE(poller.series().size(), 1u);
-  EXPECT_GT(poller.series().Latest().ts_us, 0u);
-
-  poller.Stop();
-  EXPECT_FALSE(poller.running());
-  // Ring stays readable after Stop.
-  EXPECT_GE(poller.series().size(), 1u);
-}
-
-TEST(MetricsPollerTest, DoubleStartAndDoubleStopAreNoOps) {
-  MetricRegistry reg;
-  MetricsPollerOptions options;
-  options.interval_ms = 3600 * 1000;
-  options.registry = &reg;
-  MetricsPoller poller(options);
-  poller.Start();
-  poller.Start();  // no second thread, no crash
-  EXPECT_TRUE(poller.running());
-  poller.Stop();
-  poller.Stop();  // idempotent
-  EXPECT_FALSE(poller.running());
-}
-
-TEST(MetricsPollerTest, RestartAfterStopKeepsAccumulating) {
-  MetricRegistry reg;
-  MetricsPollerOptions options;
-  options.interval_ms = 3600 * 1000;
-  options.registry = &reg;
-  MetricsPoller poller(options);
-
-  poller.Start();
-  for (int i = 0; i < 1000 && poller.polls() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  poller.Stop();
-  const uint64_t first_round = poller.polls();
-  EXPECT_GE(first_round, 1u);
-
-  poller.Start();
-  for (int i = 0; i < 1000 && poller.polls() == first_round; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  poller.Stop();
-  EXPECT_GT(poller.polls(), first_round);
+  options.export_path = path;
+  uint64_t polls = 0;
+  {
+    MetricsPoller poller(options);
+    // Construction starts the thread, which polls before its first wait.
+    WaitForPolls(poller, 1);
+    polls = poller.polls();
+  }  // the destructor signals and joins; no tick was due, so no new line
+  EXPECT_EQ(polls, 1u);
+  std::vector<Json> lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), polls);
+  EXPECT_GT(lines[0].Find("ts_us")->AsNumber(), 0.0);
+  EXPECT_DOUBLE_EQ(CounterTotal(lines[0], "c"), 7.0);
+  std::remove(path.c_str());
 }
 
 TEST(MetricsPollerTest, TicksAccumulateAtShortInterval) {
+  const std::string path = FreshPath("msv_poller_ticks.jsonl");
   MetricRegistry reg;
+  Counter* c = reg.GetCounter("ticks");
   MetricsPollerOptions options;
   options.interval_ms = 1;
   options.registry = &reg;
-  MetricsPoller poller(options);
-  poller.Start();
-  for (int i = 0; i < 2000 && poller.polls() < 5; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  options.export_path = path;
+  uint64_t polls = 0;
+  {
+    MetricsPoller poller(options);
+    for (uint64_t n = 1; n <= 5; ++n) {
+      c->Add(n);
+      WaitForPolls(poller, n);
+    }
+    polls = poller.polls();
   }
-  poller.Stop();
-  EXPECT_GE(poller.polls(), 5u);
+  // Lines written after the last read of polls() land before the join.
+  std::vector<Json> lines = ReadLines(path);
+  EXPECT_GE(lines.size(), polls);
+  EXPECT_GE(lines.size(), 5u);
+  ExpectWellFormed(lines, "ticks");
+  EXPECT_DOUBLE_EQ(CounterTotal(lines.back(), "ticks"), 15.0);
+  std::remove(path.c_str());
+}
+
+TEST(MetricsPollerTest, RestartAfterStopKeepsAccumulating) {
+  // A restarted poller (as after an msv_serve restart) appends to the
+  // same file; readers keep every earlier line.
+  const std::string path = FreshPath("msv_poller_restart.jsonl");
+  MetricRegistry reg;
+  Counter* c = reg.GetCounter("c");
+  MetricsPollerOptions options;
+  options.interval_ms = 3600 * 1000;
+  options.registry = &reg;
+  options.export_path = path;
+  uint64_t polls = 0;
+  c->Add(3);
+  {
+    MetricsPoller poller(options);
+    WaitForPolls(poller, 1);
+    polls += poller.polls();
+  }
+  c->Add(4);
+  {
+    MetricsPoller poller(options);
+    WaitForPolls(poller, 1);
+    polls += poller.polls();
+  }
+  std::vector<Json> lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), polls);
+  ASSERT_EQ(lines.size(), 2u);
+  ExpectWellFormed(lines, "c");
+  EXPECT_DOUBLE_EQ(CounterTotal(lines[0], "c"), 3.0);
+  EXPECT_DOUBLE_EQ(CounterTotal(lines[1], "c"), 7.0);
+  std::remove(path.c_str());
 }
 
 TEST(MetricsPollerTest, ConcurrentStartStopAndReadersAreSafe) {
-  // The TSan target: lifecycle churn from multiple threads while other
-  // threads read the series and the registry takes increments.
+  // The TSan target: pollers started and stopped from several threads
+  // while a writer bumps the registry and a reader snapshots it.
   MetricRegistry reg;
   Counter* c = reg.GetCounter("churn");
-  MetricsPollerOptions options;
-  options.interval_ms = 1;
-  options.capacity = 16;
-  options.registry = &reg;
-  MetricsPoller poller(options);
-
+  constexpr int kThreads = 2;
+  constexpr int kRounds = 20;
+  std::vector<std::string> paths;
+  for (int t = 0; t < kThreads; ++t) {
+    paths.push_back(
+        FreshPath("msv_poller_churn" + std::to_string(t) + ".jsonl"));
+  }
   std::atomic<bool> done{false};
   std::vector<std::thread> threads;
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&poller] {
-      for (int i = 0; i < 50; ++i) {
-        poller.Start();
-        poller.Stop();
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      MetricsPollerOptions options;
+      options.interval_ms = 1;
+      options.registry = &reg;
+      options.export_path = paths[t];
+      for (int i = 0; i < kRounds; ++i) {
+        MetricsPoller poller(options);
       }
     });
   }
-  threads.emplace_back([&poller, &done] {
-    while (!done.load()) {
-      poller.series().Points();
-      poller.series().CounterRate("churn", 1'000'000);
-      poller.PollNow();
-    }
-  });
-  threads.emplace_back([c, &done] {
+  std::thread writer([c, &done] {
     while (!done.load()) c->Add();
   });
-
-  threads[0].join();
-  threads[1].join();
+  std::thread reader([&reg, &done] {
+    while (!done.load()) reg.Snapshot();
+  });
+  for (auto& th : threads) th.join();
   done.store(true);
-  threads[2].join();
-  threads[3].join();
-  EXPECT_FALSE(poller.running());
-  EXPECT_GE(poller.polls(), 1u);
+  writer.join();
+  reader.join();
+  for (int t = 0; t < kThreads; ++t) {
+    std::vector<Json> lines = ReadLines(paths[t]);
+    // Every poller polls once at start, whenever it is stopped.
+    EXPECT_GE(lines.size(), static_cast<size_t>(kRounds));
+    ExpectWellFormed(lines, "churn");
+    std::remove(paths[t].c_str());
+  }
 }
 
 TEST(MetricsPollerTest, DestructorStopsARunningPoller) {
+  const std::string path = FreshPath("msv_poller_dtor.jsonl");
   MetricRegistry reg;
   MetricsPollerOptions options;
   options.interval_ms = 1;
   options.registry = &reg;
-  {
-    MetricsPoller poller(options);
-    poller.Start();
-  }  // must not leak the thread or deadlock
+  options.export_path = path;
+  { MetricsPoller poller(options); }  // must not leak the thread or deadlock
+  // Even a poller destroyed at once has written its first line.
+  EXPECT_GE(ReadLines(path).size(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(MetricsPollerTest, UnopenableExportFileStartsNoThread) {
+  MetricRegistry reg;
+  MetricsPollerOptions options;
+  options.interval_ms = 1;
+  options.registry = &reg;
+  options.export_path = ::testing::TempDir() + "no/such/dir/metrics.jsonl";
+  MetricsPoller poller(options);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(poller.polls(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -215,9 +230,7 @@ TEST(MetricsPollerTest, DestructorStopsARunningPoller) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsPollerTest, ExportFileParsesBackPointByPoint) {
-  const std::string path = ::testing::TempDir() + "msv_poller_export.jsonl";
-  std::remove(path.c_str());
-
+  const std::string path = FreshPath("msv_poller_export.jsonl");
   MetricRegistry reg;
   reg.GetCounter("io.disk.reads")->Add(42);
   reg.GetGauge("io.pool.resident_pages")->Set(12);
@@ -226,44 +239,37 @@ TEST(MetricsPollerTest, ExportFileParsesBackPointByPoint) {
   options.interval_ms = 3600 * 1000;
   options.registry = &reg;
   options.export_path = path;
-  MetricsPoller poller(options);
-  poller.PollNow();
-  reg.GetCounter("io.disk.reads")->Add(8);
-  poller.PollNow();
+  {
+    MetricsPoller poller(options);
+    WaitForPolls(poller, 1);
+  }
 
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::vector<Json> points;
-  while (std::getline(in, line)) {
-    if (!line.empty()) points.push_back(ValueOrDie(Json::Parse(line)));
-  }
-  ASSERT_EQ(points.size(), 2u);
-  for (const Json& p : points) {
-    ASSERT_NE(p.Find("ts_us"), nullptr);
-    ASSERT_NE(p.Find("metrics"), nullptr);
-    ASSERT_NE(p.Find("slow_queries"), nullptr);
-  }
-  const Json* reads =
-      points[1].Find("metrics")->Find("counters")->Find("io.disk.reads");
-  ASSERT_NE(reads, nullptr);
-  EXPECT_DOUBLE_EQ(reads->Find("total")->AsNumber(), 50.0);
-  EXPECT_DOUBLE_EQ(points[1]
-                       .Find("metrics")
-                       ->Find("gauges")
-                       ->Find("io.pool.resident_pages")
-                       ->AsNumber(),
-                   12.0);
+  std::vector<Json> lines = ReadLines(path);
+  ASSERT_EQ(lines.size(), 1u);
+  ExpectWellFormed(lines, "io.disk.reads");
+  const Json* metrics = lines[0].Find("metrics");
+  EXPECT_DOUBLE_EQ(CounterTotal(lines[0], "io.disk.reads"), 42.0);
+  EXPECT_DOUBLE_EQ(
+      metrics->Find("gauges")->Find("io.pool.resident_pages")->AsNumber(),
+      12.0);
+  const Json* statement =
+      metrics->Find("histograms")->Find("query.statement_us");
+  ASSERT_NE(statement, nullptr);
+  EXPECT_DOUBLE_EQ(statement->Find("count")->AsNumber(), 1.0);
   std::remove(path.c_str());
 }
 
 TEST(ExportPointJsonTest, SchemaMatchesWhatMsvTopParses) {
-  TimeSeriesPoint point = MakePoint(1'234'567, 99);
-  Json j = ExportPointJson(point, /*include_slow_queries=*/false);
+  MetricsSnapshot snapshot;
+  snapshot.counters.push_back(CounterSample{"io.disk.reads", 99});
+  Json j = ExportPointJson(1'234'567, snapshot,
+                           /*include_slow_queries=*/false);
   EXPECT_DOUBLE_EQ(j.Find("ts_us")->AsNumber(), 1'234'567.0);
   ASSERT_NE(j.Find("metrics"), nullptr);
+  EXPECT_DOUBLE_EQ(CounterTotal(j, "io.disk.reads"), 99.0);
   EXPECT_EQ(j.Find("slow_queries"), nullptr);
-  Json with = ExportPointJson(point, /*include_slow_queries=*/true);
+  Json with = ExportPointJson(1'234'567, snapshot,
+                              /*include_slow_queries=*/true);
   ASSERT_NE(with.Find("slow_queries"), nullptr);
 }
 

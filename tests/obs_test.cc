@@ -1,5 +1,5 @@
 // Unit tests for the observability layer: metrics registry (counters,
-// gauges, log-linear histograms, epochs), the span tracer (nesting,
+// gauges, log-linear histograms), the span tracer (nesting,
 // counter deltas, golden tree/JSON output), and the JSON round-trip
 // contract the exporters rely on.
 
@@ -48,33 +48,6 @@ TEST(MetricsTest, LabeledSeriesName) {
   EXPECT_EQ(MetricRegistry::Labeled("x", {{"a", "1"}, {"b", "2"}}),
             "x{a=1,b=2}");
   EXPECT_EQ(MetricRegistry::Labeled("bare", {}), "bare");
-}
-
-TEST(MetricsTest, EpochBaselinesNeverZeroTotals) {
-  MetricRegistry reg;
-  Counter* c = reg.GetCounter("events");
-  c->Add(5);
-  EXPECT_EQ(reg.epoch(), 0u);
-  reg.BeginEpoch();
-  EXPECT_EQ(reg.epoch(), 1u);
-  c->Add(3);
-
-  MetricsSnapshot snap = reg.Snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].name, "events");
-  EXPECT_EQ(snap.counters[0].total, 8u);        // monotone, never reset
-  EXPECT_EQ(snap.counters[0].since_epoch, 3u);  // delta since BeginEpoch
-  EXPECT_EQ(snap.epoch, 1u);
-}
-
-TEST(MetricsTest, CounterRegisteredAfterEpochHasZeroBaseline) {
-  MetricRegistry reg;
-  reg.BeginEpoch();
-  reg.GetCounter("late")->Add(7);
-  MetricsSnapshot snap = reg.Snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].total, 7u);
-  EXPECT_EQ(snap.counters[0].since_epoch, 7u);
 }
 
 TEST(MetricsTest, LogHistogramMeanAndQuantiles) {
@@ -164,7 +137,6 @@ TEST(JsonTest, MetricsSnapshotRoundTrips) {
   reg.GetCounter("io.disk.reads")->Add(17);
   reg.GetGauge("pool.fill")->Set(0.75);
   reg.GetHistogram("io.disk.access_us")->Record(640);
-  reg.BeginEpoch();
   reg.GetCounter("io.disk.reads")->Add(3);
 
   Json j = reg.Snapshot().ToJson();
@@ -175,7 +147,10 @@ TEST(JsonTest, MetricsSnapshotRoundTrips) {
   const Json* reads = counters->Find("io.disk.reads");
   ASSERT_NE(reads, nullptr);
   EXPECT_DOUBLE_EQ(reads->Find("total")->AsNumber(), 20.0);
-  EXPECT_DOUBLE_EQ(reads->Find("since_epoch")->AsNumber(), 3.0);
+  // Counters are totals only: one field per counter, and the snapshot
+  // is exactly its three metric families.
+  EXPECT_EQ(reads->members().size(), 1u);
+  EXPECT_EQ(back.members().size(), 3u);
 }
 
 TEST(JsonTest, BenchRecordShapeRoundTrips) {

@@ -1,8 +1,8 @@
 // End-to-end I/O-cost accounting tests: the per-level disk time the
 // AceSampler attributes through the tracer must reconcile exactly with
 // the DiskDevice's own totals, traced buffer-pool deltas must match
-// BufferPoolStats, epoch-based resets must not discard counts, and the
-// EXPLAIN ANALYZE / MSV_TRACE surfaces must produce the report.
+// BufferPoolStats, and the EXPLAIN ANALYZE / MSV_TRACE surfaces must
+// produce the report.
 
 #include <cstdio>
 #include <cstdlib>
@@ -55,9 +55,9 @@ TEST(TraceE2eTest, AceLevelDiskUsSumsToDiskStats) {
 
   auto q = sampling::RangeQuery::OneDim(20000, 60000);
   core::AceSampler sampler(tree.get(), q, /*seed=*/99);
-  const uint64_t busy_before = device->total_stats().busy_us;
+  const uint64_t busy_before = device->stats().busy_us;
   DrainRowIds(&sampler);
-  const uint64_t busy_delta = device->total_stats().busy_us - busy_before;
+  const uint64_t busy_delta = device->stats().busy_us - busy_before;
 
   uint64_t level_sum = 0;
   for (uint32_t level = 1; level <= tree->meta().height; ++level) {
@@ -112,34 +112,6 @@ TEST(TraceE2eTest, BTreeSamplerTracedPoolMissesMatchStats) {
       EXPECT_EQ(traced_hits, static_cast<double>(stats.hits));
     }
   }
-}
-
-TEST(TraceE2eTest, EpochResetDiscardsNothing) {
-  auto base = io::NewMemEnv();
-  auto device = std::make_shared<io::DiskDevice>();
-  auto timed = io::NewSimEnv(base.get(), device);
-  MakeSale(timed.get(), "sale", 2000);
-
-  const io::DiskStats before = device->stats();
-  ASSERT_GT(before.writes, 0u);
-  const uint64_t counter_before =
-      obs::MetricRegistry::Global().GetCounter("io.disk.writes")->Value();
-
-  device->ResetStats();
-  // The windowed view restarts...
-  EXPECT_EQ(device->stats().writes, 0u);
-  EXPECT_EQ(device->stats().busy_us, 0u);
-  // ...but cumulative totals and the registry counter are monotone.
-  EXPECT_EQ(device->total_stats().writes, before.writes);
-  EXPECT_EQ(
-      obs::MetricRegistry::Global().GetCounter("io.disk.writes")->Value(),
-      counter_before);
-
-  // New traffic lands in the new window on top of the old totals.
-  MakeSale(timed.get(), "sale2", 1000);
-  EXPECT_GT(device->stats().writes, 0u);
-  EXPECT_EQ(device->total_stats().writes,
-            before.writes + device->stats().writes);
 }
 
 TEST(TraceE2eTest, ExplainAnalyzeReportsLevelSpans) {

@@ -153,7 +153,6 @@ int RunServer(const std::map<std::string, std::string>& flags) {
     obs::MetricsPollerOptions poller_options;
     poller_options.export_path = metrics_file;
     poller = std::make_unique<obs::MetricsPoller>(poller_options);
-    poller->Start();
     std::printf("msv_serve: exporting metrics to %s\n", metrics_file.c_str());
   }
 
@@ -164,7 +163,7 @@ int RunServer(const std::map<std::string, std::string>& flags) {
     nanosleep(&ts, nullptr);
   }
   std::printf("msv_serve: shutting down\n");
-  if (poller) poller->Stop();
+  poller.reset();
   server.Stop();
   return 0;
 }

@@ -111,8 +111,9 @@ const obs::Json* HistogramEntry(const obs::Json& point,
   return hists->Find(name);
 }
 
-// Delta of a counter between two points, clamped at 0 (an epoch reset or
-// process restart can step totals backwards; a negative rate is noise).
+// Delta of a counter between two points. Totals are monotone within one
+// process; the clamp at 0 only covers a restarted process appending to
+// the same file, whose totals start again from zero.
 double Delta(const Point& prev, const Point& cur, const std::string& name) {
   double d = CounterTotal(cur.root, name) - CounterTotal(prev.root, name);
   return d > 0.0 ? d : 0.0;
