@@ -156,7 +156,7 @@ void WriteBenchJson(const std::string& name, const obs::Json& numbers) {
   record["bench"] = obs::Json(name);
   record["git_sha"] = obs::Json(GitShaOrUnknown());
   record["numbers"] = numbers;
-  record["metrics"] = obs::MetricRegistry::Global().Snapshot().ToJson();
+  record["metrics"] = obs::MetricRegistry::Global().Snapshot();
   std::filesystem::create_directories("bench_results");
   const std::string path = "bench_results/BENCH_" + name + ".json";
   std::ofstream out(path);

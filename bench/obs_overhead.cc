@@ -21,9 +21,11 @@
 // slowlog_overhead_pct so CI can track the "telemetry is free" claim
 // (target: poller overhead under 1%).
 //
-// --prom_out=<path> additionally dumps the post-run registry in
-// Prometheus text exposition format and validates it with the built-in
-// parser, giving CI a scrape-ready artifact exercised end-to-end.
+// --prom_out=<path> additionally renders the last line of the poller's
+// export file as Prometheus text exposition — what `msv_top FILE --prom`
+// gives a scraper — validates it with the tests' exposition parser
+// (tests/prometheus_text.h) and writes it, giving CI a scrape-ready
+// artifact exercised end-to-end.
 
 #include <unistd.h>
 
@@ -38,9 +40,10 @@
 #include "harness.h"
 #include "io/env.h"
 #include "obs/log.h"
-#include "obs/metrics.h"
+#include "obs/json.h"
 #include "obs/prometheus.h"
 #include "obs/timeseries.h"
+#include "prometheus_text.h"
 #include "query/executor.h"
 #include "query/parser.h"
 #include "util/logging.h"
@@ -143,6 +146,15 @@ int Run(int argc, char** argv) {
     slow.set_threshold_us(0);
   }
 
+  // The export file's last line, read before the scratch dir goes.
+  const std::string prom_out = flags.GetString("prom_out");
+  std::string last_line;
+  if (!prom_out.empty()) {
+    std::ifstream in(export_path);
+    for (std::string line; std::getline(in, line);) {
+      if (!line.empty()) last_line = line;
+    }
+  }
   std::filesystem::remove_all(scratch);
 
   const double poller_overhead_pct = (poller_ms - base_ms) / base_ms * 100.0;
@@ -157,13 +169,16 @@ int Run(int argc, char** argv) {
       static_cast<unsigned long long>(interval_ms), slowlog_ms,
       slowlog_overhead_pct);
 
-  // Optional scrape-ready Prometheus dump, validated end-to-end by the
-  // built-in parser before it is written.
-  const std::string prom_out = flags.GetString("prom_out");
+  // Optional scrape-ready exposition of the last export line, validated
+  // before it is written.
   if (!prom_out.empty()) {
-    std::string text = obs::MetricRegistry::Global().DumpPrometheus();
+    auto point = obs::Json::Parse(last_line);
+    MSV_CHECK_MSG(point.ok(), "last export line does not parse");
+    const obs::Json* metrics = point.value().Find("metrics");
+    MSV_CHECK_MSG(metrics != nullptr, "export line has no metrics");
+    std::string text = obs::RenderPrometheus(*metrics);
     Status valid = obs::ValidatePrometheusText(text);
-    MSV_CHECK_MSG(valid.ok(), "DumpPrometheus failed validation");
+    MSV_CHECK_MSG(valid.ok(), "rendered exposition failed validation");
     std::ofstream out(prom_out);
     out << text;
     MSV_CHECK_MSG(out.good(), "cannot write --prom_out file");

@@ -1,7 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cmath>
 
 #include "util/logging.h"
 
@@ -9,31 +9,64 @@ namespace msv::obs {
 
 namespace {
 
-const std::vector<double>& LogLinearEdgesSingleton() {
-  // Leaked singleton: metrics outlive static destruction order.
-  static const std::vector<double>* edges =
-      new std::vector<double>(  // NOLINT(msv-naked-new)
-          bucketing::LogLinearEdges(LogHistogram::kMaxOctave,
-                                    LogHistogram::kSubBuckets));
-  return *edges;
+/// Edges for the log-linear layout over [0, 2^max_octave): one cell for
+/// [0, 1), then every power-of-two octave [2^k, 2^(k+1)) split into
+/// `sub` equal-width cells. Relative quantile error is bounded by 1/sub.
+std::vector<double> LogLinearEdges(unsigned max_octave, unsigned sub) {
+  std::vector<double> edges;
+  edges.reserve(2 + static_cast<size_t>(max_octave) * sub);
+  edges.push_back(0.0);
+  edges.push_back(1.0);
+  for (unsigned e = 0; e < max_octave; ++e) {
+    double base = std::ldexp(1.0, static_cast<int>(e));
+    double step = base / static_cast<double>(sub);
+    for (unsigned s = 1; s <= sub; ++s) {
+      edges.push_back(base + step * static_cast<double>(s));
+    }
+  }
+  return edges;
 }
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+/// Index of the cell containing `v`: edges[i] <= v < edges[i+1].
+/// Requires edges.front() <= v < edges.back().
+size_t BucketFor(const std::vector<double>& edges, double v) {
+  MSV_DCHECK(v >= edges.front() && v < edges.back());
+  auto it = std::upper_bound(edges.begin(), edges.end(), v);
+  return static_cast<size_t>(it - edges.begin()) - 1;
+}
+
+/// Interpolated quantile from per-cell loads: `cells[i]` covers
+/// [edges[i], edges[i+1]), and `total` is their sum plus the overflow
+/// above edges.back(), where a quantile in the overflow saturates.
+double QuantileFromCells(const std::vector<double>& edges,
+                         const std::vector<uint64_t>& cells, uint64_t total,
+                         double q) {
+  MSV_DCHECK(q >= 0.0 && q <= 1.0);
+  if (total == 0) return 0.0;
+  double target = q * static_cast<double>(total);
+  if (target <= 0.0) return edges.front();
+  double cum = 0.0;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    double next = cum + static_cast<double>(cells[i]);
+    if (next >= target && cells[i] > 0) {
+      double frac = (target - cum) / static_cast<double>(cells[i]);
+      return edges[i] + (edges[i + 1] - edges[i]) * frac;
+    }
+    cum = next;
+  }
+  return edges.back();
 }
 
 }  // namespace
 
-LogHistogram::LogHistogram() : counts_(LogLinearEdgesSingleton().size() - 1) {}
-
-const std::vector<double>& LogHistogram::edges() const {
-  return LogLinearEdgesSingleton();
-}
+LogHistogram::LogHistogram() : counts_(BucketEdges().size() - 1) {}
 
 const std::vector<double>& LogHistogram::BucketEdges() {
-  return LogLinearEdgesSingleton();
+  // Leaked singleton: metrics outlive static destruction order.
+  static const std::vector<double>* edges =
+      new std::vector<double>(  // NOLINT(msv-naked-new)
+          LogLinearEdges(kMaxOctave, kSubBuckets));
+  return *edges;
 }
 
 void LogHistogram::SnapshotCells(std::vector<uint64_t>* counts,
@@ -48,50 +81,25 @@ void LogHistogram::SnapshotCells(std::vector<uint64_t>* counts,
 void LogHistogram::Record(uint64_t value) {
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
-  const std::vector<double>& e = edges();
+  const std::vector<double>& e = BucketEdges();
   double v = static_cast<double>(value);
   if (v >= e.back()) {
     overflow_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  size_t i = bucketing::BucketFor(e, v);
+  size_t i = BucketFor(e, v);
   counts_[i].fetch_add(1, std::memory_order_relaxed);
 }
 
 double LogHistogram::Quantile(double q) const {
-  std::vector<uint64_t> counts(counts_.size());
-  uint64_t in_range = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts[i] = counts_[i].load(std::memory_order_relaxed);
-    in_range += counts[i];
-  }
-  uint64_t over = overflow_.load(std::memory_order_relaxed);
-  // Total from the cells themselves, so a snapshot racing with Record()
-  // stays internally consistent.
-  return bucketing::QuantileFromCounts(edges(), counts.data(), /*underflow=*/0,
-                                       over, in_range + over, q);
-}
-
-std::string LogHistogram::ToString() const {
-  std::vector<uint64_t> counts(counts_.size());
-  uint64_t in_range = 0;
-  double min_seen = 0.0, max_seen = 0.0;
-  bool any = false;
-  const std::vector<double>& e = edges();
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts[i] = counts_[i].load(std::memory_order_relaxed);
-    in_range += counts[i];
-    if (counts[i] > 0) {
-      if (!any) min_seen = e[i];
-      max_seen = e[i + 1];
-      any = true;
-    }
-  }
-  double m = in_range ? static_cast<double>(sum()) /
-                            static_cast<double>(in_range)
-                      : 0.0;
-  return bucketing::RenderCounts(e, counts.data(), in_range, m, min_seen,
-                                 max_seen);
+  std::vector<uint64_t> cells;
+  uint64_t overflow = 0;
+  SnapshotCells(&cells, &overflow);
+  // Total from the copy itself, so a read racing with Record() stays
+  // internally consistent.
+  uint64_t total = overflow;
+  for (uint64_t n : cells) total += n;
+  return QuantileFromCells(BucketEdges(), cells, total, q);
 }
 
 MetricRegistry& MetricRegistry::Global() {
@@ -165,76 +173,52 @@ void MetricRegistry::ListCounters(
   }
 }
 
-MetricsSnapshot MetricRegistry::Snapshot() const {
+Json MetricRegistry::Snapshot() const {
   MutexLock lock(mu_);
-  MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
+  Json counters = Json::Object();
   for (const auto& [name, c] : counters_) {
-    snap.counters.push_back(CounterSample{name, c->Value()});
+    Json entry = Json::Object();
+    entry["total"] = c->Value();
+    counters[name] = std::move(entry);
   }
-  snap.gauges.reserve(gauges_.size());
+  Json gauges = Json::Object();
   for (const auto& [name, g] : gauges_) {
-    snap.gauges.push_back(GaugeSample{name, g->Value()});
+    gauges[name] = g->Value();
   }
-  snap.histograms.reserve(histograms_.size());
+  Json histograms = Json::Object();
+  const std::vector<double>& edges = LogHistogram::BucketEdges();
+  std::vector<uint64_t> cells;
   for (const auto& [name, h] : histograms_) {
-    HistogramSample s;
-    s.name = name;
-    s.count = h->count();
-    s.mean = h->mean();
-    s.p50 = h->P50();
-    s.p95 = h->P95();
-    s.p99 = h->P99();
-    snap.histograms.push_back(std::move(s));
+    uint64_t overflow = 0;
+    h->SnapshotCells(&cells, &overflow);
+    const uint64_t sum = h->sum();
+    uint64_t count = overflow;
+    Json nonempty = Json::Array();
+    for (size_t i = 0; i < cells.size(); ++i) {
+      if (cells[i] == 0) continue;
+      count += cells[i];
+      Json cell = Json::Array();
+      cell.Append(edges[i + 1]);
+      cell.Append(cells[i]);
+      nonempty.Append(std::move(cell));
+    }
+    Json entry = Json::Object();
+    entry["count"] = count;
+    entry["mean"] = count ? static_cast<double>(sum) /
+                                static_cast<double>(count)
+                          : 0.0;
+    entry["p50"] = QuantileFromCells(edges, cells, count, 0.50);
+    entry["p95"] = QuantileFromCells(edges, cells, count, 0.95);
+    entry["p99"] = QuantileFromCells(edges, cells, count, 0.99);
+    entry["sum"] = sum;
+    entry["cells"] = std::move(nonempty);
+    entry["overflow"] = overflow;
+    histograms[name] = std::move(entry);
   }
-  return snap;
-}
-
-std::string MetricsSnapshot::ToText() const {
-  std::string out;
-  char line[256];
-  for (const CounterSample& c : counters) {
-    out += c.name + " " + std::to_string(c.total) + "\n";
-  }
-  for (const GaugeSample& g : gauges) {
-    out += g.name + " " + FormatDouble(g.value) + "\n";
-  }
-  for (const HistogramSample& h : histograms) {
-    std::snprintf(line, sizeof(line),
-                  "%s count=%llu mean=%s p50=%s p95=%s p99=%s\n",
-                  h.name.c_str(), static_cast<unsigned long long>(h.count),
-                  FormatDouble(h.mean).c_str(), FormatDouble(h.p50).c_str(),
-                  FormatDouble(h.p95).c_str(), FormatDouble(h.p99).c_str());
-    out += line;
-  }
-  return out;
-}
-
-Json MetricsSnapshot::ToJson() const {
   Json root = Json::Object();
-  Json jc = Json::Object();
-  for (const CounterSample& c : counters) {
-    Json entry = Json::Object();
-    entry["total"] = c.total;
-    jc[c.name] = std::move(entry);
-  }
-  root["counters"] = std::move(jc);
-  Json jg = Json::Object();
-  for (const GaugeSample& g : gauges) {
-    jg[g.name] = g.value;
-  }
-  root["gauges"] = std::move(jg);
-  Json jh = Json::Object();
-  for (const HistogramSample& h : histograms) {
-    Json entry = Json::Object();
-    entry["count"] = h.count;
-    entry["mean"] = h.mean;
-    entry["p50"] = h.p50;
-    entry["p95"] = h.p95;
-    entry["p99"] = h.p99;
-    jh[h.name] = std::move(entry);
-  }
-  root["histograms"] = std::move(jh);
+  root["counters"] = std::move(counters);
+  root["gauges"] = std::move(gauges);
+  root["histograms"] = std::move(histograms);
   return root;
 }
 

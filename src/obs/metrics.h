@@ -1,12 +1,14 @@
 // Process-wide metrics registry: named counters, gauges and log-linear
-// histograms that every subsystem publishes into and every tool exports
-// from (msv_inspect --metrics, bench BENCH_*.json records, trace spans).
+// histograms that every subsystem publishes into. Snapshot() is the one
+// read path: the JSON object the poller's export line carries, which
+// BENCH_*.json records embed, msv_top renders (and turns into Prometheus
+// exposition with --prom) and msv_inspect --metrics prints. Trace spans
+// read counters directly through ListCounters.
 //
 // Hot-path cost model: a registered Counter* is fetched once (mutex under
 // the registration map) and then bumped with a relaxed atomic add — cheap
 // enough for per-I/O instrumentation. Histograms use atomic bucket
-// counters; snapshot/export paths copy counts and reuse the shared
-// bucket math from util/histogram (one implementation, two facades).
+// counters; a snapshot copies each histogram's cells once.
 //
 // There are no resets: every counter is a monotone total for the
 // lifetime of the process. A reader that wants a window (a rate, one
@@ -24,7 +26,6 @@
 #include <vector>
 
 #include "obs/json.h"
-#include "util/histogram.h"
 #include "util/sync.h"
 
 namespace msv::obs {
@@ -69,64 +70,24 @@ class LogHistogram {
     return n ? static_cast<double>(sum()) / static_cast<double>(n) : 0.0;
   }
 
-  /// Interpolated quantile/percentiles via the shared bucket math.
+  /// Interpolated quantile, q in [0, 1], from one copy of the cells.
   double Quantile(double q) const;
-  double Percentile(double p) const { return Quantile(p / 100.0); }
-  double P50() const { return Percentile(50); }
-  double P95() const { return Percentile(95); }
-  double P99() const { return Percentile(99); }
-
-  std::string ToString() const;
 
   /// The shared cell upper/lower edges every LogHistogram buckets with:
   /// edges[i], edges[i+1] bound cell i; BucketEdges().size() - 1 cells.
   static const std::vector<double>& BucketEdges();
 
   /// Copies the per-cell loads (size BucketEdges().size() - 1) and the
-  /// overflow count (values >= edges.back()) for exporters that need the
-  /// raw distribution, e.g. Prometheus cumulative buckets. Each cell is
-  /// read once with relaxed loads — same consistency as Quantile().
+  /// overflow count (values >= edges.back()). Each cell is read once
+  /// with relaxed loads, so a copy racing with Record() is consistent
+  /// with itself but may trail count() and sum().
   void SnapshotCells(std::vector<uint64_t>* counts, uint64_t* overflow) const;
 
  private:
-  const std::vector<double>& edges() const;
-
   std::vector<std::atomic<uint64_t>> counts_;
   std::atomic<uint64_t> overflow_{0};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
-};
-
-/// One counter's view inside a snapshot.
-struct CounterSample {
-  std::string name;
-  uint64_t total = 0;  ///< since process start
-};
-
-struct GaugeSample {
-  std::string name;
-  double value = 0.0;
-};
-
-struct HistogramSample {
-  std::string name;
-  uint64_t count = 0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
-
-/// A consistent-enough view of the registry: every metric sampled once,
-/// in sorted name order, under the registration lock.
-struct MetricsSnapshot {
-  std::vector<CounterSample> counters;
-  std::vector<GaugeSample> gauges;
-  std::vector<HistogramSample> histograms;
-
-  /// Prometheus-flavoured text: one `name value` line per metric.
-  std::string ToText() const;
-  Json ToJson() const;
 };
 
 class MetricRegistry {
@@ -150,21 +111,24 @@ class MetricRegistry {
       const std::string& name,
       const std::vector<std::pair<std::string, std::string>>& labels);
 
-  /// Samples every metric once under the registration lock. Counters
-  /// use relaxed atomics, so a snapshot taken while another thread
+  /// Samples every metric once under the registration lock, in sorted
+  /// name order, as the export line's metrics object:
+  ///
+  ///   {"counters":   {name: {"total": n}},
+  ///    "gauges":     {name: v},
+  ///    "histograms": {name: {"count", "mean", "p50", "p95", "p99",
+  ///                          "sum", "cells": [[le, n], ...], "overflow"}}}
+  ///
+  /// A histogram's "cells" are its non-empty cells, each as the cell's
+  /// upper edge and its load; "count" is their loads plus "overflow",
+  /// and the quantiles come from the same copy. Counters use relaxed
+  /// atomics, so a snapshot taken while another thread
   /// updates several counters (io.disk.reads and io.disk.busy_us from
   /// one access) may see one bumped and not the other; each counter on
   /// its own never goes backwards between snapshots. Callers that need
   /// exact cross-counter agreement quiesce writers first or read the
   /// per-object struct totals, which are taken under the owning lock.
-  MetricsSnapshot Snapshot() const;
-
-  /// Prometheus text exposition (version 0.0.4) of every registered
-  /// metric: names sanitized to [a-zA-Z_:][a-zA-Z0-9_:]* with an msv_
-  /// prefix, counters as `_total`, histograms as cumulative
-  /// `_bucket{le=...}` / `_sum` / `_count` series. Defined in
-  /// obs/prometheus.cc; format pinned by the golden/parse-back tests.
-  std::string DumpPrometheus() const;
+  Json Snapshot() const;
 
   /// Counter list for trace-span delta capture: (name, counter) pairs in
   /// sorted name order. `version()` changes whenever a metric is

@@ -2,14 +2,15 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-
-#include "obs/metrics.h"
-#include "util/logging.h"
+#include <map>
+#include <utility>
+#include <vector>
 
 namespace msv::obs {
 
 namespace {
+
+using Labels = std::vector<std::pair<std::string, std::string>>;
 
 bool IsNameStart(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_' ||
@@ -17,14 +18,6 @@ bool IsNameStart(char c) {
 }
 
 bool IsNameChar(char c) { return IsNameStart(c) || (c >= '0' && c <= '9'); }
-
-bool IsValidName(const std::string& s) {
-  if (s.empty() || !IsNameStart(s[0])) return false;
-  for (char c : s) {
-    if (!IsNameChar(c)) return false;
-  }
-  return true;
-}
 
 std::string FormatValue(double v) {
   char buf[64];
@@ -58,7 +51,7 @@ std::string EscapeLabelValue(const std::string& v) {
 /// ("name{k1=v1,k2=v2}") into base name and label pairs. Names without
 /// a '{' come back label-free.
 void SplitLabeled(const std::string& series, std::string* base,
-                  std::vector<std::pair<std::string, std::string>>* labels) {
+                  Labels* labels) {
   labels->clear();
   size_t brace = series.find('{');
   if (brace == std::string::npos || series.back() != '}') {
@@ -92,8 +85,7 @@ std::string SanitizeLabelName(const std::string& name) {
   return out;
 }
 
-std::string RenderLabels(
-    const std::vector<std::pair<std::string, std::string>>& labels) {
+std::string RenderLabels(const Labels& labels) {
   if (labels.empty()) return "";
   std::string out = "{";
   for (size_t i = 0; i < labels.size(); ++i) {
@@ -103,6 +95,49 @@ std::string RenderLabels(
   }
   out += "}";
   return out;
+}
+
+/// One series of a family: its labels and its value in the snapshot.
+struct Series {
+  Labels labels;
+  const Json* value;
+};
+
+struct Family {
+  std::string name;
+  std::vector<Series> series;
+};
+
+/// The series of one snapshot section ("counters", "gauges" or
+/// "histograms") grouped by Prometheus family, families in the order
+/// they first appear. Series of one family need not be adjacent in the
+/// snapshot's name order: "a.b" < "a.b.c" < "a.b{k=v}".
+std::vector<Family> GroupByFamily(const Json* section,
+                                  const std::string& suffix) {
+  std::vector<Family> families;
+  if (section == nullptr) return families;
+  std::map<std::string, size_t> index;
+  for (const auto& [series, value] : section->members()) {
+    std::string base;
+    Labels labels;
+    SplitLabeled(series, &base, &labels);
+    std::string name = PrometheusName(base) + suffix;
+    auto [it, inserted] = index.emplace(name, families.size());
+    if (inserted) families.push_back(Family{std::move(name), {}});
+    families[it->second].series.push_back(Series{std::move(labels), &value});
+  }
+  return families;
+}
+
+/// A numeric member, 0 when absent.
+double Number(const Json& object, const std::string& key) {
+  const Json* v = object.Find(key);
+  return v != nullptr ? v->AsNumber() : 0.0;
+}
+
+std::string SampleLine(const std::string& name, const Labels& labels,
+                       double value) {
+  return name + RenderLabels(labels) + " " + FormatValue(value) + "\n";
 }
 
 }  // namespace
@@ -116,357 +151,47 @@ std::string PrometheusName(const std::string& name) {
   return out;
 }
 
-std::string MetricRegistry::DumpPrometheus() const {
-  MutexLock lock(mu_);
+std::string RenderPrometheus(const Json& metrics) {
   std::string out;
-  // Counters. Registry names sort adjacent for a labelled family
-  // ("x" < "x{...}" < "x2" does not hold in general, so families are
-  // tracked explicitly to emit exactly one TYPE line each).
-  std::string last_family;
-  for (const auto& [series, c] : counters_) {
-    std::string base;
-    std::vector<std::pair<std::string, std::string>> labels;
-    SplitLabeled(series, &base, &labels);
-    std::string family = PrometheusName(base) + "_total";
-    if (family != last_family) {
-      out += "# TYPE " + family + " counter\n";
-      last_family = family;
+  for (const Family& f : GroupByFamily(metrics.Find("counters"), "_total")) {
+    out += "# TYPE " + f.name + " counter\n";
+    for (const Series& s : f.series) {
+      out += SampleLine(f.name, s.labels, Number(*s.value, "total"));
     }
-    out += family + RenderLabels(labels) + " " +
-           FormatValue(static_cast<double>(c->Value())) + "\n";
   }
-  last_family.clear();
-  for (const auto& [series, g] : gauges_) {
-    std::string base;
-    std::vector<std::pair<std::string, std::string>> labels;
-    SplitLabeled(series, &base, &labels);
-    std::string family = PrometheusName(base);
-    if (family != last_family) {
-      out += "# TYPE " + family + " gauge\n";
-      last_family = family;
+  for (const Family& f : GroupByFamily(metrics.Find("gauges"), "")) {
+    out += "# TYPE " + f.name + " gauge\n";
+    for (const Series& s : f.series) {
+      out += SampleLine(f.name, s.labels, s.value->AsNumber());
     }
-    out += family + RenderLabels(labels) + " " + FormatValue(g->Value()) +
-           "\n";
   }
-  const std::vector<double>& edges = LogHistogram::BucketEdges();
-  for (const auto& [series, h] : histograms_) {
-    std::string base;
-    std::vector<std::pair<std::string, std::string>> labels;
-    SplitLabeled(series, &base, &labels);
-    std::string family = PrometheusName(base);
-    out += "# TYPE " + family + " histogram\n";
-    std::vector<uint64_t> cells;
-    uint64_t overflow = 0;
-    h->SnapshotCells(&cells, &overflow);
-    // Cumulative buckets only at the upper edges of non-empty cells:
-    // the full 160-cell grid would bloat every scrape, and cumulative
-    // semantics make the skipped (empty) boundaries recoverable.
-    uint64_t cum = 0;
-    for (size_t i = 0; i < cells.size(); ++i) {
-      if (cells[i] == 0) continue;
-      cum += cells[i];
-      std::vector<std::pair<std::string, std::string>> ls = labels;
-      ls.emplace_back("le", FormatValue(edges[i + 1]));
-      out += family + "_bucket" + RenderLabels(ls) + " " +
-             FormatValue(static_cast<double>(cum)) + "\n";
-    }
-    uint64_t total = cum + overflow;
-    {
-      std::vector<std::pair<std::string, std::string>> ls = labels;
+  for (const Family& f : GroupByFamily(metrics.Find("histograms"), "")) {
+    out += "# TYPE " + f.name + " histogram\n";
+    for (const Series& s : f.series) {
+      // Cumulative buckets only at the upper edges of non-empty cells:
+      // the full 160-cell grid would bloat every scrape, and cumulative
+      // semantics make the skipped (empty) boundaries recoverable.
+      double cum = 0;
+      if (const Json* cells = s.value->Find("cells")) {
+        for (const Json& cell : cells->items()) {
+          if (cell.size() != 2) continue;
+          cum += cell.at(1).AsNumber();
+          Labels ls = s.labels;
+          ls.emplace_back("le", FormatValue(cell.at(0).AsNumber()));
+          out += SampleLine(f.name + "_bucket", ls, cum);
+        }
+      }
+      // _count mirrors the +Inf bucket (derived from the cells) so the
+      // document is consistent even when Record() raced the snapshot.
+      const double total = cum + Number(*s.value, "overflow");
+      Labels ls = s.labels;
       ls.emplace_back("le", "+Inf");
-      out += family + "_bucket" + RenderLabels(ls) + " " +
-             FormatValue(static_cast<double>(total)) + "\n";
+      out += SampleLine(f.name + "_bucket", ls, total);
+      out += SampleLine(f.name + "_sum", s.labels, Number(*s.value, "sum"));
+      out += SampleLine(f.name + "_count", s.labels, total);
     }
-    // _count mirrors the +Inf bucket (cell-derived) so the document is
-    // internally consistent even when Record() races the dump.
-    out += family + "_sum" + RenderLabels(labels) + " " +
-           FormatValue(static_cast<double>(h->sum())) + "\n";
-    out += family + "_count" + RenderLabels(labels) + " " +
-           FormatValue(static_cast<double>(total)) + "\n";
   }
   return out;
-}
-
-namespace {
-
-/// Cursor over one sample line.
-class LineParser {
- public:
-  LineParser(const std::string& line, size_t lineno)
-      : line_(line), lineno_(lineno) {}
-
-  Status Error(const std::string& what) const {
-    return Status::InvalidArgument("prom line " + std::to_string(lineno_) +
-                                   ": " + what + " in '" + line_ + "'");
-  }
-
-  Result<PromSample> Parse() {
-    PromSample s;
-    size_t start = pos_;
-    while (pos_ < line_.size() && IsNameChar(line_[pos_])) ++pos_;
-    s.name = line_.substr(start, pos_ - start);
-    if (!IsValidName(s.name)) return Error("bad metric name");
-    if (pos_ < line_.size() && line_[pos_] == '{') {
-      ++pos_;
-      MSV_RETURN_IF_ERROR(ParseLabels(&s.labels));
-    }
-    SkipSpace();
-    if (pos_ >= line_.size()) return Error("missing value");
-    start = pos_;
-    while (pos_ < line_.size() && !IsSpace(line_[pos_])) ++pos_;
-    std::string value = line_.substr(start, pos_ - start);
-    if (value == "+Inf" || value == "Inf") {
-      s.value = HUGE_VAL;
-    } else if (value == "-Inf") {
-      s.value = -HUGE_VAL;
-    } else if (value == "NaN") {
-      s.value = NAN;
-    } else {
-      char* end = nullptr;
-      s.value = std::strtod(value.c_str(), &end);
-      if (end != value.c_str() + value.size()) return Error("bad value");
-    }
-    SkipSpace();
-    if (pos_ < line_.size()) {
-      // Optional millisecond timestamp.
-      start = pos_;
-      while (pos_ < line_.size() && !IsSpace(line_[pos_])) ++pos_;
-      std::string ts = line_.substr(start, pos_ - start);
-      char* end = nullptr;
-      (void)std::strtoll(ts.c_str(), &end, 10);  // NOLINT(msv-status-ignored) only `end` matters
-      if (end != ts.c_str() + ts.size()) return Error("bad timestamp");
-      SkipSpace();
-      if (pos_ < line_.size()) return Error("trailing characters");
-    }
-    return s;
-  }
-
- private:
-  static bool IsSpace(char c) { return c == ' ' || c == '\t'; }
-
-  void SkipSpace() {
-    while (pos_ < line_.size() && IsSpace(line_[pos_])) ++pos_;
-  }
-
-  Status ParseLabels(
-      std::vector<std::pair<std::string, std::string>>* labels) {
-    SkipSpace();
-    if (pos_ < line_.size() && line_[pos_] == '}') {
-      ++pos_;
-      return Status::OK();
-    }
-    for (;;) {
-      SkipSpace();
-      size_t start = pos_;
-      while (pos_ < line_.size() && IsNameChar(line_[pos_]) &&
-             line_[pos_] != ':') {
-        ++pos_;
-      }
-      std::string name = line_.substr(start, pos_ - start);
-      if (name.empty() || !IsNameStart(name[0])) {
-        return Error("bad label name");
-      }
-      SkipSpace();
-      if (pos_ >= line_.size() || line_[pos_] != '=') {
-        return Error("expected '='");
-      }
-      ++pos_;
-      SkipSpace();
-      if (pos_ >= line_.size() || line_[pos_] != '"') {
-        return Error("expected '\"'");
-      }
-      ++pos_;
-      std::string value;
-      while (pos_ < line_.size() && line_[pos_] != '"') {
-        char c = line_[pos_++];
-        if (c == '\\') {
-          if (pos_ >= line_.size()) return Error("bad label escape");
-          char e = line_[pos_++];
-          if (e == 'n') {
-            value.push_back('\n');
-          } else if (e == '\\' || e == '"') {
-            value.push_back(e);
-          } else {
-            return Error("bad label escape");
-          }
-        } else {
-          value.push_back(c);
-        }
-      }
-      if (pos_ >= line_.size()) return Error("unterminated label value");
-      ++pos_;  // closing quote
-      labels->emplace_back(std::move(name), std::move(value));
-      SkipSpace();
-      if (pos_ < line_.size() && line_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (pos_ < line_.size() && line_[pos_] == '}') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Error("expected ',' or '}'");
-    }
-  }
-
-  const std::string& line_;
-  size_t lineno_;
-  size_t pos_ = 0;
-};
-
-bool IsKnownType(const std::string& t) {
-  return t == "counter" || t == "gauge" || t == "histogram" ||
-         t == "summary" || t == "untyped";
-}
-
-/// The family a sample with `name` belongs to, given the declared
-/// families: exact match, or for histograms/summaries the name with a
-/// `_bucket`/`_sum`/`_count` suffix stripped.
-PromFamily* FamilyFor(std::vector<PromFamily>* families,
-                      const std::string& name) {
-  for (PromFamily& f : *families) {
-    if (f.name == name) return &f;
-    if (f.type == "histogram" || f.type == "summary") {
-      if (name == f.name + "_bucket" || name == f.name + "_sum" ||
-          name == f.name + "_count") {
-        return &f;
-      }
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-Result<std::vector<PromFamily>> ParsePrometheusText(const std::string& text) {
-  std::vector<PromFamily> families;
-  size_t lineno = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) nl = text.size();
-    std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    ++lineno;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      // Only "# TYPE name kind" is structural; HELP and free comments
-      // pass through.
-      if (line.compare(0, 7, "# TYPE ") == 0) {
-        std::string rest = line.substr(7);
-        size_t sp = rest.find(' ');
-        if (sp == std::string::npos) {
-          return Status::InvalidArgument("prom line " +
-                                         std::to_string(lineno) +
-                                         ": TYPE missing kind");
-        }
-        PromFamily f;
-        f.name = rest.substr(0, sp);
-        f.type = rest.substr(sp + 1);
-        if (!IsValidName(f.name)) {
-          return Status::InvalidArgument("prom line " +
-                                         std::to_string(lineno) +
-                                         ": bad family name '" + f.name + "'");
-        }
-        if (!IsKnownType(f.type)) {
-          return Status::InvalidArgument("prom line " +
-                                         std::to_string(lineno) +
-                                         ": unknown type '" + f.type + "'");
-        }
-        for (const PromFamily& existing : families) {
-          if (existing.name == f.name) {
-            return Status::InvalidArgument(
-                "prom line " + std::to_string(lineno) +
-                ": duplicate TYPE for '" + f.name + "'");
-          }
-        }
-        families.push_back(std::move(f));
-      }
-      continue;
-    }
-    MSV_ASSIGN_OR_RETURN(PromSample s, LineParser(line, lineno).Parse());
-    PromFamily* f = FamilyFor(&families, s.name);
-    if (!f) {
-      return Status::InvalidArgument("prom line " + std::to_string(lineno) +
-                                     ": sample '" + s.name +
-                                     "' has no preceding TYPE");
-    }
-    f->samples.push_back(std::move(s));
-  }
-  return families;
-}
-
-Status ValidatePrometheusText(const std::string& text) {
-  MSV_ASSIGN_OR_RETURN(std::vector<PromFamily> families,
-                       ParsePrometheusText(text));
-  for (const PromFamily& f : families) {
-    if (f.samples.empty()) {
-      return Status::InvalidArgument("prom family '" + f.name +
-                                     "' declared but has no samples");
-    }
-    if (f.type == "counter") {
-      if (f.name.size() < 6 ||
-          f.name.compare(f.name.size() - 6, 6, "_total") != 0) {
-        return Status::InvalidArgument("prom counter '" + f.name +
-                                       "' not named *_total");
-      }
-      for (const PromSample& s : f.samples) {
-        if (s.value < 0) {
-          return Status::InvalidArgument("prom counter '" + f.name +
-                                         "' has negative sample");
-        }
-      }
-    }
-    if (f.type == "histogram") {
-      double prev_le = -HUGE_VAL;
-      double prev_cum = -1.0;
-      double inf_bucket = -1.0;
-      double count = -1.0;
-      bool saw_sum = false;
-      for (const PromSample& s : f.samples) {
-        if (s.name == f.name + "_bucket") {
-          const std::string* le = nullptr;
-          for (const auto& [k, v] : s.labels) {
-            if (k == "le") le = &v;
-          }
-          if (!le) {
-            return Status::InvalidArgument("prom histogram '" + f.name +
-                                           "' bucket without le label");
-          }
-          double edge =
-              (*le == "+Inf") ? HUGE_VAL : std::strtod(le->c_str(), nullptr);
-          if (edge <= prev_le) {
-            return Status::InvalidArgument("prom histogram '" + f.name +
-                                           "' buckets not in le order");
-          }
-          if (s.value < prev_cum) {
-            return Status::InvalidArgument("prom histogram '" + f.name +
-                                           "' buckets not cumulative");
-          }
-          prev_le = edge;
-          prev_cum = s.value;
-          if (std::isinf(edge)) inf_bucket = s.value;
-        } else if (s.name == f.name + "_sum") {
-          saw_sum = true;
-        } else if (s.name == f.name + "_count") {
-          count = s.value;
-        }
-      }
-      if (inf_bucket < 0) {
-        return Status::InvalidArgument("prom histogram '" + f.name +
-                                       "' missing +Inf bucket");
-      }
-      if (!saw_sum || count < 0) {
-        return Status::InvalidArgument("prom histogram '" + f.name +
-                                       "' missing _sum or _count");
-      }
-      if (count != inf_bucket) {
-        return Status::InvalidArgument("prom histogram '" + f.name +
-                                       "' _count != +Inf bucket");
-      }
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace msv::obs

@@ -1,22 +1,20 @@
-// Prometheus text-exposition helpers: the exporter itself lives on
-// MetricRegistry::DumpPrometheus() (declared in obs/metrics.h, defined
-// here in prometheus.cc); this header adds the name mangling and a
-// strict parser/validator used by the format tests and the bench-smoke
-// CI gate, so a malformed dump fails in-tree instead of at scrape time.
+// Prometheus text exposition (format 0.0.4) of a metrics snapshot: the
+// JSON object MetricRegistry::Snapshot() returns and the poller's export
+// line carries under "metrics". `msv_top FILE --prom` renders the newest
+// export line with it, which makes a running `msv_serve --metrics-file`
+// scrapable through a node_exporter textfile collector.
 //
-// Exposition format 0.0.4: `# TYPE family kind` comment lines followed
-// by `name{label="value",...} value` samples; counter families end in
+// Each metric family gets one `# TYPE family kind` line followed by its
+// `name{label="value",...} value` samples; counter families end in
 // `_total`, histogram families expand to cumulative `_bucket{le=...}`
-// plus `_sum`/`_count`.
+// plus `_sum`/`_count` per series.
 
 #ifndef MSV_OBS_PROMETHEUS_H_
 #define MSV_OBS_PROMETHEUS_H_
 
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "util/result.h"
+#include "obs/json.h"
 
 namespace msv::obs {
 
@@ -26,33 +24,13 @@ namespace msv::obs {
 /// series (MetricRegistry::Labeled) must be split before sanitizing.
 std::string PrometheusName(const std::string& name);
 
-/// One exposition sample line, parsed.
-struct PromSample {
-  std::string name;
-  std::vector<std::pair<std::string, std::string>> labels;
-  double value = 0.0;
-};
-
-/// One metric family: the `# TYPE` declaration plus its samples (for
-/// histograms that includes the `_bucket`/`_sum`/`_count` series).
-struct PromFamily {
-  std::string name;
-  std::string type;  ///< counter | gauge | histogram | untyped
-  std::vector<PromSample> samples;
-};
-
-/// Strict parse of a text-exposition document: every non-comment line
-/// must be a well-formed sample (valid metric name, quoted label
-/// values, finite-or-Inf value), every sample must belong to a family
-/// declared by a preceding `# TYPE` line. Returns the families in
-/// declaration order.
-Result<std::vector<PromFamily>> ParsePrometheusText(const std::string& text);
-
-/// Parse + semantic checks: counter families named `*_total`, histogram
-/// `_bucket` series cumulative and non-decreasing in `le` order with a
-/// `+Inf` bucket equal to `_count`. OK iff a Prometheus server would
-/// ingest the document.
-Status ValidatePrometheusText(const std::string& text);
+/// The exposition text of a snapshot. Series whose names sanitize to
+/// one family are grouped under that family's single TYPE line, in the
+/// order the family first appears; a histogram emits cumulative buckets
+/// only at the upper edges of its non-empty cells. A pure function of
+/// `metrics`, so a snapshot parsed back from an export line renders the
+/// same bytes as the registry it was taken from.
+std::string RenderPrometheus(const Json& metrics);
 
 }  // namespace msv::obs
 

@@ -8,14 +8,11 @@
 
 namespace msv::obs {
 
-Json ExportPointJson(uint64_t ts_us, const MetricsSnapshot& snapshot,
-                     bool include_slow_queries) {
+Json ExportPointJson(uint64_t ts_us, Json metrics) {
   Json j = Json::Object();
   j["ts_us"] = ts_us;
-  j["metrics"] = snapshot.ToJson();
-  if (include_slow_queries) {
-    j["slow_queries"] = SlowQueryLog::Global().ToJson();
-  }
+  j["metrics"] = std::move(metrics);
+  j["slow_queries"] = SlowQueryLog::Global().ToJson();
   return j;
 }
 
@@ -61,9 +58,7 @@ void MetricsPoller::ThreadMain() {
 
 void MetricsPoller::PollOnce() {
   std::string line =
-      ExportPointJson(WallTimeUs(), registry_->Snapshot(),
-                      /*include_slow_queries=*/true)
-          .Dump();
+      ExportPointJson(WallTimeUs(), registry_->Snapshot()).Dump();
   line.push_back('\n');
   std::fwrite(line.data(), 1, line.size(), file_.get());
   std::fflush(file_.get());

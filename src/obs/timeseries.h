@@ -74,10 +74,10 @@ class MetricsPoller {
   std::thread thread_;
 };
 
-/// Renders one poll (plus optional slow-query tail) as the JSON-lines
-/// export object msv_top parses; the poller always includes the tail.
-Json ExportPointJson(uint64_t ts_us, const MetricsSnapshot& snapshot,
-                     bool include_slow_queries);
+/// One export line: {"ts_us", "metrics", "slow_queries"}, where
+/// `metrics` is a MetricRegistry::Snapshot() and `slow_queries` the
+/// SlowQueryLog's tail. msv_top parses it.
+Json ExportPointJson(uint64_t ts_us, Json metrics);
 
 }  // namespace msv::obs
 

@@ -267,10 +267,12 @@ TEST(ObsConcurrencyTest, TotalsStayMonotoneUnderConcurrentWriters) {
   // a well-defined window.
   std::map<std::string, uint64_t> last_total;
   for (int i = 0; i < 300; ++i) {
-    obs::MetricsSnapshot snap = registry.Snapshot();
-    for (const obs::CounterSample& c : snap.counters) {
-      EXPECT_GE(c.total, last_total[c.name]) << c.name;
-      last_total[c.name] = c.total;
+    const obs::Json snap = registry.Snapshot();
+    for (const auto& [name, entry] : snap.Find("counters")->members()) {
+      const auto total =
+          static_cast<uint64_t>(entry.Find("total")->AsNumber());
+      EXPECT_GE(total, last_total[name]) << name;
+      last_total[name] = total;
     }
   }
   stop.store(true);

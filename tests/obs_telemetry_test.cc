@@ -1,7 +1,8 @@
 // Tests for the telemetry half of the obs stack: the MetricsPoller
 // export thread (observed through the JSON-lines file msv_top tails;
 // the CI tsan job runs these), and the Prometheus text exposition
-// (golden output, parse-back round trip, semantic validation).
+// rendered from an export line (golden output, parse-back round trip,
+// semantic validation with the parser in tests/prometheus_text.h).
 
 #include <atomic>
 #include <chrono>
@@ -18,6 +19,7 @@
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
 #include "obs/timeseries.h"
+#include "prometheus_text.h"
 #include "test_util.h"
 
 namespace msv::obs {
@@ -45,6 +47,13 @@ double CounterTotal(const Json& line, const std::string& name) {
   const Json* entry =
       line.Find("metrics")->Find("counters")->Find(name);
   return entry != nullptr ? entry->Find("total")->AsNumber() : 0.0;
+}
+
+/// The exposition a scraper of `msv_top --prom` sees for `reg` now: its
+/// snapshot, written as an export line, parsed back and rendered.
+std::string RenderExportLine(const MetricRegistry& reg) {
+  const std::string line = ExportPointJson(0, reg.Snapshot()).Dump();
+  return RenderPrometheus(*ValueOrDie(Json::Parse(line)).Find("metrics"));
 }
 
 /// Spins until the poller has appended `n` lines (5 s cap).
@@ -260,17 +269,13 @@ TEST(MetricsPollerTest, ExportFileParsesBackPointByPoint) {
 }
 
 TEST(ExportPointJsonTest, SchemaMatchesWhatMsvTopParses) {
-  MetricsSnapshot snapshot;
-  snapshot.counters.push_back(CounterSample{"io.disk.reads", 99});
-  Json j = ExportPointJson(1'234'567, snapshot,
-                           /*include_slow_queries=*/false);
+  MetricRegistry reg;
+  reg.GetCounter("io.disk.reads")->Add(99);
+  Json j = ExportPointJson(1'234'567, reg.Snapshot());
   EXPECT_DOUBLE_EQ(j.Find("ts_us")->AsNumber(), 1'234'567.0);
   ASSERT_NE(j.Find("metrics"), nullptr);
   EXPECT_DOUBLE_EQ(CounterTotal(j, "io.disk.reads"), 99.0);
-  EXPECT_EQ(j.Find("slow_queries"), nullptr);
-  Json with = ExportPointJson(1'234'567, snapshot,
-                              /*include_slow_queries=*/true);
-  ASSERT_NE(with.Find("slow_queries"), nullptr);
+  ASSERT_NE(j.Find("slow_queries"), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -291,7 +296,7 @@ TEST(PrometheusTest, GoldenDumpForSmallRegistry) {
   MetricRegistry reg;
   reg.GetCounter("io.disk.reads")->Add(17);
   reg.GetGauge("io.pool.resident_pages")->Set(12.5);
-  EXPECT_EQ(reg.DumpPrometheus(),
+  EXPECT_EQ(RenderExportLine(reg),
             "# TYPE msv_io_disk_reads_total counter\n"
             "msv_io_disk_reads_total 17\n"
             "# TYPE msv_io_pool_resident_pages gauge\n"
@@ -302,7 +307,7 @@ TEST(PrometheusTest, LabeledSeriesSplitIntoLabels) {
   MetricRegistry reg;
   reg.GetCounter(MetricRegistry::Labeled("io.disk.reads", {{"dev", "0"}}))
       ->Add(3);
-  std::string text = reg.DumpPrometheus();
+  std::string text = RenderExportLine(reg);
   EXPECT_NE(text.find("msv_io_disk_reads_total{dev=\"0\"} 3"),
             std::string::npos);
   auto families = ValueOrDie(ParsePrometheusText(text));
@@ -319,7 +324,7 @@ TEST(PrometheusTest, HistogramBucketsAreCumulativeAndValid) {
   for (uint64_t v : {10, 10, 100, 1000, 5000}) h->Record(v);
   // One overflow sample past the 2^40 grid top.
   h->Record(1ull << 41);
-  std::string text = reg.DumpPrometheus();
+  std::string text = RenderExportLine(reg);
 
   ASSERT_TRUE(ValidatePrometheusText(text).ok()) << text;
   auto families = ValueOrDie(ParsePrometheusText(text));
@@ -358,7 +363,7 @@ TEST(PrometheusTest, FullRegistryRoundTripsAndValidates) {
   LogHistogram* h = reg.GetHistogram("io.disk.access_us");
   for (uint64_t v = 1; v <= 300; ++v) h->Record(v * 7);
 
-  std::string text = reg.DumpPrometheus();
+  std::string text = RenderExportLine(reg);
   ASSERT_TRUE(ValidatePrometheusText(text).ok()) << text;
 
   auto families = ValueOrDie(ParsePrometheusText(text));
@@ -371,6 +376,75 @@ TEST(PrometheusTest, FullRegistryRoundTripsAndValidates) {
   EXPECT_EQ(counters, 3u);
   EXPECT_EQ(gauges, 2u);
   EXPECT_EQ(histograms, 1u);
+}
+
+TEST(PrometheusTest, OneTypeLinePerFamily) {
+  MetricRegistry reg;
+  // Two labelled series of one histogram family.
+  reg.GetHistogram(MetricRegistry::Labeled("query.phase_us",
+                                           {{"phase", "parse"}}))
+      ->Record(12);
+  reg.GetHistogram(MetricRegistry::Labeled("query.phase_us",
+                                           {{"phase", "plan"}}))
+      ->Record(340);
+  // Sorted by name these are a.b, a.b.c, a.b{k=v}: the a.b family's two
+  // series are not adjacent.
+  reg.GetCounter("a.b")->Add(1);
+  reg.GetCounter("a.b.c")->Add(2);
+  reg.GetCounter(MetricRegistry::Labeled("a.b", {{"k", "v"}}))->Add(3);
+  const std::string text = RenderExportLine(reg);
+
+  ASSERT_TRUE(ValidatePrometheusText(text).ok()) << text;
+  auto count = [&text](const std::string& line) {
+    size_t n = 0;
+    for (size_t pos = text.find(line); pos != std::string::npos;
+         pos = text.find(line, pos + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("# TYPE msv_query_phase_us histogram\n"), 1u) << text;
+  EXPECT_EQ(count("# TYPE msv_a_b_total counter\n"), 1u) << text;
+  EXPECT_EQ(count("# TYPE msv_a_b_c_total counter\n"), 1u) << text;
+  EXPECT_EQ(count("# TYPE "), 3u) << text;
+  EXPECT_EQ(count("msv_a_b_total{k=\"v\"} 3\n"), 1u) << text;
+  EXPECT_EQ(count("msv_query_phase_us_count{phase=\"plan\"} 1\n"), 1u)
+      << text;
+}
+
+TEST(PrometheusTest, ExportLineRendersLikeTheRegistry) {
+  const std::string path = FreshPath("msv_poller_prom.jsonl");
+  MetricRegistry reg;
+  reg.GetCounter(MetricRegistry::Labeled("serve.errors", {{"kind", "parse"}}))
+      ->Add(4);
+  reg.GetCounter(MetricRegistry::Labeled("serve.errors", {{"kind", "exec"}}))
+      ->Add(1);
+  reg.GetGauge("serve.queue_depth")->Set(2.25);
+  reg.GetGauge(MetricRegistry::Labeled("io.pool.fill", {{"pool", "0"}}))
+      ->Set(0.5);
+  LogHistogram* h = reg.GetHistogram("query.statement_us");
+  for (uint64_t v : {3, 70, 70, 9000}) h->Record(v);
+  h->Record(1ull << 41);  // past the 2^40 grid top: overflow
+  MetricsPollerOptions options;
+  options.interval_ms = 3600 * 1000;
+  options.registry = &reg;
+  options.export_path = path;
+  {
+    MetricsPoller poller(options);
+    WaitForPolls(poller, 1);
+  }
+  std::ifstream in(path);
+  std::string export_line;
+  ASSERT_TRUE(std::getline(in, export_line));
+  const Json point = ValueOrDie(Json::Parse(export_line));
+
+  const std::string text = RenderPrometheus(*point.Find("metrics"));
+  EXPECT_EQ(text, RenderPrometheus(reg.Snapshot()));
+  ASSERT_TRUE(ValidatePrometheusText(text).ok()) << text;
+  EXPECT_NE(text.find("msv_query_statement_us_bucket{le=\"+Inf\"} 5\n"),
+            std::string::npos)
+      << text;
+  std::remove(path.c_str());
 }
 
 TEST(PrometheusTest, ValidatorRejectsMalformedDocuments) {

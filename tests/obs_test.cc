@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "test_util.h"
-#include "util/histogram.h"
 
 namespace msv::obs {
 namespace {
@@ -57,27 +56,17 @@ TEST(MetricsTest, LogHistogramMeanAndQuantiles) {
   EXPECT_EQ(h.sum(), 700u);
   EXPECT_DOUBLE_EQ(h.mean(), 7.0);
   // All mass sits in the cell containing 7; interpolation stays inside.
-  EXPECT_GE(h.P50(), 7.0);
-  EXPECT_LE(h.P50(), 8.0);
+  EXPECT_GE(h.Quantile(0.5), 7.0);
+  EXPECT_LE(h.Quantile(0.5), 8.0);
 
   LogHistogram u;
   for (uint64_t v = 1; v <= 1000; ++v) u.Record(v);
   // Log-linear cells are <= 25% wide, so interpolated percentiles land
   // near the exact order statistics.
-  EXPECT_NEAR(u.P50(), 500.0, 150.0);
-  EXPECT_NEAR(u.P95(), 950.0, 250.0);
-  EXPECT_NEAR(u.P99(), 990.0, 260.0);
-  EXPECT_GT(u.P99(), u.P50());
-}
-
-TEST(MetricsTest, UtilHistogramFacadePercentiles) {
-  // The fixed-width facade shares the same bucket math (one
-  // implementation, two facades).
-  Histogram h(0.0, 100.0, 20);
-  for (int v = 1; v <= 100; ++v) h.Add(v);
-  EXPECT_NEAR(h.P50(), 50.0, 6.0);
-  EXPECT_NEAR(h.P95(), 95.0, 6.0);
-  EXPECT_NEAR(h.P99(), 99.0, 6.0);
+  EXPECT_NEAR(u.Quantile(0.50), 500.0, 150.0);
+  EXPECT_NEAR(u.Quantile(0.95), 950.0, 250.0);
+  EXPECT_NEAR(u.Quantile(0.99), 990.0, 260.0);
+  EXPECT_GT(u.Quantile(0.99), u.Quantile(0.50));
 }
 
 TEST(MetricsTest, ConcurrencySmoke) {
@@ -139,7 +128,7 @@ TEST(JsonTest, MetricsSnapshotRoundTrips) {
   reg.GetHistogram("io.disk.access_us")->Record(640);
   reg.GetCounter("io.disk.reads")->Add(3);
 
-  Json j = reg.Snapshot().ToJson();
+  Json j = reg.Snapshot();
   Json back = ValueOrDie(Json::Parse(j.Dump(2)));
   EXPECT_EQ(back, j);
   const Json* counters = back.Find("counters");
@@ -151,6 +140,18 @@ TEST(JsonTest, MetricsSnapshotRoundTrips) {
   // is exactly its three metric families.
   EXPECT_EQ(reads->members().size(), 1u);
   EXPECT_EQ(back.members().size(), 3u);
+  // A histogram carries its non-empty cells as [le, n] pairs: 640 lies
+  // in [640, 768), the second quarter of the [512, 1024) octave.
+  const Json* access = back.Find("histograms")->Find("io.disk.access_us");
+  ASSERT_NE(access, nullptr);
+  EXPECT_DOUBLE_EQ(access->Find("count")->AsNumber(), 1.0);
+  EXPECT_DOUBLE_EQ(access->Find("sum")->AsNumber(), 640.0);
+  EXPECT_DOUBLE_EQ(access->Find("overflow")->AsNumber(), 0.0);
+  const Json* cells = access->Find("cells");
+  ASSERT_NE(cells, nullptr);
+  ASSERT_EQ(cells->size(), 1u);
+  EXPECT_DOUBLE_EQ(cells->at(0).at(0).AsNumber(), 768.0);
+  EXPECT_DOUBLE_EQ(cells->at(0).at(1).AsNumber(), 1.0);
 }
 
 TEST(JsonTest, BenchRecordShapeRoundTrips) {
@@ -163,7 +164,7 @@ TEST(JsonTest, BenchRecordShapeRoundTrips) {
   numbers["records"] = uint64_t{100000};
   numbers["scan_ms"] = 205.6;
   record["numbers"] = std::move(numbers);
-  record["metrics"] = reg.Snapshot().ToJson();
+  record["metrics"] = reg.Snapshot();
 
   Json back = ValueOrDie(Json::Parse(record.Dump(2)));
   EXPECT_EQ(back, record);

@@ -2,10 +2,12 @@
 //
 // Runs a fixed, deterministic request set against a live server — two
 // successes, one MSVQL parse failure, one execution failure, one
-// protocol-level garbage frame — then scrapes the global registry and
-// pins the `msv_serve_*` families: the exact counter values, the TYPE
-// declarations, and that the whole document still passes the strict
-// exposition validator (so a real Prometheus server would ingest it).
+// protocol-level garbage frame — then renders the global registry the
+// way a scraper of `msv_top --prom` sees it (its snapshot written as an
+// export line, parsed back, rendered) and pins the `msv_serve_*`
+// families: the exact counter values, the TYPE declarations, and that
+// the whole document still passes the strict exposition validator (so a
+// real Prometheus server would ingest it).
 //
 // Timing-dependent series (bytes in/out, histogram sum, request
 // latencies) are deliberately NOT pinned; their presence and shape are
@@ -18,8 +20,11 @@
 
 #include "gtest/gtest.h"
 #include "io/env.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
+#include "obs/timeseries.h"
+#include "prometheus_text.h"
 #include "query/executor.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -34,6 +39,15 @@ using serve::Client;
 using serve::EncodeFrame;
 using serve::Server;
 using serve::ServerOptions;
+
+/// The global registry's exposition, rendered from a parsed export line.
+std::string RenderGlobalExportLine() {
+  const std::string line =
+      obs::ExportPointJson(0, obs::MetricRegistry::Global().Snapshot())
+          .Dump();
+  return obs::RenderPrometheus(
+      *ValueOrDie(obs::Json::Parse(line)).Find("metrics"));
+}
 
 /// Polls `predicate` until it holds or ~5 s elapse (the server's I/O
 /// loop observes disconnects within one 100 ms poll turn).
@@ -87,7 +101,7 @@ TEST(ServePrometheusTest, GoldenExpositionForDeterministicRequestSet) {
     return registry.GetCounter("serve.connections_dropped")->Value() >= 1;
   })) << "server never observed the client disconnect";
 
-  const std::string text = registry.DumpPrometheus();
+  const std::string text = RenderGlobalExportLine();
 
   // The full document must be ingestible exposition format.
   ASSERT_TRUE(obs::ValidatePrometheusText(text).ok()) << text;
@@ -135,8 +149,8 @@ TEST(ServePrometheusTest, ServeFamiliesParseBackWithExpectedTypes) {
   ASSERT_TRUE(server.Start().ok());
   server.Stop();
 
-  auto families = ValueOrDie(
-      obs::ParsePrometheusText(obs::MetricRegistry::Global().DumpPrometheus()));
+  auto families =
+      ValueOrDie(obs::ParsePrometheusText(RenderGlobalExportLine()));
   int counters = 0, gauges = 0, histograms = 0;
   for (const auto& family : families) {
     if (family.name.rfind("msv_serve_", 0) != 0) continue;

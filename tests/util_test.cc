@@ -7,7 +7,6 @@
 #include "gtest/gtest.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
-#include "util/histogram.h"
 #include "util/random.h"
 #include "util/reservoir.h"
 #include "util/result.h"
@@ -405,39 +404,6 @@ TEST(StatsTest, ChiSquarePValueSanity) {
   EXPECT_LT(ChiSquarePValue(500.0, 10), 1e-6);
   // Tiny statistic: essentially one.
   EXPECT_GT(ChiSquarePValue(0.5, 10), 0.99);
-}
-
-// ---------------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------------
-
-TEST(HistogramTest, CountsAndQuantiles) {
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 100; ++i) h.Add(i + 0.5);
-  EXPECT_EQ(h.count(), 100u);
-  for (size_t b = 0; b < 10; ++b) EXPECT_EQ(h.bucket_count(b), 10u);
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 1.5);
-}
-
-TEST(HistogramTest, UnderOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(-1.0);
-  h.Add(100.0);
-  h.Add(5.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_EQ(h.min_seen(), -1.0);
-  EXPECT_EQ(h.max_seen(), 100.0);
-}
-
-TEST(HistogramTest, ClearResets) {
-  Histogram h(0.0, 1.0, 4);
-  h.Add(0.5);
-  h.Clear();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0.0);
 }
 
 }  // namespace

@@ -8,16 +8,20 @@
 //                                         (internal nodes + directory),
 //                                         headers, counts, containment
 //   msv_inspect <dir> leaf <file> <n>     dump one leaf's section sizes
-//   msv_inspect <dir> histogram <file>    leaf-size histogram
+//   msv_inspect <dir> histogram <file>    leaf record-count order
+//                                         statistics (exit 1 if any
+//                                         leaf is unreadable)
 //
-// The global flag --metrics (or --metrics=json / --metrics=prom)
-// appends a dump of the process metrics registry after any command — e.g. `verify --metrics`
-// shows the per-check verify.<phase>_us durations alongside the report.
+// The global flag --metrics prints the process metrics registry's
+// snapshot (MetricRegistry::Snapshot(), the export line's JSON) after
+// any command.
 //
 // <dir> is a host filesystem directory; <file> the ACE tree (or heap
 // file, for `stats`) inside it. Exit code 0 = healthy, 1 = corruption.
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -28,7 +32,6 @@
 #include "obs/metrics.h"
 #include "storage/heap_file.h"
 #include "storage/record.h"
-#include "util/histogram.h"
 
 namespace msv {
 namespace {
@@ -38,8 +41,8 @@ int Usage() {
                "usage: msv_inspect <dir> stats|verify|histogram <file>\n"
                "       msv_inspect <dir> leaf <file> <leaf-number>\n"
                "       (commands may also be spelled --verify etc.;\n"
-               "        add --metrics, --metrics=json or --metrics=prom to\n"
-               "        dump the metrics registry after the command)\n");
+               "        add --metrics to print the metrics registry's\n"
+               "        JSON snapshot after the command)\n");
   return 2;
 }
 
@@ -167,33 +170,60 @@ int CmdHistogram(io::Env* env, const std::string& name) {
     return 1;
   }
   const auto& tree = *tree_or.value();
-  double expected = static_cast<double>(tree.meta().num_records) /
-                    static_cast<double>(tree.meta().num_leaves);
-  Histogram hist(0, expected * 2.5, 25);
-  for (uint64_t leaf = 0; leaf < tree.meta().num_leaves; ++leaf) {
+  const uint64_t leaves = tree.meta().num_leaves;
+  std::vector<uint64_t> counts;
+  counts.reserve(leaves);
+  uint64_t failed = 0;
+  for (uint64_t leaf = 0; leaf < leaves; ++leaf) {
     auto data = tree.ReadLeaf(leaf);
-    if (!data.ok()) continue;
-    hist.Add(static_cast<double>(data.value().TotalRecords()));
+    if (!data.ok()) {
+      if (failed++ == 0) {
+        std::fprintf(stderr, "FAIL leaf %" PRIu64 ": %s\n", leaf,
+                     data.status().ToString().c_str());
+      }
+      continue;
+    }
+    counts.push_back(data.value().TotalRecords());
   }
-  std::printf("leaf record-count distribution (expected mean %.1f):\n%s",
-              expected, hist.ToString().c_str());
+  std::sort(counts.begin(), counts.end());
+  std::printf("leaf record counts over %zu of %" PRIu64
+              " leaves (expected mean %.1f):\n",
+              counts.size(), leaves,
+              static_cast<double>(tree.meta().num_records) /
+                  static_cast<double>(leaves));
+  if (!counts.empty()) {
+    // Exact order statistics (nearest rank) of the sorted counts.
+    auto rank = [&counts](double p) {
+      auto r = static_cast<size_t>(
+          std::ceil(p * static_cast<double>(counts.size())));
+      return counts[r == 0 ? 0 : r - 1];
+    };
+    double sum = 0;
+    for (uint64_t c : counts) sum += static_cast<double>(c);
+    std::printf("  min %" PRIu64 "  p1 %" PRIu64 "  p50 %" PRIu64
+                "  p99 %" PRIu64 "  max %" PRIu64 "  mean %.1f\n",
+                counts.front(), rank(0.01), rank(0.50), rank(0.99),
+                counts.back(), sum / static_cast<double>(counts.size()));
+  }
+  if (failed > 0) {
+    std::fprintf(stderr, "FAIL %" PRIu64 " of %" PRIu64
+                 " leaves unreadable\n", failed, leaves);
+    return 1;
+  }
   return 0;
 }
 
 int Main(int argc, char** argv) {
-  // Peel off the global --metrics[=json|=text] flag wherever it appears;
-  // what remains are the positional arguments.
-  enum class Metrics { kNone, kText, kJson, kProm };
-  Metrics metrics = Metrics::kNone;
+  // Peel off the global --metrics flag wherever it appears; what
+  // remains are the positional arguments.
+  bool metrics = false;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg == "--metrics" || arg == "--metrics=text") {
-      metrics = Metrics::kText;
-    } else if (arg == "--metrics=json") {
-      metrics = Metrics::kJson;
-    } else if (arg == "--metrics=prom") {
-      metrics = Metrics::kProm;
+    if (arg == "--metrics") {
+      metrics = true;
+    } else if (arg.rfind("--metrics=", 0) == 0) {
+      return Usage();
     } else {
       args.push_back(std::move(arg));
     }
@@ -217,30 +247,9 @@ int Main(int argc, char** argv) {
   } else {
     return Usage();
   }
-  if (metrics != Metrics::kNone) {
-    // Inspect runs on a plain Posix env, so no DiskDevice is ever
-    // constructed and the I/O metric families would be absent from the
-    // dump. Pre-register them (zero-valued) so scripts scraping the
-    // output see a stable schema whether or not a simulated device ran.
-    obs::MetricRegistry& reg = obs::MetricRegistry::Global();
-    for (const char* name :
-         {"io.disk.reads", "io.disk.writes", "io.disk.read_bytes",
-          "io.disk.written_bytes", "io.disk.seeks", "io.disk.sequential_ios",
-          "io.disk.busy_us", "io.batch.accesses", "io.batch.pages"}) {
-      reg.GetCounter(name);
-    }
-    reg.GetHistogram("io.disk.access_us");
-    reg.GetHistogram("io.batch.pages_per_access");
-    if (metrics == Metrics::kProm) {
-      std::printf("%s", reg.DumpPrometheus().c_str());
-    } else {
-      obs::MetricsSnapshot snap = reg.Snapshot();
-      if (metrics == Metrics::kJson) {
-        std::printf("%s\n", snap.ToJson().Dump(2).c_str());
-      } else {
-        std::printf("%s", snap.ToText().c_str());
-      }
-    }
+  if (metrics) {
+    std::printf("%s\n",
+                obs::MetricRegistry::Global().Snapshot().Dump(2).c_str());
   }
   return rc;
 }

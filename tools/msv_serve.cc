@@ -9,7 +9,8 @@
 // private in-memory env with --mem), binds --host:--port and serves the
 // length-prefixed JSON protocol (see src/serve/protocol.h) until SIGINT /
 // SIGTERM. --metrics-file=PATH starts the metrics poller exporting
-// JSON-lines snapshots — the file msv_top and the Prometheus bridge tail.
+// JSON-lines snapshots — the file msv_top tails, and that `msv_top PATH
+// --prom` renders as Prometheus text exposition.
 //
 // Client mode:
 //

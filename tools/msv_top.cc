@@ -9,6 +9,12 @@
 //   msv_top <export-file> --once         render the latest point and exit
 //   msv_top <export-file> --interval=ms  refresh period (default 1000)
 //   msv_top <export-file> --slow=N       slow-query rows shown (default 5)
+//   msv_top <export-file> --prom         print the latest point as
+//                                        Prometheus text exposition
+//
+// --prom output suits a node_exporter textfile collector: rewrite a
+// *.prom file from it on a timer and a running `msv_serve
+// --metrics-file` is scrapable with no HTTP code in the server.
 //
 // Rates are deltas between the last two exported points divided by their
 // timestamp gap, so the view is exact regardless of the poller interval.
@@ -26,14 +32,15 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/prometheus.h"
 
 namespace msv {
 namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: msv_top <export-file> [--once] [--interval=ms]"
-               " [--slow=N]\n"
+               "usage: msv_top <export-file> [--once | --prom]"
+               " [--interval=ms] [--slow=N]\n"
                "       <export-file> is the JSON-lines file written by a\n"
                "       MetricsPoller with export_path set (see DESIGN.md\n"
                "       section 12).\n");
@@ -243,12 +250,15 @@ void Render(const std::vector<Point>& points, size_t slow_rows) {
 int Main(int argc, char** argv) {
   std::string path;
   bool once = false;
+  bool prom = false;
   uint64_t interval_ms = 1000;
   size_t slow_rows = 5;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--once") {
       once = true;
+    } else if (arg == "--prom") {
+      prom = true;
     } else if (arg.rfind("--interval=", 0) == 0) {
       interval_ms = std::strtoull(arg.c_str() + 11, nullptr, 10);
       if (interval_ms == 0) interval_ms = 1000;
@@ -264,6 +274,18 @@ int Main(int argc, char** argv) {
   }
   if (path.empty()) return Usage();
 
+  if (prom) {
+    // Two lines, so a torn final line falls back to the one before it.
+    std::vector<Point> points = ReadLastPoints(path, 2);
+    const obs::Json* metrics =
+        points.empty() ? nullptr : points.back().root.Find("metrics");
+    if (metrics == nullptr) {
+      std::fprintf(stderr, "msv_top: no export line in %s\n", path.c_str());
+      return 1;
+    }
+    std::printf("%s", obs::RenderPrometheus(*metrics).c_str());
+    return 0;
+  }
   if (once) {
     Render(ReadLastPoints(path, 2), slow_rows);
     return 0;
