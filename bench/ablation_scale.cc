@@ -70,7 +70,7 @@ int Main(int argc, char** argv) {
                                                       BenchEnv::kPermuted))
                         .value();
         permuted::PermutedFileSampler sampler(file.get(), env.layout(),
-                                              queries[qi], 128 << 10);
+                                              queries[qi]);
         device->clock().Reset();
         RunResult r = RunTimed(&sampler, *device, scan_ms * 0.04);
         perm_at[0] += r.samples.ValueAt(scan_ms * 0.02);

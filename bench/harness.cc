@@ -237,7 +237,6 @@ void BenchEnv::BuildRTree() {
   std::fprintf(stderr, "[building STR R-tree...]\n");
   rtree::RTreeOptions options;
   options.page_size = options_.page_size;
-  options.dims = 2;
   Status st = rtree::BuildRTree(env_.get(), kSale, kRTree, layout_, options);
   MSV_CHECK_MSG(st.ok(), st.ToString());
 }

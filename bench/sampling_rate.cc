@@ -194,8 +194,7 @@ int RunSamplingRateBench(int argc, char** argv,
       auto file_or = storage::HeapFile::Open(timed.get(), BenchEnv::kPermuted);
       MSV_CHECK(file_or.ok());
       auto file = std::move(file_or).value();
-      permuted::PermutedFileSampler sampler(file.get(), env.layout(), q,
-                                            /*chunk_bytes=*/128 << 10);
+      permuted::PermutedFileSampler sampler(file.get(), env.layout(), q);
       device->clock().Reset();
       RunResult r = RunTimed(&sampler, *device, max_ms);
       methods[2].series.push_back(std::move(r.samples));

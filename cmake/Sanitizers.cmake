@@ -37,7 +37,13 @@ if(MSV_SANITIZE)
       "MSV_SANITIZE: thread cannot be combined with address/leak")
   endif()
 
-  string(REPLACE ";" "," _msv_san_csv "${MSV_SANITIZE}")
+  set(_msv_san_list ${MSV_SANITIZE})
+  if("undefined" IN_LIST MSV_SANITIZE)
+    # GCC's -fsanitize=undefined leaves out float-cast-overflow, so a
+    # double -> integer cast of an out-of-range value would pass silently.
+    list(APPEND _msv_san_list float-cast-overflow)
+  endif()
+  string(REPLACE ";" "," _msv_san_csv "${_msv_san_list}")
   target_compile_options(msv_sanitizer_flags INTERFACE
     -fsanitize=${_msv_san_csv}
     -fno-omit-frame-pointer

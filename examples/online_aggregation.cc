@@ -128,8 +128,7 @@ int main() {
     auto perm =
         std::move(msv::storage::HeapFile::Open(timed.get(), "sale.perm"))
             .value();
-    msv::permuted::PermutedFileSampler sampler(perm.get(), layout, query,
-                                               128 << 10);
+    msv::permuted::PermutedFileSampler sampler(perm.get(), layout, query);
     device->clock().Reset();
     RunEstimation(&sampler, device.get(), population, truth, scan_ms);
   }

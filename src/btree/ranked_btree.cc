@@ -92,19 +92,16 @@ Status BuildRankedBTree(io::Env* env, const std::string& input_name,
   MSV_RETURN_IF_ERROR(layout.Validate());
   MSV_RETURN_IF_ERROR(options.Validate(layout.record_size));
 
-  // Sort input by key if necessary.
-  std::string sorted_name = input_name;
-  if (!options.input_sorted) {
-    sorted_name = output_name + ".bykey";
-    extsort::SortOptions sort_options = options.sort;
-    sort_options.temp_prefix = output_name + ".sortrun";
-    MSV_RETURN_IF_ERROR(extsort::ExternalSort(
-        env, input_name, sorted_name,
-        [&layout](const char* a, const char* b) {
-          return layout.Key(a, 0) < layout.Key(b, 0);
-        },
-        sort_options));
-  }
+  // Sort input by key.
+  const std::string sorted_name = output_name + ".bykey";
+  extsort::SortOptions sort_options = options.sort;
+  sort_options.temp_prefix = output_name + ".sortrun";
+  MSV_RETURN_IF_ERROR(extsort::ExternalSort(
+      env, input_name, sorted_name,
+      [&layout](const char* a, const char* b) {
+        return layout.Key(a, 0) < layout.Key(b, 0);
+      },
+      sort_options));
 
   MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> input,
                        HeapFile::Open(env, sorted_name));
@@ -205,9 +202,7 @@ Status BuildRankedBTree(io::Env* env, const std::string& input_name,
   MSV_RETURN_IF_ERROR(out->Write(0, page.data(), page_size));
   MSV_RETURN_IF_ERROR(out->Sync());
 
-  if (!options.input_sorted) {
-    env->DeleteFile(sorted_name).IgnoreError();  // best-effort scratch cleanup
-  }
+  env->DeleteFile(sorted_name).IgnoreError();  // best-effort scratch cleanup
   return Status::OK();
 }
 

@@ -32,9 +32,8 @@ inline constexpr uint64_t kBTreeMagic = 0x3145455254425352ULL;  // "RSBTREE1"
 
 struct BTreeOptions {
   size_t page_size = 64 << 10;
-  /// When false the builder external-sorts the input by key first (that
-  /// sort is part of the build, as with any bulk load of a primary index).
-  bool input_sorted = false;
+  /// The builder external-sorts the input by key first (that sort is part
+  /// of the build, as with any bulk load of a primary index).
   extsort::SortOptions sort;
 
   Status Validate(size_t record_size) const;

@@ -207,7 +207,7 @@ Status AceBuildOptions::Validate(const storage::RecordLayout& layout) const {
   if (page_size < 512) {
     return Status::InvalidArgument("page_size too small");
   }
-  if (height > 40) {
+  if (height > kMaxHeight) {
     return Status::InvalidArgument("height too large");
   }
   return Status::OK();

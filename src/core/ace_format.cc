@@ -68,7 +68,8 @@ Result<AceMeta> DecodeSuperblock(const char* src) {
   }
   meta.internal_crc = DecodeFixed32(src + off);
   meta.directory_crc = DecodeFixed32(src + off + 4);
-  if (meta.record_size == 0 || meta.height == 0 || meta.key_dims == 0 ||
+  if (meta.record_size == 0 || meta.height == 0 ||
+      meta.height > kMaxHeight || meta.key_dims == 0 ||
       meta.key_dims > storage::kMaxKeyDims) {
     return Status::Corruption("implausible ACE superblock geometry");
   }

@@ -41,6 +41,9 @@ inline constexpr uint32_t kAceVersion = 2;
 inline constexpr size_t kSuperblockSize = 256;
 inline constexpr size_t kInternalNodeSize = 32;  // key f64, dim u32, pad, cnt_l u64, cnt_r u64
 inline constexpr size_t kDirectoryEntrySize = 16;  // offset u64, length u64
+/// Tallest tree the builder makes and a reader accepts (2^39 leaves); a
+/// superblock claiming more is corrupt.
+inline constexpr uint32_t kMaxHeight = 40;
 
 /// Geometry and key-domain metadata persisted in the superblock.
 struct AceMeta {

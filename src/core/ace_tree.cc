@@ -27,6 +27,18 @@ Result<std::unique_ptr<AceTree>> AceTree::Open(
   }
 
   const uint64_t num_leaves = meta.num_leaves;
+  MSV_ASSIGN_OR_RETURN(uint64_t file_bytes, file->Size());
+  // Both regions must lie inside the file before buffers are sized from
+  // the superblock's leaf count.
+  auto fits = [file_bytes](uint64_t offset, uint64_t bytes) {
+    return offset <= file_bytes && bytes <= file_bytes - offset;
+  };
+  if (!fits(meta.internal_offset, (num_leaves - 1) * kInternalNodeSize) ||
+      !fits(meta.directory_offset, num_leaves * kDirectoryEntrySize)) {
+    return Status::Corruption("ACE internal or directory region past end of "
+                              "file (" + std::to_string(file_bytes) +
+                              " bytes)");
+  }
 
   // Internal-node array; region checksum verified before any node is
   // trusted (format v2).
@@ -79,8 +91,6 @@ Result<std::unique_ptr<AceTree>> AceTree::Open(
     node_counts[2 * id] = n.cnt_left;
     node_counts[2 * id + 1] = n.cnt_right;
   }
-
-  MSV_ASSIGN_OR_RETURN(uint64_t file_bytes, file->Size());
 
   return std::unique_ptr<AceTree>(new AceTree(
       std::move(file), layout, meta, std::move(splits), std::move(directory),
@@ -136,6 +146,7 @@ Result<LeafData> AceTree::ReadLeaf(uint64_t leaf_index) const {
     return Status::OutOfRange("leaf index out of range");
   }
   const LeafLocation& loc = directory_[leaf_index];
+  MSV_RETURN_IF_ERROR(CheckLeafLocation(leaf_index));
   std::vector<char> page(loc.length);
   MSV_RETURN_IF_ERROR(file_->ReadExact(loc.offset, loc.length, page.data()));
   return LeafData::Parse(std::move(page), leaf_index, meta_.height,
@@ -148,6 +159,7 @@ Result<std::vector<LeafData>> AceTree::ReadLeaves(
     if (idx >= meta_.num_leaves) {
       return Status::OutOfRange("leaf index out of range");
     }
+    MSV_RETURN_IF_ERROR(CheckLeafLocation(idx));
   }
   // Elevator (SCAN) schedule: issue requests in ascending physical offset
   // so adjacent leaves become contiguous in array order, which is what
@@ -190,6 +202,18 @@ Result<std::vector<LeafData>> AceTree::ReadLeaves(
     leaves.push_back(std::move(leaf));
   }
   return leaves;
+}
+
+Status AceTree::CheckLeafLocation(uint64_t leaf_index) const {
+  const LeafLocation& loc = directory_[leaf_index];
+  if (loc.offset >= meta_.data_offset && loc.offset <= file_bytes_ &&
+      loc.length <= file_bytes_ - loc.offset) {
+    return Status::OK();
+  }
+  return Status::Corruption(
+      "leaf " + std::to_string(leaf_index) +
+      " directory entry outside data region: offset " +
+      std::to_string(loc.offset) + " length " + std::to_string(loc.length));
 }
 
 uint64_t AceTree::NodeCount(uint64_t heap_id) const {

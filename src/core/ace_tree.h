@@ -66,15 +66,6 @@ struct LeafData {
   std::vector<char> page_;
 };
 
-/// Tuning knobs for AceTree::CheckInvariants().
-struct InvariantCheckOptions {
-  /// Recount records per finest cell and compare with the persisted
-  /// cnt_l/cnt_r tree. Costs one DescendToLevel per record.
-  bool check_cell_counts = true;
-  /// Stop collecting after this many violations (0 = unlimited).
-  size_t max_violations = 64;
-};
-
 /// One invariant violation. `leaf` identifies the offending on-disk leaf
 /// page where the problem is local; kNoLeaf marks tree-wide violations.
 struct InvariantViolation {
@@ -89,11 +80,15 @@ struct InvariantViolation {
 
 /// Outcome of a structural verification pass.
 struct InvariantReport {
+  /// The scan stops once this many violations are collected, so a badly
+  /// mangled file does not produce gigabytes of report.
+  static constexpr size_t kMaxViolations = 64;
+
   std::vector<InvariantViolation> violations;
   uint64_t leaves_checked = 0;
   uint64_t records_checked = 0;
   uint64_t sections_checked = 0;
-  /// True when max_violations cut the scan short.
+  /// True when kMaxViolations cut the scan short.
   bool truncated = false;
   /// Wall-clock duration of each verification phase (geometry,
   /// split_tree, leaf_scan, totals) in execution order, microseconds.
@@ -150,9 +145,10 @@ class AceTree {
   /// sanity, Lemma-2 section-size bounds, level-i leaf-set partitioning
   /// (every section-i record descends to the leaf's level-i ancestor),
   /// per-leaf section disjointness (Lemma 1), and cnt_l/cnt_r count
-  /// consistency. Reads every leaf once; O(N) records scanned.
-  InvariantReport CheckInvariants(
-      const InvariantCheckOptions& options = {}) const;
+  /// consistency (recounting records per finest cell costs one
+  /// DescendToLevel per record). Reads every leaf once; O(N) records
+  /// scanned.
+  InvariantReport CheckInvariants() const;
 
  private:
   AceTree(std::unique_ptr<io::File> file, storage::RecordLayout layout,
@@ -175,6 +171,10 @@ class AceTree {
   /// Record count per heap node, ids 1..2F-1 (index by id).
   std::vector<uint64_t> node_counts_;
   uint64_t file_bytes_;
+
+  /// Corruption unless the directory entry of `leaf_index` lies inside
+  /// [data_offset, file_bytes); checked before a buffer is sized from it.
+  Status CheckLeafLocation(uint64_t leaf_index) const;
 };
 
 }  // namespace msv::core

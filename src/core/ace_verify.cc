@@ -71,13 +71,11 @@ Status MakeStatus(StatusCode code, std::string msg) {
   return Status::Internal(std::move(msg));
 }
 
-/// Collects violations with an optional cap; callers bail out once the
-/// cap is hit so a badly mangled file does not produce gigabytes of
-/// report.
+/// Collects violations up to InvariantReport::kMaxViolations; callers
+/// bail out once the cap is hit.
 class ViolationSink {
  public:
-  ViolationSink(InvariantReport* report, size_t cap)
-      : report_(report), cap_(cap) {}
+  explicit ViolationSink(InvariantReport* report) : report_(report) {}
 
   void Add(StatusCode code, uint64_t leaf, std::string detail) {
     if (full()) return;
@@ -89,12 +87,11 @@ class ViolationSink {
   }
 
   bool full() const {
-    return cap_ != 0 && report_->violations.size() >= cap_;
+    return report_->violations.size() >= InvariantReport::kMaxViolations;
   }
 
  private:
   InvariantReport* report_;
-  size_t cap_;
 };
 
 /// Stamps the duration of each verification phase into the report and
@@ -157,10 +154,9 @@ std::string InvariantReport::ToString() const {
   return out;
 }
 
-InvariantReport AceTree::CheckInvariants(
-    const InvariantCheckOptions& options) const {
+InvariantReport AceTree::CheckInvariants() const {
   InvariantReport report;
-  ViolationSink sink(&report, options.max_violations);
+  ViolationSink sink(&report);
   PhaseTimer timer(&report);
   const uint64_t F = meta_.num_leaves;
   const uint32_t h = meta_.height;
@@ -189,8 +185,7 @@ InvariantReport AceTree::CheckInvariants(
   }
   for (uint64_t leaf = 0; leaf < F && !sink.full(); ++leaf) {
     const LeafLocation& loc = directory_[leaf];
-    if (loc.offset < meta_.data_offset ||
-        loc.offset + loc.length > file_bytes_ ||
+    if (!CheckLeafLocation(leaf).ok() ||
         loc.length < LeafHeaderSize(h) + 4 /* checksum */) {
       sink.Add(StatusCode::kCorruption, leaf,
                "directory entry outside data region: offset " +
@@ -279,7 +274,7 @@ InvariantReport AceTree::CheckInvariants(
   timer.Finish("split_tree");
 
   // --- Leaf scan: checksums, headers, partitioning, Lemma 1/2.
-  std::vector<uint64_t> cell_counts(options.check_cell_counts ? F : 0, 0);
+  std::vector<uint64_t> cell_counts(F, 0);
   std::vector<double> keys(meta_.key_dims, 0.0);
   uint64_t total_records = 0;
   for (uint64_t leaf = 0; leaf < F && !sink.full(); ++leaf) {
@@ -336,9 +331,7 @@ InvariantReport AceTree::CheckInvariants(
         if (SplitTree::AncestorAtLevel(cell_heap, level) != ancestor) {
           ++misplaced;
         }
-        if (options.check_cell_counts) {
-          ++cell_counts[splits_->LeafIndexOf(cell_heap)];
-        }
+        ++cell_counts[splits_->LeafIndexOf(cell_heap)];
         if (!seen.insert(std::string_view(rec, meta_.record_size)).second) {
           ++duplicates;
         }
@@ -370,7 +363,7 @@ InvariantReport AceTree::CheckInvariants(
                  " records, superblock claims " +
                  std::to_string(meta_.num_records));
   }
-  if (options.check_cell_counts && report.leaves_checked == F) {
+  if (report.leaves_checked == F) {
     for (uint64_t cell = 0; cell < F && !sink.full(); ++cell) {
       const uint64_t stored = node_counts_[F + cell];
       if (cell_counts[cell] != stored) {

@@ -50,8 +50,7 @@ std::shared_ptr<const Memtable> Memtable::Sealed(
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Open(io::Env* env,
                                                    const std::string& name,
-                                                   size_t record_size,
-                                                   bool sync_each_append) {
+                                                   size_t record_size) {
   MSV_ASSIGN_OR_RETURN(bool existed, env->FileExists(name));
   MSV_ASSIGN_OR_RETURN(std::unique_ptr<io::File> file,
                        env->OpenFile(name, /*create=*/true));
@@ -71,16 +70,14 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(io::Env* env,
     MSV_RETURN_IF_ERROR(file->Sync());
   }
   return std::unique_ptr<WalWriter>(
-      new WalWriter(std::move(file), whole, sync_each_append));
+      new WalWriter(std::move(file), whole));
 }
 
 Status WalWriter::Append(const char* records, size_t record_size,
                          size_t count) {
   const size_t n = record_size * count;
   MSV_RETURN_IF_ERROR(file_->Write(offset_, records, n));
-  if (sync_) {
-    MSV_RETURN_IF_ERROR(file_->Sync());
-  }
+  MSV_RETURN_IF_ERROR(file_->Sync());
   offset_ += n;
   return Status::OK();
 }

@@ -38,13 +38,6 @@ namespace msv::core {
 struct IngestOptions {
   /// Memtable record count that triggers a flush to a sorted run.
   size_t memtable_max_records = 4096;
-  /// Sync the WAL on every Insert() so acknowledged inserts survive power
-  /// loss. Disable only when durability of the tail is expendable; a
-  /// flush syncs the WAL regardless, so only the memtable is at risk.
-  bool sync_wal = true;
-  /// Background compaction folds runs into the base tree once this many
-  /// runs exist (or run records exceed 10% of the base).
-  size_t compact_trigger_runs = 4;
   /// Run compaction on a background thread. When false, runs accumulate
   /// in memory until an explicit Compact()/Rebuild().
   bool background_compaction = true;
@@ -90,7 +83,8 @@ class Memtable {
 
 /// Appends raw records to a view WAL. The format is a bare concatenation
 /// of fixed-size records: replay truncates at the last whole record, so a
-/// torn tail write loses only the unacknowledged suffix.
+/// torn tail write loses only the unacknowledged suffix. Every append is
+/// synced, so an acknowledged insert survives power loss.
 class WalWriter {
  public:
   /// Opens `name` for appending, creating it (and making the creation
@@ -100,11 +94,10 @@ class WalWriter {
   /// stay aligned across any number of crash/replay cycles.
   static Result<std::unique_ptr<WalWriter>> Open(io::Env* env,
                                                  const std::string& name,
-                                                 size_t record_size,
-                                                 bool sync_each_append);
+                                                 size_t record_size);
 
-  /// Appends `count` records; with sync_each_append the records are
-  /// crash-durable when this returns OK.
+  /// Appends `count` records; they are crash-durable when this returns
+  /// OK.
   Status Append(const char* records, size_t record_size, size_t count);
 
   /// Makes every appended record crash-durable.
@@ -113,12 +106,11 @@ class WalWriter {
   uint64_t bytes() const { return offset_; }
 
  private:
-  WalWriter(std::unique_ptr<io::File> file, uint64_t offset, bool sync)
-      : file_(std::move(file)), offset_(offset), sync_(sync) {}
+  WalWriter(std::unique_ptr<io::File> file, uint64_t offset)
+      : file_(std::move(file)), offset_(offset) {}
 
   std::unique_ptr<io::File> file_;
   uint64_t offset_;
-  bool sync_;
 };
 
 /// Reads every whole record of WAL `name` (missing file: empty). A

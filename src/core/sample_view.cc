@@ -127,6 +127,9 @@ constexpr std::chrono::seconds kCompactionRetryBackoff{1};
 /// this fraction of the base.
 constexpr double kMaxDeltaFraction = 0.10;
 
+/// Background compaction also runs once this many sealed runs exist.
+constexpr size_t kCompactTriggerRuns = 4;
+
 /// Hands the heap pages a compaction just freed back to the OS. A
 /// compaction frees tens of megabytes at once (the old generation, the
 /// scratch file, the sort buffers), and glibc keeps freed chunks in the
@@ -245,8 +248,7 @@ Result<std::unique_ptr<MaterializedSampleView>> MaterializedSampleView::Create(
         std::make_unique<Memtable>(memtable_id, layout.record_size);
     MSV_ASSIGN_OR_RETURN(view->wal_,
                          WalWriter::Open(env, view->WalName(memtable_id),
-                                         layout.record_size,
-                                         options.ingest.sync_wal));
+                                         layout.record_size));
     view->UpdateGaugesLocked();
   }
   if (options.ingest.background_compaction) {
@@ -336,8 +338,7 @@ Status MaterializedSampleView::RecoverLocked() {
     memtable_ = std::make_unique<Memtable>(next_id_++, layout_.record_size);
   }
   MSV_ASSIGN_OR_RETURN(wal_, WalWriter::Open(env_, WalName(memtable_->id()),
-                                             layout_.record_size,
-                                             options_.ingest.sync_wal));
+                                             layout_.record_size));
   UpdateGaugesLocked();
   return Status::OK();
 }
@@ -362,7 +363,7 @@ Status MaterializedSampleView::Insert(const char* records, size_t count) {
   if (count == 0) return Status::OK();
   MutexLock lock(mu_);
   // WAL first: the insert is acknowledged only once it would survive a
-  // crash (sync_wal), then it becomes visible via the memtable.
+  // crash, then it becomes visible via the memtable.
   MSV_RETURN_IF_ERROR(wal_->Append(records, layout_.record_size, count));
   memtable_->Append(records, count);
   c_inserted_records_->Add(count);
@@ -401,12 +402,12 @@ Status MaterializedSampleView::FlushLocked() {
 
   // Both fallible steps come first, so a failure backs out with the live
   // memtable and WAL intact. The sealed memtable's WAL stays as the run's
-  // only durable copy, so it is synced even when sync_wal is off. Once
-  // the next WAL exists, recovery reads the old one as a sealed run.
+  // only durable copy, so it gets a durability flush of its own (every
+  // append already synced). Once the next WAL exists, recovery reads the
+  // old one as a sealed run.
   MSV_RETURN_IF_ERROR(wal_->Sync());
   auto new_wal = WalWriter::Open(env_, WalName(new_memtable_id),
-                                 layout_.record_size,
-                                 options_.ingest.sync_wal);
+                                 layout_.record_size);
   if (!new_wal.ok()) {
     env_->DeleteFile(WalName(new_memtable_id)).IgnoreError();
     return new_wal.status();
@@ -428,7 +429,7 @@ Status MaterializedSampleView::FlushLocked() {
 
 bool MaterializedSampleView::CompactionTriggeredLocked() const {
   if (runs_.empty()) return false;
-  if (runs_.size() >= options_.ingest.compact_trigger_runs) return true;
+  if (runs_.size() >= kCompactTriggerRuns) return true;
   return static_cast<double>(run_records_) >
          kMaxDeltaFraction * static_cast<double>(tree_->meta().num_records);
 }

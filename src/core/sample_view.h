@@ -122,7 +122,7 @@ class MaterializedSampleView {
  public:
   struct Options {
     AceBuildOptions build;
-    /// Write-path knobs (memtable size, WAL syncing, compaction cadence).
+    /// Write-path knobs (memtable size, background compaction).
     IngestOptions ingest;
   };
 

@@ -88,8 +88,17 @@ class Parser {
     SkipSpace();
     if (pos_ >= text_.size()) return Error("unexpected end");
     char c = text_[pos_];
-    if (c == '{') return ParseObject();
-    if (c == '[') return ParseArray();
+    if (c == '{' || c == '[') {
+      // Each level recurses once; cap it so a hostile document cannot
+      // exhaust the stack.
+      if (++depth_ > Json::kMaxDepth) {
+        return Error("nesting deeper than " +
+                     std::to_string(Json::kMaxDepth));
+      }
+      Result<Json> v = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       MSV_ASSIGN_OR_RETURN(std::string s, ParseString());
       return Json(std::move(s));
@@ -281,6 +290,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays and objects open at pos_
 };
 
 }  // namespace

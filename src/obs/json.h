@@ -72,7 +72,13 @@ class Json {
   /// level; 0 emits the compact single-line form.
   std::string Dump(int indent = 0) const;
 
-  /// Parses one JSON document (trailing whitespace allowed).
+  /// Deepest array/object nesting Parse() accepts. The documents the
+  /// repo writes (export lines, traces, BENCH records) nest at most six
+  /// levels.
+  static constexpr int kMaxDepth = 64;
+
+  /// Parses one JSON document (trailing whitespace allowed). Nesting past
+  /// kMaxDepth is InvalidArgument.
   static Result<Json> Parse(const std::string& text);
 
   bool operator==(const Json& other) const;

@@ -110,19 +110,16 @@ void InitLogging() {
 bool StructuredLogger::AdmitSite(const std::string& site, uint64_t now_us,
                                  uint64_t* carry_suppressed) {
   *carry_suppressed = 0;
-  uint64_t limit = site_limit_.load(std::memory_order_relaxed);
-  if (limit == 0) return true;
-  uint64_t window = site_window_us_.load(std::memory_order_relaxed);
   MutexLock lock(mu_);
   SiteState& s = sites_[site];
   if (s.window_start_us == 0 || now_us < s.window_start_us ||
-      now_us - s.window_start_us >= window) {
+      now_us - s.window_start_us >= kSiteWindowUs) {
     *carry_suppressed = s.suppressed;
     s.window_start_us = now_us;
     s.count = 0;
     s.suppressed = 0;
   }
-  if (s.count >= limit) {
+  if (s.count >= kSiteLimit) {
     ++s.suppressed;
     return false;
   }
@@ -143,16 +140,14 @@ void StructuredLogger::Log(LogLevel level, const char* file, int line,
   }
   emitted_.fetch_add(1, std::memory_order_relaxed);
 
-  if (stderr_enabled_.load(std::memory_order_relaxed)) {
-    std::string text = "[" + std::string(LevelName(level)) + " " + site + "] " +
-                       message;
-    for (const auto& [k, v] : fields) {
-      text += " " + k + "=" + FieldText(v);
-    }
-    if (carry > 0) text += " suppressed=" + std::to_string(carry);
-    // The one sanctioned raw-stderr write: this IS the logger.
-    std::fprintf(stderr, "%s\n", text.c_str());  // NOLINT(msv-raw-logging)
+  std::string text = "[" + std::string(LevelName(level)) + " " + site + "] " +
+                     message;
+  for (const auto& [k, v] : fields) {
+    text += " " + k + "=" + FieldText(v);
   }
+  if (carry > 0) text += " suppressed=" + std::to_string(carry);
+  // The one sanctioned raw-stderr write: this IS the logger.
+  std::fprintf(stderr, "%s\n", text.c_str());  // NOLINT(msv-raw-logging)
 
   MutexLock lock(mu_);
   if (!json_file_) return;
@@ -193,11 +188,6 @@ void StructuredLogger::CloseJsonSink() {
 bool StructuredLogger::json_sink_open() const {
   MutexLock lock(mu_);
   return json_file_ != nullptr;
-}
-
-void StructuredLogger::set_site_limit(uint64_t limit, uint64_t window_us) {
-  site_limit_.store(limit, std::memory_order_relaxed);
-  site_window_us_.store(window_us, std::memory_order_relaxed);
 }
 
 void StructuredLogger::ResetSites() {
@@ -247,12 +237,6 @@ void SlowQueryLog::ArmFromEnv() {
   set_threshold_us(v);
 }
 
-void SlowQueryLog::set_capacity(size_t capacity) {
-  MutexLock lock(mu_);
-  capacity_ = capacity;
-  while (ring_.size() > capacity_) ring_.pop_front();
-}
-
 void SlowQueryLog::Record(SlowQueryRecord rec) {
   total_.fetch_add(1, std::memory_order_relaxed);
   LogEvent(LogLevel::kWarn, __FILE__, __LINE__, "slow query",
@@ -266,7 +250,7 @@ void SlowQueryLog::Record(SlowQueryRecord rec) {
             {"ok", rec.ok}});
   MutexLock lock(mu_);
   ring_.push_back(std::move(rec));
-  while (ring_.size() > capacity_) ring_.pop_front();
+  if (ring_.size() > kCapacity) ring_.pop_front();
 }
 
 std::vector<SlowQueryRecord> SlowQueryLog::Snapshot() const {

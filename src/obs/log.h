@@ -8,11 +8,13 @@
 //     existing MSV_LOG(...) << ... call sites keep working unchanged
 //     while gaining: a JSON-lines file sink (MSV_LOG_FILE or
 //     OpenJsonSink), per-site rate limiting (a runaway loop logging
-//     every iteration cannot flood the sink), and structured key=value
+//     every iteration cannot flood the sink: at most kSiteLimit records
+//     per file:line per second), and structured key=value
 //     fields via LogEvent(). MSV_LOG_LEVEL=debug|info|warn|error sets
 //     the global threshold at startup.
 //
-//  2. SlowQueryLog — a bounded ring of per-statement cost records
+//  2. SlowQueryLog — a ring of the kCapacity most recent per-statement
+//     cost records
 //     (wall µs, modeled disk µs, ACE leaves read, samples drawn,
 //     final CI half-width, session label) that the executor appends to
 //     whenever a statement's wall time crosses the armed threshold
@@ -65,15 +67,12 @@ class StructuredLogger {
   void CloseJsonSink();
   bool json_sink_open() const;
 
-  /// Suppresses the human stderr line (JSON sink still written) — used
-  /// by tests and by msv_top, whose terminal the logger must not paint.
-  void set_stderr_enabled(bool on) { stderr_enabled_.store(on); }
-
-  /// Per-site flood control: at most `limit` records per site (file:line)
-  /// per `window_us`; further records are dropped and accounted, and the
-  /// first record of the next window carries a "suppressed=N" field.
-  /// limit 0 disables rate limiting.
-  void set_site_limit(uint64_t limit, uint64_t window_us = 1000000);
+  /// Per-site flood control: at most kSiteLimit records per site
+  /// (file:line) per kSiteWindowUs; further records are dropped and
+  /// accounted, and the first record of the next window carries a
+  /// "suppressed=N" field.
+  static constexpr uint64_t kSiteLimit = 100;
+  static constexpr uint64_t kSiteWindowUs = 1000000;
 
   /// Drops per-site rate-limiter state (tests).
   void ResetSites();
@@ -97,9 +96,6 @@ class StructuredLogger {
   bool AdmitSite(const std::string& site, uint64_t now_us,
                  uint64_t* carry_suppressed);
 
-  std::atomic<bool> stderr_enabled_{true};
-  std::atomic<uint64_t> site_limit_{100};
-  std::atomic<uint64_t> site_window_us_{1000000};
   std::atomic<uint64_t> emitted_{0};
   std::atomic<uint64_t> suppressed_{0};
 
@@ -145,9 +141,10 @@ struct SlowQueryRecord {
 /// relaxed atomic threshold so the disarmed hot path costs one load.
 class SlowQueryLog {
  public:
-  static SlowQueryLog& Global();
+  /// Records kept; older ones are evicted.
+  static constexpr size_t kCapacity = 128;
 
-  explicit SlowQueryLog(size_t capacity = 128) : capacity_(capacity) {}
+  static SlowQueryLog& Global();
 
   /// Applies MSV_SLOW_QUERY_US (unset/empty/0 = disarmed). Called by
   /// the executor at Open so serving picks the env up automatically.
@@ -160,8 +157,6 @@ class SlowQueryLog {
     return threshold_us_.load(std::memory_order_relaxed);
   }
   bool armed() const { return threshold_us() != 0; }
-
-  void set_capacity(size_t capacity);
 
   /// Appends, evicting the oldest record once full. Also mirrors the
   /// record onto the structured logger at Warn level.
@@ -183,7 +178,6 @@ class SlowQueryLog {
   std::atomic<uint64_t> threshold_us_{0};
   std::atomic<uint64_t> total_{0};
   mutable Mutex mu_;
-  size_t capacity_ MSV_GUARDED_BY(mu_);
   std::deque<SlowQueryRecord> ring_ MSV_GUARDED_BY(mu_);
 };
 

@@ -71,9 +71,8 @@ void Span::End() {
   id_ = 0;
 }
 
-Tracer::Tracer(MetricRegistry* registry, size_t max_spans)
-    : registry_(registry ? registry : &MetricRegistry::Global()),
-      max_spans_(max_spans) {}
+Tracer::Tracer(MetricRegistry* registry)
+    : registry_(registry ? registry : &MetricRegistry::Global()) {}
 
 void Tracer::RefreshCounterCache() {
   uint64_t v = registry_->version();
@@ -85,7 +84,7 @@ void Tracer::RefreshCounterCache() {
 Span Tracer::StartSpan(std::string name) {
   // records_ already includes still-open spans (a record is created at
   // open), so it alone is the span total.
-  if (records_.size() >= max_spans_) {
+  if (records_.size() >= kMaxSpans) {
     ++dropped_;
     return Span();
   }
@@ -250,9 +249,9 @@ void AddTraceEvent(const std::string& name,
   t->AddEvent(name, std::move(fields));
 }
 
-bool ExportTraceIfRequested(const Tracer& tracer, const char* env_var) {
+bool ExportTraceIfRequested(const Tracer& tracer) {
   // Read-only env lookup; the process never calls setenv concurrently.
-  const char* path = std::getenv(env_var);  // NOLINT(concurrency-mt-unsafe)
+  const char* path = std::getenv("MSV_TRACE");  // NOLINT(concurrency-mt-unsafe)
   if (!path || !*path) return false;
   std::ofstream out(path, std::ios::app);
   if (!out) {

@@ -80,14 +80,16 @@ class Span {
 
 class Tracer {
  public:
+  /// Spans recorded per tracer; later StartSpan() calls are dropped.
+  static constexpr size_t kMaxSpans = 100000;
+
   /// Spans capture counter deltas from `registry` (Global() if null).
-  explicit Tracer(MetricRegistry* registry = nullptr,
-                  size_t max_spans = 100000);
+  explicit Tracer(MetricRegistry* registry = nullptr);
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  /// Opens a span as a child of the innermost open span. Past
-  /// `max_spans` the returned handle is inert and dropped_spans() grows.
+  /// Opens a span as a child of the innermost open span. Past kMaxSpans
+  /// the returned handle is inert and dropped_spans() grows.
   Span StartSpan(std::string name);
 
   /// Point-in-time event on the innermost open span (no-op when none).
@@ -130,7 +132,6 @@ class Tracer {
   void RefreshCounterCache();
 
   MetricRegistry* registry_;
-  size_t max_spans_;
   uint64_t next_id_ = 1;
   size_t dropped_ = 0;
   uint64_t counters_version_ = ~uint64_t{0};
@@ -167,11 +168,10 @@ Span StartTraceSpan(std::string name);
 void AddTraceEvent(const std::string& name,
                    std::vector<std::pair<std::string, double>> fields);
 
-/// If the environment variable `env_var` (default MSV_TRACE) names a
-/// file, appends tracer->ToJson() as one compact line. Returns true if
-/// a line was written.
-bool ExportTraceIfRequested(const Tracer& tracer,
-                            const char* env_var = "MSV_TRACE");
+/// If the environment variable MSV_TRACE names a file, appends
+/// tracer->ToJson() as one compact line. Returns true if a line was
+/// written.
+bool ExportTraceIfRequested(const Tracer& tracer);
 
 }  // namespace msv::obs
 

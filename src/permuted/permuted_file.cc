@@ -77,14 +77,13 @@ Status BuildPermutedFile(io::Env* env, const std::string& input_name,
 
 PermutedFileSampler::PermutedFileSampler(const storage::HeapFile* file,
                                          storage::RecordLayout layout,
-                                         sampling::RangeQuery query,
-                                         size_t chunk_bytes)
+                                         sampling::RangeQuery query)
     : file_(file),
       layout_(std::move(layout)),
       query_(query),
-      scanner_(file->NewScanner(chunk_bytes)),
+      scanner_(file->NewScanner(kChunkBytes)),
       records_per_pull_(
-          std::max<size_t>(1, chunk_bytes / file->record_size())) {
+          std::max<size_t>(1, kChunkBytes / file->record_size())) {
   MSV_CHECK(query_.Validate(layout_).ok());
   done_ = file_->record_count() == 0;
 }

@@ -36,11 +36,12 @@ Status BuildPermutedFile(io::Env* env, const std::string& input_name,
 /// Online sampler over a permuted file: sequential scan + filter.
 class PermutedFileSampler : public sampling::SampleStream {
  public:
-  /// `chunk_bytes` is the amount scanned per NextBatch() pull.
+  /// Bytes scanned per NextBatch() pull.
+  static constexpr size_t kChunkBytes = 128 << 10;
+
   PermutedFileSampler(const storage::HeapFile* file,
                       storage::RecordLayout layout,
-                      sampling::RangeQuery query,
-                      size_t chunk_bytes = 1 << 20);
+                      sampling::RangeQuery query);
 
   Result<sampling::SampleBatch> NextBatch() override;
   bool done() const override { return done_; }

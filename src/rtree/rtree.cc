@@ -100,11 +100,9 @@ Result<RTreeMeta> DecodeSuperblock(const char* src) {
 
 Status RTreeOptions::Validate(const storage::RecordLayout& layout) const {
   MSV_RETURN_IF_ERROR(layout.Validate());
-  if (dims < 1 || dims > layout.key_dims()) {
-    return Status::InvalidArgument("dims incompatible with record layout");
-  }
   if (format::LeafCapacity(page_size, layout.record_size) == 0 ||
-      format::InternalCapacity(page_size, dims) < 2) {
+      format::InternalCapacity(page_size,
+                               static_cast<uint32_t>(layout.key_dims())) < 2) {
     return Status::InvalidArgument("page too small");
   }
   return Status::OK();
@@ -115,7 +113,7 @@ Status BuildRTree(io::Env* env, const std::string& input_name,
                   const storage::RecordLayout& layout,
                   const RTreeOptions& options) {
   MSV_RETURN_IF_ERROR(options.Validate(layout));
-  const uint32_t dims = options.dims;
+  const auto dims = static_cast<uint32_t>(layout.key_dims());
   const size_t record_size = layout.record_size;
   const size_t leaf_cap = format::LeafCapacity(options.page_size, record_size);
 

@@ -37,9 +37,9 @@ namespace msv::rtree {
 
 inline constexpr uint64_t kRTreeMagic = 0x3145455254525453ULL;  // "STRRTEE1"
 
+/// The tree indexes every key dimension of the record layout.
 struct RTreeOptions {
   size_t page_size = 64 << 10;
-  uint32_t dims = 2;
   extsort::SortOptions sort;
 
   Status Validate(const storage::RecordLayout& layout) const;

@@ -18,7 +18,7 @@ uint64_t StoppingRule::ElapsedUs() const {
 
 bool StoppingRule::ErrorBoundMet(const Estimate& estimate) const {
   if (options_.rel_error_pct <= 0.0) return false;
-  if (estimate.samples < options_.min_samples) return false;
+  if (estimate.samples < kMinSamples) return false;
   const double denom = std::fabs(estimate.value);
   if (denom == 0.0) return estimate.half_width == 0.0;
   return estimate.half_width <= denom * options_.rel_error_pct / 100.0;

@@ -6,7 +6,7 @@
 //
 //   * error bound  — stop once the CLT confidence interval's half-width
 //     has shrunk to within `rel_error_pct` percent of the point estimate
-//     (after a warm-up of `min_samples`, below which the variance
+//     (after a warm-up of kMinSamples, below which the variance
 //     estimate and hence the interval are not trustworthy);
 //   * time bound   — stop once the query's consumed budget reaches the
 //     deadline. The budget is wall-clock time plus whatever extra cost
@@ -34,17 +34,18 @@ namespace msv::sampling {
 
 class StoppingRule {
  public:
+  /// CLT warm-up: the error bound may not fire below this many samples
+  /// (a 2-sample run with s ~ 0 would otherwise stop immediately with a
+  /// meaningless interval). Deadlines are not gated — a deadline is a
+  /// hard budget.
+  static constexpr uint64_t kMinSamples = 30;
+
   struct Options {
     /// Stop when half_width <= |value| * rel_error_pct / 100. 0 disables
     /// the error bound.
     double rel_error_pct = 0.0;
     /// Stop when ElapsedUs() >= deadline_us. 0 disables the deadline.
     uint64_t deadline_us = 0;
-    /// CLT warm-up: the error bound may not fire below this many samples
-    /// (a 2-sample run with s ~ 0 would otherwise stop immediately with
-    /// a meaningless interval). Deadlines are not gated — a deadline is
-    /// a hard budget.
-    uint64_t min_samples = 30;
     /// Extra elapsed budget in µs, added to the wall clock — the
     /// executor supplies the per-thread modeled-disk delta here. May be
     /// null.

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <cmath>
 #include <cstring>
 
 namespace msv::serve {
@@ -22,7 +23,7 @@ FrameDecoder::Outcome FrameDecoder::Next(std::string* payload) {
   const size_t n = (static_cast<size_t>(p[0]) << 24) |
                    (static_cast<size_t>(p[1]) << 16) |
                    (static_cast<size_t>(p[2]) << 8) | static_cast<size_t>(p[3]);
-  if (n > max_frame_bytes_) return Outcome::kTooLarge;
+  if (n > kMaxFrameBytes) return Outcome::kTooLarge;
   if (buf_.size() < kFrameHeaderBytes + n) return Outcome::kNeedMore;
   payload->assign(buf_, kFrameHeaderBytes, n);
   buf_.erase(0, kFrameHeaderBytes + n);
@@ -58,7 +59,16 @@ Result<Request> ParseRequest(const std::string& payload) {
     if (id->type() != obs::Json::Type::kNumber) {
       return Status::InvalidArgument("request \"id\" must be a number");
     }
-    request.id = static_cast<uint64_t>(id->AsNumber());
+    // Ids are echoed as JSON numbers, i.e. doubles: only integers in
+    // [0, 2^53] survive the round trip exactly (and the cast below is
+    // defined only for values in range).
+    constexpr double kMaxId = 9007199254740992.0;  // 2^53
+    const double v = id->AsNumber();
+    if (!(v >= 0.0 && v <= kMaxId) || v != std::floor(v)) {
+      return Status::InvalidArgument(
+          "request \"id\" must be an integer in [0, 2^53]");
+    }
+    request.id = static_cast<uint64_t>(v);
     request.has_id = true;
   }
   const obs::Json* statement = doc.Find("statement");

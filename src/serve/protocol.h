@@ -21,8 +21,8 @@
 //              "message": "..."}}
 //
 // The decoder is incremental (feed bytes as they arrive, frames come out
-// as they complete) and enforces a maximum frame size so one client
-// cannot balloon server memory.
+// as they complete) and enforces a maximum frame size (kMaxFrameBytes) so
+// one client cannot balloon server memory.
 
 #ifndef MSV_SERVE_PROTOCOL_H_
 #define MSV_SERVE_PROTOCOL_H_
@@ -38,8 +38,8 @@ namespace msv::serve {
 
 /// Frame length prefix: 4 bytes, big endian.
 inline constexpr size_t kFrameHeaderBytes = 4;
-/// Default ceiling on a single frame's payload.
-inline constexpr size_t kDefaultMaxFrameBytes = 1 << 20;
+/// Ceiling on a single frame's payload.
+inline constexpr size_t kMaxFrameBytes = 1 << 20;
 
 /// Prepends the length header to `payload`.
 std::string EncodeFrame(const std::string& payload);
@@ -47,15 +47,12 @@ std::string EncodeFrame(const std::string& payload);
 /// Incremental frame reassembly over a byte stream.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(size_t max_frame_bytes = kDefaultMaxFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
-
   void Feed(const char* data, size_t n) { buf_.append(data, n); }
 
   enum class Outcome {
     kFrame,     ///< *payload holds one complete frame's payload
     kNeedMore,  ///< header or body incomplete; feed more bytes
-    kTooLarge,  ///< declared length exceeds the ceiling; drop the client
+    kTooLarge,  ///< declared length exceeds kMaxFrameBytes; drop the client
   };
   Outcome Next(std::string* payload);
 
@@ -65,7 +62,6 @@ class FrameDecoder {
   size_t buffered() const { return buf_.size(); }
 
  private:
-  size_t max_frame_bytes_;
   std::string buf_;
 };
 

@@ -54,8 +54,7 @@ Status SetNonBlocking(int fd) {
 /// last reference (worker or connection table) is gone, so a late
 /// StageResponse can never hit a recycled descriptor.
 struct Server::Conn {
-  Conn(uint64_t id_in, int fd_in, size_t max_frame)
-      : id(id_in), fd(fd_in), decoder(max_frame) {}
+  Conn(uint64_t id_in, int fd_in) : id(id_in), fd(fd_in) {}
   ~Conn() {
     if (fd >= 0) ::close(fd);
   }
@@ -176,8 +175,6 @@ void Server::Stop() {
   }
 }
 
-size_t Server::connections() const { return conns_.size(); }
-
 void Server::WakeIo() {
   const char byte = 'w';
   // Best effort: a full pipe already guarantees a pending wakeup.
@@ -260,7 +257,7 @@ void Server::AcceptNew() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     const uint64_t id = next_conn_id_++;
-    auto conn = std::make_shared<Conn>(id, fd, options_.max_frame_bytes);
+    auto conn = std::make_shared<Conn>(id, fd);
     conn->last_progress_ms = NowMs();
     conns_.emplace(id, std::move(conn));
     accepted_->Add();
@@ -285,8 +282,7 @@ void Server::ReadConn(const std::shared_ptr<Conn>& conn) {
           StageResponse(conn,
                         EncodeErrorResponse(Request{}, ErrorKind::kProtocol,
                                             "frame exceeds " +
-                                                std::to_string(
-                                                    options_.max_frame_bytes) +
+                                                std::to_string(kMaxFrameBytes) +
                                                 " bytes"));
           FlushConn(conn);
           DropConn(conn->id);

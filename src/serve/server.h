@@ -52,7 +52,6 @@ struct ServerOptions {
   int port = 0;  ///< 0 = ephemeral; read the bound port from port()
   int workers = 4;
   size_t max_queue = 128;  ///< admitted-but-unserved request bound
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Connections holding a partial frame with no progress for this long
   /// are closed (slow-loris sweep). 0 disables.
   uint64_t stall_timeout_ms = 10000;
@@ -77,9 +76,6 @@ class Server {
 
   /// The bound port (valid after Start(); useful with port 0).
   int port() const { return port_; }
-
-  /// Live connection count (I/O thread's view, approximate off-thread).
-  size_t connections() const;
 
  private:
   struct Conn;

@@ -181,8 +181,7 @@ TEST_F(AceVerifyTest, DuplicatedRecordViolatesLemma1) {
   FixLeafChecksum(loc);
 
   Reopen();
-  InvariantReport report =
-      tree_->CheckInvariants(InvariantCheckOptions{.check_cell_counts = false});
+  InvariantReport report = tree_->CheckInvariants();
   ASSERT_FALSE(report.ok());
   bool found = false;
   for (const auto& v : report.violations) {
@@ -213,17 +212,85 @@ TEST_F(AceVerifyTest, BrokenInternalCountsAreCaught) {
 }
 
 TEST_F(AceVerifyTest, MaxViolationsTruncatesReport) {
-  Build(20000, 4);
+  Build(20000, 8);  // 128 leaves: more than the report's cap
+  ASSERT_GT(tree_->meta().num_leaves, InvariantReport::kMaxViolations);
   // Zero out the whole directory: every leaf becomes unreadable.
   std::string zeros(tree_->meta().num_leaves * kDirectoryEntrySize, '\0');
   Clobber(tree_->meta().directory_offset, zeros.data(), zeros.size());
   FixRegionChecksums();  // let the semantic check, not the CRC, object
   Reopen();
-  InvariantReport report =
-      tree_->CheckInvariants(InvariantCheckOptions{.max_violations = 3});
+  InvariantReport report = tree_->CheckInvariants();
   ASSERT_FALSE(report.ok());
-  EXPECT_LE(report.violations.size(), 3u);
+  EXPECT_EQ(report.violations.size(), InvariantReport::kMaxViolations);
   EXPECT_TRUE(report.truncated);
+}
+
+/// Rewrites the superblock through `edit` and re-checksums it, so the
+/// geometry checks, not the superblock CRC, must object.
+template <typename Edit>
+void RewriteSuperblock(io::Env* env, Edit edit) {
+  auto file = ValueOrDie(env->OpenFile("ace", /*create=*/false));
+  char super[kSuperblockSize];
+  MSV_ASSERT_OK(file->ReadExact(0, sizeof(super), super));
+  AceMeta meta = ValueOrDie(DecodeSuperblock(super));
+  edit(&meta);
+  EncodeSuperblock(super, meta);
+  MSV_ASSERT_OK(file->Write(0, super, sizeof(super)));
+}
+
+TEST_F(AceVerifyTest, HeightPastMaximumIsCorruption) {
+  Build(20000, 4);
+  RewriteSuperblock(env_.get(), [](AceMeta* meta) { meta->height = 100; });
+  auto reopened = AceTree::Open(env_.get(), "ace", layout_);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
+}
+
+TEST_F(AceVerifyTest, RegionsPastEndOfFileAreCorruption) {
+  Build(20000, 4);
+  // A consistent height-40 geometry claims 2^39 leaves: terabytes of
+  // internal nodes and directory that this small file cannot hold.
+  RewriteSuperblock(env_.get(), [](AceMeta* meta) {
+    meta->height = kMaxHeight;
+    meta->num_leaves = uint64_t{1} << (kMaxHeight - 1);
+  });
+  auto reopened = AceTree::Open(env_.get(), "ace", layout_);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_TRUE(reopened.status().IsCorruption())
+      << reopened.status().ToString();
+}
+
+TEST_F(AceVerifyTest, DirectoryEntryPastEndOfFileIsPerLeafCorruption) {
+  Build(20000, 4);
+  const uint64_t victim = 2;
+  // A petabyte-long entry for one leaf, with the region CRC recomputed.
+  char length[8];
+  EncodeFixed64(length, uint64_t{1} << 50);
+  Clobber(tree_->meta().directory_offset + victim * kDirectoryEntrySize + 8,
+          length, sizeof(length));
+  FixRegionChecksums();
+  Reopen();
+
+  auto leaf = tree_->ReadLeaf(victim);
+  ASSERT_FALSE(leaf.ok());
+  EXPECT_TRUE(leaf.status().IsCorruption()) << leaf.status().ToString();
+  auto batch = tree_->ReadLeaves({0, victim});
+  ASSERT_FALSE(batch.ok());
+  EXPECT_TRUE(batch.status().IsCorruption()) << batch.status().ToString();
+  MSV_EXPECT_OK(tree_->ReadLeaf(victim + 1).status());
+
+  // The scrubber attributes the bad entry to its leaf; the other leaves
+  // verify (tree-wide totals miss the victim's records).
+  InvariantReport report = tree_->CheckInvariants();
+  ASSERT_FALSE(report.ok());
+  bool found = false;
+  for (const auto& v : report.violations) {
+    EXPECT_TRUE(v.leaf == victim || v.leaf == InvariantViolation::kNoLeaf)
+        << report.ToString();
+    found = found || (v.leaf == victim && v.code == StatusCode::kCorruption);
+  }
+  EXPECT_TRUE(found) << report.ToString();
 }
 
 TEST_F(AceVerifyTest, InternalRegionBitFlipRejectedAtOpen) {

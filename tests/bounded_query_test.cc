@@ -138,8 +138,8 @@ TEST(StoppingRuleTest, ErrorBoundAgainstRelativeWidth) {
 TEST(StoppingRuleTest, WarmupGateBlocksEarlyTrigger) {
   StoppingRule::Options options;
   options.rel_error_pct = 5.0;
-  options.min_samples = 30;
   StoppingRule rule(options);
+  ASSERT_EQ(StoppingRule::kMinSamples, 30u);
   // A 1-sample "estimate" has half_width 0 — without the warm-up gate it
   // would satisfy any error bound instantly.
   EXPECT_EQ(rule.Check(MakeEstimate(100, 0, 1)),

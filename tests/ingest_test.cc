@@ -513,15 +513,15 @@ TEST(IngestFaultTest, InlineFlushFailureDoesNotFailAcknowledgedInsert) {
   EXPECT_EQ(ids.size(), 400u + 69u);
 }
 
-TEST(IngestFaultTest, FlushedRunSurvivesPowerLossWithoutWalSync) {
-  // With sync_wal off only the unflushed tail is expendable: a flush must
-  // make the records it seals durable before the memtable moves on.
+TEST(IngestFaultTest, FlushedRunSurvivesPowerLoss) {
+  // A flushed run lives only in its sealed WAL until compaction folds it
+  // in, so power loss after the flush must leave both the run and the
+  // acknowledged memtable tail recoverable.
   auto inner = io::NewMemEnv();
   MakeSale(inner.get(), "sale", 400, /*seed=*/7);
   const storage::RecordLayout layout = SaleRecord::Layout1D();
   MaterializedSampleView::Options options = SmallViewOptions();
   options.ingest.memtable_max_records = 64;
-  options.ingest.sync_wal = false;
   {
     auto created = ValueOrDie(MaterializedSampleView::Create(
         inner.get(), "v", "sale", layout, options));
@@ -551,7 +551,7 @@ TEST(IngestFaultTest, FlushedRunSurvivesPowerLossWithoutWalSync) {
   std::vector<uint64_t> ids = msv::testing::DrainRowIds(sampler.get());
   EXPECT_TRUE(AllDistinct(ids));
   std::set<uint64_t> recovered(ids.begin(), ids.end());
-  for (uint64_t rid = 0; rid < 400 + 64; ++rid) {
+  for (uint64_t rid = 0; rid < 500; ++rid) {
     EXPECT_EQ(recovered.count(rid), 1u) << "lost row " << rid;
   }
   for (uint64_t rid : recovered) EXPECT_LT(rid, 500u) << "phantom " << rid;
@@ -566,8 +566,7 @@ TEST(IngestConcurrencyTest, ConcurrentInsertSampleCompact) {
   MakeSale(env.get(), "sale", kBase, /*seed=*/5);
   const storage::RecordLayout layout = SaleRecord::Layout1D();
   MaterializedSampleView::Options options = SmallViewOptions();
-  options.ingest.memtable_max_records = 200;
-  options.ingest.compact_trigger_runs = 2;
+  options.ingest.memtable_max_records = 200;  // 2000 inserts seal 10 runs
   options.ingest.background_compaction = true;
   auto view = ValueOrDie(MaterializedSampleView::Create(env.get(), "v",
                                                         "sale", layout,
@@ -627,7 +626,6 @@ TEST(IngestConcurrencyTest, TotalRecordsNeverDipsDuringCompaction) {
   auto env = io::NewMemEnv();
   MakeSale(env.get(), "sale", kBase, /*seed=*/5);
   MaterializedSampleView::Options options = SmallViewOptions();
-  options.ingest.compact_trigger_runs = 1;
   options.ingest.background_compaction = true;
   auto view = ValueOrDie(MaterializedSampleView::Create(
       env.get(), "v", "sale", SaleRecord::Layout1D(), options));
@@ -636,8 +634,9 @@ TEST(IngestConcurrencyTest, TotalRecordsNeverDipsDuringCompaction) {
       obs::MetricRegistry::Global().GetCounter("ingest.compactions");
   const uint64_t compactions_before = compactions->Value();
   // The writer keeps going until several compactions have committed
-  // (each 100-record flush is a run of its own, and one run triggers a
-  // compaction), so the poll loop below spans those commits. The time
+  // (each 100-record flush is a run of its own, and three runs exceed
+  // the delta fraction of the 2000-record base and trigger a compaction),
+  // so the poll loop below spans those commits. The time
   // cap bounds slow (sanitizer) builds, where the busy poll loop lets
   // fewer compactions through.
   constexpr uint64_t kCompactions = 5;
@@ -690,8 +689,7 @@ TEST(IngestConcurrencyTest, ExecutorInsertRowIdsStayUniqueUnderCompaction) {
   // background compaction moves run records into the base while inserts
   // keep coming; the count must see that move all at once or new rows
   // reuse existing ids. The base is small, so every flushed run exceeds
-  // the view's delta fraction and triggers a compaction of its own, as
-  // with compact_trigger_runs = 1.
+  // the view's delta fraction and triggers a compaction of its own.
   auto env = io::NewMemEnv();
   auto exec = ValueOrDie(query::Executor::Open(env.get()));
   constexpr uint64_t kTableRows = 2000;

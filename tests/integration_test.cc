@@ -141,7 +141,7 @@ TEST_F(IntegrationTest, AceBeatsPermutedFileEarlyAtLowSelectivity) {
     auto h = std::make_unique<Holder>();
     h->file = std::move(file);
     h->inner = std::make_unique<permuted::PermutedFileSampler>(
-        h->file.get(), layout_, q, 64 << 10);
+        h->file.get(), layout_, q);
     return h;
   });
 

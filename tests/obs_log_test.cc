@@ -4,9 +4,9 @@
 // records end-to-end (the EXPLAIN ANALYZE acceptance path).
 //
 // The logger and slow-query log under test are process-wide singletons,
-// so every test restores defaults (stderr on, limit 100/s, disarmed,
-// ring cleared) on exit; tests that need isolation use private
-// SlowQueryLog instances.
+// so every test restores defaults (no JSON sink, fresh rate-limit
+// windows, disarmed, ring cleared) on exit; tests that need isolation
+// use private SlowQueryLog instances.
 
 #include <cstdio>
 #include <cstdlib>
@@ -33,15 +33,12 @@ class LoggingTestGuard {
  public:
   LoggingTestGuard() {
     InitLogging();
-    StructuredLogger::Global().set_stderr_enabled(false);
     StructuredLogger::Global().ResetSites();
   }
   ~LoggingTestGuard() {
     StructuredLogger& logger = StructuredLogger::Global();
     logger.CloseJsonSink();
-    logger.set_site_limit(100);
     logger.ResetSites();
-    logger.set_stderr_enabled(true);
     SlowQueryLog::Global().set_threshold_us(0);
     SlowQueryLog::Global().Clear();
     SetLogLevel(LogLevel::kInfo);
@@ -137,21 +134,24 @@ TEST(StructuredLoggerTest, PerSiteRateLimitingSuppressesAndAccounts) {
   const std::string path = TempPath("msv_obs_log_rate_test.jsonl");
   std::remove(path.c_str());
   ASSERT_TRUE(logger.OpenJsonSink(path).ok());
-  logger.set_site_limit(3);  // 3 per site per second
 
+  // The flood fits in one window: kSiteLimit records per site per second.
+  constexpr uint64_t kFlood = StructuredLogger::kSiteLimit + 50;
   const uint64_t emitted_before = logger.emitted();
   const uint64_t suppressed_before = logger.suppressed();
-  for (int i = 0; i < 10; ++i) {
+  for (uint64_t i = 0; i < kFlood; ++i) {
     LogEvent(LogLevel::kWarn, "flood.cc", 7, "flood", {});
   }
   // A different site is not affected by flood.cc's window.
   LogEvent(LogLevel::kWarn, "calm.cc", 1, "calm", {});
   logger.CloseJsonSink();
 
-  EXPECT_EQ(logger.emitted() - emitted_before, 4u);     // 3 flood + 1 calm
-  EXPECT_EQ(logger.suppressed() - suppressed_before, 7u);
+  EXPECT_EQ(logger.emitted() - emitted_before,
+            StructuredLogger::kSiteLimit + 1);  // kSiteLimit flood + 1 calm
+  EXPECT_EQ(logger.suppressed() - suppressed_before,
+            kFlood - StructuredLogger::kSiteLimit);
   std::vector<Json> lines = ReadJsonLines(path);
-  ASSERT_EQ(lines.size(), 4u);
+  ASSERT_EQ(lines.size(), StructuredLogger::kSiteLimit + 1);
   std::remove(path.c_str());
 }
 
@@ -170,27 +170,17 @@ SlowQueryRecord MakeRecord(uint64_t wall_us) {
 
 TEST(SlowQueryLogTest, RingEvictsOldestAtCapacity) {
   LoggingTestGuard guard;
-  SlowQueryLog log(/*capacity=*/3);
-  for (uint64_t w = 1; w <= 5; ++w) log.Record(MakeRecord(w));
-  EXPECT_EQ(log.size(), 3u);
-  EXPECT_EQ(log.total_recorded(), 5u);
+  SlowQueryLog log;
+  constexpr uint64_t kRecords = SlowQueryLog::kCapacity + 2;
+  for (uint64_t w = 1; w <= kRecords; ++w) log.Record(MakeRecord(w));
+  EXPECT_EQ(log.size(), SlowQueryLog::kCapacity);
+  EXPECT_EQ(log.total_recorded(), kRecords);
   std::vector<SlowQueryRecord> snap = log.Snapshot();
-  ASSERT_EQ(snap.size(), 3u);
+  ASSERT_EQ(snap.size(), SlowQueryLog::kCapacity);
   // Oldest-first: 1 and 2 were evicted.
-  EXPECT_EQ(snap[0].wall_us, 3u);
+  EXPECT_EQ(snap.front().wall_us, 3u);
   EXPECT_EQ(snap[1].wall_us, 4u);
-  EXPECT_EQ(snap[2].wall_us, 5u);
-}
-
-TEST(SlowQueryLogTest, ShrinkingCapacityDropsOldest) {
-  LoggingTestGuard guard;
-  SlowQueryLog log(/*capacity=*/8);
-  for (uint64_t w = 1; w <= 6; ++w) log.Record(MakeRecord(w));
-  log.set_capacity(2);
-  std::vector<SlowQueryRecord> snap = log.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].wall_us, 5u);
-  EXPECT_EQ(snap[1].wall_us, 6u);
+  EXPECT_EQ(snap.back().wall_us, kRecords);
 }
 
 TEST(SlowQueryLogTest, ArmFromEnvParsesThreshold) {

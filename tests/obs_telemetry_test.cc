@@ -121,7 +121,10 @@ TEST(MetricsPollerTest, TicksAccumulateAtShortInterval) {
     MetricsPoller poller(options);
     for (uint64_t n = 1; n <= 5; ++n) {
       c->Add(n);
-      WaitForPolls(poller, n);
+      // The poller does not poll at shutdown, so wait for a poll that
+      // starts after the Add: the next one may have read the counter
+      // before it.
+      WaitForPolls(poller, poller.polls() + 2);
     }
     polls = poller.polls();
   }

@@ -121,6 +121,24 @@ TEST(JsonTest, RoundTripNestedDocument) {
   }
 }
 
+TEST(JsonTest, NestingPastMaxDepthIsAnErrorNotACrash) {
+  auto nested = [](int levels) {
+    return std::string(static_cast<size_t>(levels), '[') +
+           std::string(static_cast<size_t>(levels), ']');
+  };
+  MSV_EXPECT_OK(Json::Parse(nested(Json::kMaxDepth)).status());
+  auto over = Json::Parse(nested(Json::kMaxDepth + 1));
+  ASSERT_FALSE(over.ok());
+  EXPECT_TRUE(over.status().IsInvalidArgument()) << over.status().ToString();
+  // One recursion per level would overflow the stack long before here.
+  auto hostile = Json::Parse(std::string(100000, '['));
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_TRUE(hostile.status().IsInvalidArgument());
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_TRUE(Json::Parse(objects).status().IsInvalidArgument());
+}
+
 TEST(JsonTest, MetricsSnapshotRoundTrips) {
   MetricRegistry reg;
   reg.GetCounter("io.disk.reads")->Add(17);
@@ -253,11 +271,14 @@ TEST(TraceTest, ScopedTracerInstallsAndRestores) {
 
 TEST(TraceTest, MaxSpansDrops) {
   MetricRegistry reg;
-  Tracer tracer(&reg, /*max_spans=*/2);
-  Span a = tracer.StartSpan("a");
-  Span b = tracer.StartSpan("b");
-  Span c = tracer.StartSpan("c");
-  EXPECT_FALSE(c.active());
+  Tracer tracer(&reg);
+  for (size_t i = 0; i < Tracer::kMaxSpans; ++i) {
+    Span s = tracer.StartSpan("s");
+    ASSERT_TRUE(s.active()) << i;
+  }
+  Span over = tracer.StartSpan("over");
+  EXPECT_FALSE(over.active());
+  EXPECT_EQ(tracer.spans().size(), Tracer::kMaxSpans);
   EXPECT_EQ(tracer.dropped_spans(), 1u);
 }
 
@@ -269,9 +290,9 @@ TEST(TraceTest, ExportTraceIfRequestedWritesJsonLine) {
   const std::string path =
       ::testing::TempDir() + "/msv_obs_test_trace.json";
   std::remove(path.c_str());
-  ASSERT_EQ(setenv("MSV_OBS_TEST_TRACE", path.c_str(), 1), 0);
-  EXPECT_TRUE(ExportTraceIfRequested(tracer, "MSV_OBS_TEST_TRACE"));
-  unsetenv("MSV_OBS_TEST_TRACE");
+  ASSERT_EQ(setenv("MSV_TRACE", path.c_str(), 1), 0);
+  EXPECT_TRUE(ExportTraceIfRequested(tracer));
+  unsetenv("MSV_TRACE");
 
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -286,8 +307,8 @@ TEST(TraceTest, ExportTraceIfRequestedWritesJsonLine) {
 TEST(TraceTest, UnsetEnvVarExportsNothing) {
   MetricRegistry reg;
   Tracer tracer(&reg);
-  unsetenv("MSV_OBS_TEST_TRACE_UNSET");
-  EXPECT_FALSE(ExportTraceIfRequested(tracer, "MSV_OBS_TEST_TRACE_UNSET"));
+  unsetenv("MSV_TRACE");
+  EXPECT_FALSE(ExportTraceIfRequested(tracer));
 }
 
 // ---------------------------------------------------------------------------

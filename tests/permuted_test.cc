@@ -84,7 +84,8 @@ TEST_F(PermutedFileTest, SamplerReturnsExactlyTheMatchSet) {
   auto expected =
       ValueOrDie(relation::CollectMatchingRowIds(*sale, layout, query));
 
-  PermutedFileSampler sampler(perm.get(), layout, query, /*chunk_bytes=*/4096);
+  // 4000 records of 100 bytes span several 128 KiB pulls.
+  PermutedFileSampler sampler(perm.get(), layout, query);
   auto got = DrainRowIds(&sampler);
   EXPECT_EQ(sampler.samples_returned(), got.size());
   EXPECT_EQ(sampler.records_scanned(), kRecords);
@@ -137,7 +138,7 @@ TEST_F(PermutedFileTest, PrefixIsUniformSample) {
     options.seed = 1000 + t;
     MSV_ASSERT_OK(BuildPermutedFile(env_.get(), "sale", "ptrial", options));
     auto perm = ValueOrDie(HeapFile::Open(env_.get(), "ptrial"));
-    PermutedFileSampler sampler(perm.get(), layout, query, 2048);
+    PermutedFileSampler sampler(perm.get(), layout, query);
     auto prefix = TakeRowIds(&sampler, kPrefix);
     ASSERT_GE(prefix.size(), kPrefix);
     prefix.resize(kPrefix);  // batches may overshoot; keep an exact prefix

@@ -32,7 +32,6 @@ class RTreeTest : public ::testing::Test {
     MakeSale(env_.get(), "sale", kRecords, /*seed=*/51);
     RTreeOptions options;
     options.page_size = kPageSize;
-    options.dims = 2;
     MSV_ASSERT_OK(BuildRTree(env_.get(), "sale", "rt",
                              SaleRecord::Layout2D(), options));
     pool_ = std::make_unique<io::BufferPool>(kPageSize, 256);

@@ -71,14 +71,14 @@ TEST_F(OnlineAggregatorTest, AvgConvergesToTruth) {
 
   auto layout = SaleRecord::Layout1D();
   auto q = RangeQuery::OneDim(-1e18, 1e18);
-  permuted::PermutedFileSampler sampler(perm.get(), layout, q, 100 * 64);
+  permuted::PermutedFileSampler sampler(perm.get(), layout, q);
   OnlineAggregator agg(AmountAccessor(), kRecords, 0.95);
 
   double last_width = 1e18;
   uint64_t checkpoints = 0;
   while (!sampler.done() && agg.samples_seen() < 10000) {
     agg.Consume(ValueOrDie(sampler.NextBatch()));
-    if (agg.samples_seen() > 100 && agg.samples_seen() % 2000 < 64) {
+    if (agg.samples_seen() > 100) {  // one checkpoint per 128 KiB pull
       Estimate e = agg.Avg();
       EXPECT_LE(e.half_width, last_width * 1.5);  // interval shrinks
       last_width = e.half_width;

@@ -31,9 +31,18 @@ using msv::testing::ValueOrDie;
 using serve::Client;
 using serve::EncodeFrame;
 using serve::FrameDecoder;
+using serve::kMaxFrameBytes;
 using serve::ParseRequest;
 using serve::Server;
 using serve::ServerOptions;
+
+/// A bare frame header declaring a `length`-byte payload.
+std::string FrameHeader(size_t length) {
+  return {static_cast<char>((length >> 24) & 0xff),
+          static_cast<char>((length >> 16) & 0xff),
+          static_cast<char>((length >> 8) & 0xff),
+          static_cast<char>(length & 0xff)};
+}
 
 // ---------------------------------------------------------------------------
 // FrameDecoder: incremental reassembly.
@@ -75,12 +84,20 @@ TEST(FrameDecoderTest, EmptyPayloadRoundTrips) {
 }
 
 TEST(FrameDecoderTest, OversizedDeclaredLengthIsRejectedFromHeaderAlone) {
-  FrameDecoder decoder(/*max_frame_bytes=*/16);
-  // Header declaring 1 MiB — no body bytes needed to convict.
-  const unsigned char header[4] = {0x00, 0x10, 0x00, 0x00};
-  decoder.Feed(reinterpret_cast<const char*>(header), sizeof(header));
+  FrameDecoder decoder;
+  // Header one byte past the ceiling — no body bytes needed to convict.
+  const std::string header = FrameHeader(kMaxFrameBytes + 1);
+  decoder.Feed(header.data(), header.size());
   std::string payload;
   EXPECT_EQ(decoder.Next(&payload), FrameDecoder::Outcome::kTooLarge);
+}
+
+TEST(FrameDecoderTest, LengthAtCeilingWaitsForBody) {
+  FrameDecoder decoder;
+  const std::string header = FrameHeader(kMaxFrameBytes);
+  decoder.Feed(header.data(), header.size());
+  std::string payload;
+  EXPECT_EQ(decoder.Next(&payload), FrameDecoder::Outcome::kNeedMore);
 }
 
 // ---------------------------------------------------------------------------
@@ -101,6 +118,21 @@ TEST(ParseRequestTest, RejectsMalformedRequests) {
   EXPECT_FALSE(ParseRequest("[1, 2, 3]").ok());        // not an object
   EXPECT_FALSE(ParseRequest("{\"id\": 3}").ok());      // statement missing
   EXPECT_FALSE(ParseRequest("{\"statement\": 9}").ok());  // wrong type
+}
+
+TEST(ParseRequestTest, IdMustBeAnExactNonNegativeInteger) {
+  for (const char* id : {"-1", "1e300", "1.5", "9007199254740994"}) {
+    auto request = ParseRequest(std::string("{\"id\": ") + id +
+                                ", \"statement\": \"X;\"}");
+    ASSERT_FALSE(request.ok()) << id;
+    EXPECT_TRUE(request.status().IsInvalidArgument()) << id;
+  }
+  // 2^53, the largest id every JSON client represents exactly.
+  auto top = ValueOrDie(
+      ParseRequest("{\"id\": 9007199254740992, \"statement\": \"X;\"}"));
+  EXPECT_EQ(top.id, uint64_t{1} << 53);
+  EXPECT_EQ(ValueOrDie(ParseRequest("{\"id\": 0, \"statement\": \"X;\"}")).id,
+            0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -178,14 +210,45 @@ TEST_F(ServeTest, MissingStatementIsProtocolError) {
   EXPECT_EQ(doc.Find("error")->Find("kind")->AsString(), "protocol");
 }
 
-TEST_F(ServeTest, OversizedFrameGetsTypedErrorThenDrop) {
-  ServerOptions options;
-  options.max_frame_bytes = 256;
-  StartServer(options);
+TEST_F(ServeTest, OutOfRangeIdsAreProtocolErrors) {
+  StartServer(ServerOptions{});
   auto client = Connect();
-  // Header declaring a 1 MiB payload; the server convicts on the header.
-  const unsigned char header[4] = {0x00, 0x10, 0x00, 0x00};
-  MSV_ASSERT_OK(client->SendBytes(header, sizeof(header)));
+  for (const char* id : {"-1", "1e300", "1.5"}) {
+    const std::string frame = EncodeFrame(std::string("{\"id\": ") + id +
+                                          ", \"statement\": \"SHOW VIEWS;\"}");
+    MSV_ASSERT_OK(client->SendBytes(frame.data(), frame.size()));
+    obs::Json doc = ValueOrDie(client->Read());
+    EXPECT_FALSE(doc.Find("ok")->AsBool()) << id;
+    EXPECT_EQ(doc.Find("error")->Find("kind")->AsString(), "protocol") << id;
+  }
+  // The connection stays usable.
+  obs::Json doc = ValueOrDie(client->Call(kGoodQuery));
+  EXPECT_TRUE(doc.Find("ok")->AsBool());
+}
+
+TEST_F(ServeTest, DeeplyNestedFrameIsProtocolErrorNotACrash) {
+  StartServer(ServerOptions{});
+  auto client = Connect();
+  // 100 KB of '[' — one parser recursion per level would blow the I/O
+  // thread's stack.
+  const std::string frame = EncodeFrame(std::string(100000, '['));
+  MSV_ASSERT_OK(client->SendBytes(frame.data(), frame.size()));
+  obs::Json doc = ValueOrDie(client->Read());
+  EXPECT_FALSE(doc.Find("ok")->AsBool());
+  EXPECT_EQ(doc.Find("error")->Find("kind")->AsString(), "protocol");
+  // The server is alive: a fresh session is answered.
+  auto fresh = Connect();
+  obs::Json answer = ValueOrDie(fresh->Call(kGoodQuery));
+  EXPECT_TRUE(answer.Find("ok")->AsBool());
+}
+
+TEST_F(ServeTest, OversizedFrameGetsTypedErrorThenDrop) {
+  StartServer(ServerOptions{});
+  auto client = Connect();
+  // Header declaring one byte past the ceiling; the server convicts on
+  // the header.
+  const std::string header = FrameHeader(kMaxFrameBytes + 1);
+  MSV_ASSERT_OK(client->SendBytes(header.data(), header.size()));
   obs::Json doc = ValueOrDie(client->Read());
   EXPECT_FALSE(doc.Find("ok")->AsBool());
   EXPECT_EQ(doc.Find("error")->Find("kind")->AsString(), "protocol");
@@ -358,7 +421,17 @@ TEST_F(ServeTest, StopWithQueuedWorkDoesNotHang) {
         client->Send(static_cast<uint64_t>(i + 1), kGoodQuery));
   }
   server_->Stop();  // must join cleanly with requests still queued
-  EXPECT_EQ(server_->connections(), 0u);
+  // Stop() closed the session: the client reads at most the answers
+  // sent before it, then the end of the stream (not a timeout).
+  for (int i = 0; i <= 8; ++i) {
+    auto doc = client->Read(/*timeout_ms=*/5000);
+    if (doc.ok()) continue;
+    EXPECT_EQ(std::string(doc.status().message()).find("timeout"),
+              std::string::npos)
+        << doc.status().ToString();
+    return;
+  }
+  ADD_FAILURE() << "more answers than requests";
 }
 
 }  // namespace

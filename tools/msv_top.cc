@@ -21,6 +21,7 @@
 // The tool is read-only: it never touches the registry of the process
 // being observed, only the exported file.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -53,7 +54,7 @@ struct Point {
   obs::Json root;  // {"ts_us", "metrics", "slow_queries"}
 };
 
-// Reads the last `want` parseable lines of the export file. The file is
+// Reads the last `want` valid points of the export file. The file is
 // append-only JSON lines; rereading it wholesale keeps the tool stateless
 // across refreshes (and correct across truncation/rotation).
 std::vector<Point> ReadLastPoints(const std::string& path, size_t want) {
@@ -64,17 +65,20 @@ std::vector<Point> ReadLastPoints(const std::string& path, size_t want) {
     if (!line.empty()) lines.push_back(line);
   }
   std::vector<Point> points;
-  size_t first = lines.size() > want ? lines.size() - want : 0;
-  for (size_t i = first; i < lines.size(); ++i) {
+  for (size_t i = lines.size(); i-- > 0 && points.size() < want;) {
     auto parsed = obs::Json::Parse(lines[i]);
     if (!parsed.ok()) continue;  // torn final line mid-write: skip
     Point p;
     p.root = std::move(parsed.value());
     if (const obs::Json* ts = p.root.Find("ts_us")) {
-      p.ts_us = static_cast<uint64_t>(ts->AsNumber());
+      // A timestamp no uint64_t holds is not a line this tool wrote.
+      const double v = ts->AsNumber();
+      if (!(v >= 0.0 && v < 0x1p64)) continue;
+      p.ts_us = static_cast<uint64_t>(v);
     }
     points.push_back(std::move(p));
   }
+  std::reverse(points.begin(), points.end());  // oldest first
   return points;
 }
 
