@@ -58,20 +58,10 @@ int RunSamplingRateBench(int argc, char** argv,
                {"buffer_fraction", "0.05"},
                {"pull_records", "4"},
                {"record_cpu_ms", "0.15"},
-               {"io_batch", "1"},
-               {"assert_min_coalesce", "0"},
                {"smoke", "0"}});
   // --smoke: CI-sized run (seconds, not minutes) that still exercises
   // every competitor and emits the BENCH_*.json record.
   const bool smoke = flags.GetInt("smoke") != 0;
-  // --io_batch: batched leaf I/O for the ACE sampler. On, to-completion
-  // figures (where only total time matters) drain the whole stab order
-  // in one elevator-ordered batch, and time-bounded figures keep the
-  // leaf-at-a-time path (prefetching ahead of the clock would delay the
-  // early samples the x-axis is plotting). Off, every figure reads one
-  // leaf at a time.
-  const bool io_batch = flags.GetInt("io_batch") != 0;
-  const bool drain = io_batch && config.to_completion;
 
   BenchEnv::Options options;
   options.records = smoke ? 100'000 : flags.GetInt("records");
@@ -112,11 +102,6 @@ int RunSamplingRateBench(int argc, char** argv,
   methods[1].name = config.dims == 1 ? "btree" : "rtree";
   methods[2].name = "permuted";
 
-  // io.batch.* accounting for the ACE runs, summed across queries (each
-  // query gets a fresh device, so registry deltas would mix methods).
-  uint64_t ace_batched_accesses = 0;
-  uint64_t ace_batched_pages = 0;
-
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const auto& q = queries[qi];
     std::fprintf(stderr, "[query %zu/%zu %s]\n", qi + 1, queries.size(),
@@ -130,10 +115,7 @@ int RunSamplingRateBench(int argc, char** argv,
                                          env.layout());
       MSV_CHECK(tree_or.ok());
       auto tree = std::move(tree_or).value();
-      core::AceSamplerOptions sampler_options;
-      sampler_options.drain = drain;
-      core::AceSampler sampler(tree.get(), q, options.seed + qi,
-                               sampler_options);
+      core::AceSampler sampler(tree.get(), q, options.seed + qi);
       // Metadata (superblock, internal nodes, directory) is resident in a
       // warm DBMS and negligible at the paper's scale; measure from here.
       device->clock().Reset();
@@ -141,9 +123,6 @@ int RunSamplingRateBench(int argc, char** argv,
       methods[0].series.push_back(std::move(r.samples));
       methods[0].completion_ms.push_back(device->clock().NowMs());
       methods[0].all_completed &= r.completed;
-      io::DiskStats ace_stats = device->stats();
-      ace_batched_accesses += ace_stats.batched_accesses;
-      ace_batched_pages += ace_stats.batched_pages;
     }
 
     // --- Ranked B+-tree (1-d) or ranked R-tree (2-d).
@@ -249,16 +228,11 @@ int RunSamplingRateBench(int argc, char** argv,
   numbers["dims"] = obs::Json(static_cast<uint64_t>(config.dims));
   numbers["scan_ms"] = obs::Json(scan_ms);
   numbers["smoke"] = obs::Json(smoke);
-  numbers["io_batch"] = obs::Json(io_batch);
-  numbers["ace_io_policy"] = obs::Json(drain ? "drain" : "leaf");
-  // Modeled pages per coalesced access across all ACE runs; 0 when the
-  // ACE sampler read one leaf at a time.
-  const double coalesce_ratio =
-      ace_batched_accesses > 0
-          ? static_cast<double>(ace_batched_pages) /
-                static_cast<double>(ace_batched_accesses)
-          : 0.0;
-  numbers["ace_coalesce_ratio"] = obs::Json(coalesce_ratio);
+  auto mean_completion_ms = [](const MethodResult& m) {
+    double sum = 0;
+    for (double ms : m.completion_ms) sum += ms;
+    return sum / static_cast<double>(m.completion_ms.size());
+  };
   obs::Json per_method = obs::Json::Object();
   const double last_x = checkpoints.back();
   for (const auto& m : methods) {
@@ -266,37 +240,37 @@ int RunSamplingRateBench(int argc, char** argv,
     entry["pct_records_at_last_checkpoint"] =
         obs::Json(AggregateAt(m.series, last_x / 100.0 * scan_ms).mean / n *
                   100.0);
-    double mean_completion = 0;
-    for (double ms : m.completion_ms) mean_completion += ms;
-    entry["mean_completion_ms"] =
-        obs::Json(mean_completion /
-                  static_cast<double>(m.completion_ms.size()));
+    entry["mean_completion_ms"] = obs::Json(mean_completion_ms(m));
     entry["all_completed"] = obs::Json(m.all_completed);
     per_method[m.name] = std::move(entry);
   }
   numbers["methods"] = std::move(per_method);
   WriteBenchJson(config.figure, numbers);
 
-  // --assert_min_coalesce: CI guard — a silently de-batched ACE read
-  // path records no io.batch.* accesses at all, driving the ratio to 0
-  // and failing the bench-smoke job instead of shipping a regression.
-  const double min_coalesce = flags.GetDouble("assert_min_coalesce");
-  if (min_coalesce > 0) {
-    std::fprintf(stderr, "[ace coalesce ratio %.2f, required > %.2f]\n",
-                 coalesce_ratio, min_coalesce);
-    MSV_CHECK_MSG(coalesce_ratio > min_coalesce,
-                  "ACE coalesce ratio below --assert_min_coalesce");
-  }
-
   if (config.to_completion) {
     std::printf("\ncompletion time (%% of scan), averaged over queries:\n");
     for (const auto& m : methods) {
-      double sum = 0;
-      for (double ms : m.completion_ms) sum += ms;
       std::printf("  %-10s %8.1f%%%s\n", m.name.c_str(),
-                  sum / m.completion_ms.size() / scan_ms * 100.0,
+                  mean_completion_ms(m) / scan_ms * 100.0,
                   m.all_completed ? "" : "  (not all queries completed)");
     }
+    // Crossover guard (the paper's Fig. 14, Sec. 8.2): reading one leaf
+    // per stab, the ACE tree leads at the first checkpoint and the
+    // B+-tree still finishes before it. Fetching the whole stab order up
+    // front instead delivers nothing early and completes first.
+    const double ace_first = rows.front()[1];
+    const double btree_first = rows.front()[2];
+    std::fprintf(stderr,
+                 "[crossover guard: at %.2f%% of scan ACE %.4f%% vs %s "
+                 "%.4f%% of records; completion ACE %.1f ms vs %s %.1f ms]\n",
+                 checkpoints.front(), ace_first, methods[1].name.c_str(),
+                 btree_first, mean_completion_ms(methods[0]),
+                 methods[1].name.c_str(), mean_completion_ms(methods[1]));
+    MSV_CHECK_MSG(ace_first > btree_first,
+                  "ACE does not lead at the first checkpoint");
+    MSV_CHECK_MSG(
+        mean_completion_ms(methods[1]) < mean_completion_ms(methods[0]),
+        "the B+-tree does not complete before ACE");
   }
   return 0;
 }

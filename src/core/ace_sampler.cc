@@ -127,11 +127,7 @@ std::vector<uint64_t> SplitLargestRemainder(
 
 AceSampler::AceSampler(const AceTree* tree, sampling::RangeQuery query,
                        uint64_t seed)
-    : AceSampler(tree, query, seed, AceSamplerOptions{}) {}
-
-AceSampler::AceSampler(const AceTree* tree, sampling::RangeQuery query,
-                       uint64_t seed, const AceSamplerOptions& options)
-    : tree_(tree), query_(query), options_(options), rng_(seed) {
+    : tree_(tree), query_(query), rng_(seed) {
   MSV_CHECK_MSG(query_.Validate(tree_->layout()).ok(), "invalid query");
   MSV_CHECK_MSG(query_.dims == tree_->meta().key_dims,
                 "query dims must match the tree's indexed dims");
@@ -177,64 +173,28 @@ void AceSampler::EmitLevelSpans() {
   span_.End();
 }
 
-Status AceSampler::FillPending() {
-  // The cursor is the sole authority on order; the drain prefetch only
-  // changes *when* the bytes move, never which leaf feeds the combiner
-  // next.
-  std::vector<uint64_t> heap_ids;
-  while (!cursor_->exhausted() && (options_.drain || heap_ids.empty())) {
-    uint64_t id = cursor_->NextLeafId();
-    if (id == 0) break;
-    heap_ids.push_back(id);
-  }
-  if (heap_ids.empty()) {
-    return Status::Internal("stab on an exhausted cursor");
-  }
-  std::vector<uint64_t> leaf_indices;
-  leaf_indices.reserve(heap_ids.size());
-  for (uint64_t id : heap_ids) {
-    leaf_indices.push_back(tree_->splits().LeafIndexOf(id));
-  }
+Status AceSampler::Stab(sampling::SampleBatch* out) {
+  const uint64_t heap_id = cursor_->NextLeafId();
+  if (heap_id == 0) return Status::Internal("stab on an exhausted cursor");
   // The busy delta is the calling thread's own attribution, so concurrent
   // samplers hammering the same arm never inflate each other's levels.
-  uint64_t busy_before = io::ThreadDiskBusyUs();
-  std::vector<LeafData> leaves;
-  if (options_.drain) {
-    MSV_ASSIGN_OR_RETURN(leaves, tree_->ReadLeaves(leaf_indices));
-  } else {
-    MSV_ASSIGN_OR_RETURN(LeafData leaf, tree_->ReadLeaf(leaf_indices[0]));
-    leaves.push_back(std::move(leaf));
-  }
-  // One split of the fill's disk µs across every section of every fetched
-  // leaf, weighted by section bytes: share k belongs to level k % h.
-  const size_t height = level_disk_us_.size();
+  const uint64_t busy_before = io::ThreadDiskBusyUs();
+  MSV_ASSIGN_OR_RETURN(LeafData leaf,
+                       tree_->ReadLeaf(tree_->splits().LeafIndexOf(heap_id)));
+  // Split the read's disk µs across the leaf's sections by bytes: share k
+  // belongs to level k + 1.
   std::vector<uint64_t> section_bytes;
-  section_bytes.reserve(leaves.size() * height);
-  for (const LeafData& leaf : leaves) {
-    for (std::string_view s : leaf.sections) section_bytes.push_back(s.size());
-  }
+  section_bytes.reserve(leaf.sections.size());
+  for (std::string_view s : leaf.sections) section_bytes.push_back(s.size());
   std::vector<uint64_t> shares = SplitLargestRemainder(
       io::ThreadDiskBusyUs() - busy_before, section_bytes);
-  for (size_t k = 0; k < shares.size(); ++k) {
-    level_disk_us_[k % height] += shares[k];
-  }
-  for (size_t i = 0; i < heap_ids.size(); ++i) {
-    pending_.push_back(PendingLeaf{heap_ids[i], std::move(leaves[i])});
-  }
-  return Status::OK();
-}
+  for (size_t k = 0; k < shares.size(); ++k) level_disk_us_[k] += shares[k];
 
-Status AceSampler::Stab(sampling::SampleBatch* out) {
-  if (pending_.empty()) MSV_RETURN_IF_ERROR(FillPending());
-  PendingLeaf p = std::move(pending_.front());
-  pending_.pop_front();
-  // Read order and counters are recorded at consumption (stab order), so
-  // diagnostics do not depend on the I/O policy.
   ++leaves_read_;
   c_leaf_reads_->Add();
-  leaf_read_order_.push_back(p.leaf.leaf_index);
-  combiner_->AddLeaf(p.heap_id, p.leaf, out, &rng_);
-  if (cursor_->exhausted() && pending_.empty()) {
+  leaf_read_order_.push_back(leaf.leaf_index);
+  combiner_->AddLeaf(heap_id, leaf, out, &rng_);
+  if (cursor_->exhausted()) {
     // Every leaf consumed. All combine rounds have balanced out (each
     // covering node at level i received exactly 2^(h-i) contributions),
     // so the flush is a no-op safety net completing the match set.

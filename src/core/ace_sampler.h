@@ -14,7 +14,6 @@
 #ifndef MSV_CORE_ACE_SAMPLER_H_
 #define MSV_CORE_ACE_SAMPLER_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,9 +31,8 @@ namespace msv::core {
 /// root-to-leaf descents (Fig. 10) over the split tree, yielding the heap
 /// id of each leaf in retrieval order. The order depends only on the
 /// split tree and the query's covering sets — never on leaf contents —
-/// which is what lets the drain policy fetch every leaf in one
-/// elevator-ordered read and still feed its combiner in the exact stab
-/// sequence.
+/// so ComputeStabLeafOrder can list a query's leaf order without reading
+/// a leaf. The sampler reads exactly one leaf per stab, in this order.
 class StabCursor {
  public:
   StabCursor(const SplitTree* splits,
@@ -61,24 +59,12 @@ class StabCursor {
 std::vector<uint64_t> ComputeStabLeafOrder(const SplitTree& splits,
                                            const sampling::RangeQuery& query);
 
-struct AceSamplerOptions {
-  /// Leaf I/O policy. false (the default) reads one leaf per NextBatch,
-  /// so the first samples arrive after a single read. true fetches the
-  /// query's whole leaf set in one elevator-ordered batched read on the
-  /// first NextBatch — the to-completion configuration, which coalesces
-  /// seeks but holds every matching leaf in memory. The emitted sample
-  /// stream is byte-identical under both policies.
-  bool drain = false;
-};
-
 class AceSampler : public sampling::SampleStream {
  public:
   /// `seed` drives only presentation-order shuffling of emitted rounds —
   /// which records are returned when is fully determined by the tree
   /// contents and the deterministic stab order.
   AceSampler(const AceTree* tree, sampling::RangeQuery query, uint64_t seed);
-  AceSampler(const AceTree* tree, sampling::RangeQuery query, uint64_t seed,
-             const AceSamplerOptions& options);
   ~AceSampler() override;
 
   Result<sampling::SampleBatch> NextBatch() override;
@@ -99,11 +85,11 @@ class AceSampler : public sampling::SampleStream {
   }
 
   /// Simulated disk microseconds attributed to section level `level`
-  /// (1-based). Each fill's disk-µs delta — measured with the calling
+  /// (1-based). Each stab's disk-µs delta — measured with the calling
   /// thread's io::ThreadDiskBusyUs(), so concurrent samplers never see
-  /// each other's I/O — is split once across every section of every
-  /// leaf the fill read, proportionally to section bytes with a
-  /// largest-remainder split, so
+  /// each other's I/O — is split across the sections of the one leaf the
+  /// stab read, proportionally to section bytes with a largest-remainder
+  /// split, so
   ///   sum_level level_disk_us(level) == total busy_us of all leaf reads
   /// holds exactly (asserted by the trace end-to-end test).
   uint64_t level_disk_us(uint32_t level) const {
@@ -111,19 +97,9 @@ class AceSampler : public sampling::SampleStream {
   }
 
  private:
-  /// A fetched leaf waiting for its stab turn.
-  struct PendingLeaf {
-    uint64_t heap_id = 0;
-    LeafData leaf;
-  };
-
-  /// One stab; appends emitted samples to `out`.
+  /// One stab: reads the cursor's next leaf and appends the samples it
+  /// makes emittable to `out`.
   Status Stab(sampling::SampleBatch* out);
-
-  /// Fetches the next stab position's leaf into pending_ (ReadLeaf) or,
-  /// under the drain policy, every remaining one in one elevator-ordered
-  /// batched read (ReadLeaves).
-  Status FillPending();
 
   /// Closes out the trace: one child span per section level carrying the
   /// level's leaf-section visits, emitted samples and disk µs. Runs once,
@@ -132,11 +108,9 @@ class AceSampler : public sampling::SampleStream {
 
   const AceTree* tree_;
   sampling::RangeQuery query_;
-  AceSamplerOptions options_;
   Pcg64 rng_;
   std::unique_ptr<CombineEngine> combiner_;
   std::unique_ptr<StabCursor> cursor_;
-  std::deque<PendingLeaf> pending_;
 
   uint64_t returned_ = 0;
   uint64_t leaves_read_ = 0;

@@ -440,6 +440,8 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
   }
 
   const bool bounded = stmt.within_pct > 0.0 || stmt.within_ms > 0;
+  // The parser caps within_ms at 2^53, so the product cannot wrap.
+  const uint64_t deadline_us = stmt.within_ms * 1000;
   if (stmt.within_pct > 0.0 && !stmt.group_by.empty()) {
     return Status::NotSupported(
         "WITHIN % with GROUP BY is not supported (no single interval to "
@@ -450,7 +452,7 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
   const uint64_t disk_before = io::ThreadDiskBusyUs();
   sampling::StoppingRule::Options rule_options;
   rule_options.rel_error_pct = stmt.within_pct;
-  rule_options.deadline_us = stmt.within_ms * 1000;
+  rule_options.deadline_us = deadline_us;
   rule_options.extra_elapsed_us = [disk_before] {
     return io::ThreadDiskBusyUs() - disk_before;
   };
@@ -520,7 +522,7 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
     ledger.samples = agg.samples_seen();
     ledger.leaves = sampler->base_leaves_read();
     if (bounded) {
-      ledger.deadline_us = stmt.within_ms * 1000;
+      ledger.deadline_us = deadline_us;
       ledger.elapsed_us = rule.ElapsedUs();
       ledger.is_partial = deadline_hit && !sampler->done();
       if (ledger.is_partial) {
@@ -541,7 +543,7 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
     ledger.estimate_value = static_cast<double>(population);
     ledger.confidence = stmt.confidence;
     ledger.target_rel_pct = stmt.within_pct;
-    ledger.deadline_us = stmt.within_ms * 1000;
+    ledger.deadline_us = deadline_us;
     if (bounded) ledger.elapsed_us = rule.ElapsedUs();
     return out.str();
   }
@@ -578,7 +580,7 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
   ledger.confidence = stmt.confidence;
   if (bounded) {
     ledger.target_rel_pct = stmt.within_pct;
-    ledger.deadline_us = stmt.within_ms * 1000;
+    ledger.deadline_us = deadline_us;
     ledger.elapsed_us = rule.ElapsedUs();
     // A deadline stop with samples still in the stream is a partial
     // result: the CI is valid over what was consumed, just wider than an

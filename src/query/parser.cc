@@ -1,6 +1,9 @@
 #include "query/parser.h"
 
+#include <optional>
+
 #include "query/lexer.h"
+#include "util/numeric.h"
 
 namespace msv::query {
 
@@ -65,10 +68,12 @@ class ParserImpl {
 
   Result<uint64_t> ExpectCount(const std::string& what) {
     MSV_ASSIGN_OR_RETURN(double v, ExpectNumber(what));
-    if (v < 0 || v != static_cast<double>(static_cast<uint64_t>(v))) {
-      return Status::InvalidArgument(what + " must be a non-negative integer");
+    std::optional<uint64_t> n = ExactUint(v);
+    if (!n) {
+      return Status::InvalidArgument(what +
+                                     " must be an integer in [0, 2^53]");
     }
-    return static_cast<uint64_t>(v);
+    return *n;
   }
 
   Result<std::vector<BetweenPredicate>> ParseWhere() {
@@ -223,15 +228,17 @@ class ParserImpl {
         stmt.within_pct = bound;
       } else if (Peek().IsKeyword("MS")) {
         Advance();
-        if (bound <= 0 || bound != static_cast<double>(
-                                       static_cast<uint64_t>(bound))) {
+        // At most 2^53 ms, so the executor's µs deadline cannot wrap.
+        std::optional<uint64_t> ms = ExactUint(bound);
+        if (!ms || *ms == 0) {
           return Status::InvalidArgument(
-              "WITHIN deadline must be a positive integer of milliseconds");
+              "WITHIN deadline must be an integer of milliseconds in "
+              "[1, 2^53]");
         }
         if (stmt.within_ms != 0) {
           return Error("duplicate WITHIN ... MS clause");
         }
-        stmt.within_ms = static_cast<uint64_t>(bound);
+        stmt.within_ms = *ms;
       } else {
         return Error("expected '%' or MS after WITHIN bound");
       }

@@ -1,7 +1,9 @@
 #include "serve/protocol.h"
 
-#include <cmath>
 #include <cstring>
+#include <optional>
+
+#include "util/numeric.h"
 
 namespace msv::serve {
 
@@ -60,15 +62,13 @@ Result<Request> ParseRequest(const std::string& payload) {
       return Status::InvalidArgument("request \"id\" must be a number");
     }
     // Ids are echoed as JSON numbers, i.e. doubles: only integers in
-    // [0, 2^53] survive the round trip exactly (and the cast below is
-    // defined only for values in range).
-    constexpr double kMaxId = 9007199254740992.0;  // 2^53
-    const double v = id->AsNumber();
-    if (!(v >= 0.0 && v <= kMaxId) || v != std::floor(v)) {
+    // [0, 2^53] survive the round trip exactly.
+    std::optional<uint64_t> v = ExactUint(id->AsNumber());
+    if (!v) {
       return Status::InvalidArgument(
           "request \"id\" must be an integer in [0, 2^53]");
     }
-    request.id = static_cast<uint64_t>(v);
+    request.id = *v;
     request.has_id = true;
   }
   const obs::Json* statement = doc.Find("statement");

@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <type_traits>
@@ -11,6 +12,7 @@
 #include "core/ace_tree.h"
 #include "core/combine_engine.h"
 #include "gtest/gtest.h"
+#include "io/disk_model.h"
 #include "io/env.h"
 #include "relation/workload.h"
 #include "test_util.h"
@@ -495,6 +497,31 @@ TEST_F(AceSamplerTest, SingleLeafTree) {
   auto got = DrainRowIds(&sampler);
   EXPECT_EQ(got.size(), 200u);
   EXPECT_EQ(sampler.leaves_read(), 1u);
+}
+
+TEST_F(AceSamplerTest, EachStabChargesExactlyOneDeviceRead) {
+  // One leaf read per stab, so the first samples arrive after one modeled
+  // read and no call prefetches ahead of its stab. The tree is reopened
+  // through a simulated disk so every device access is counted.
+  auto device = std::make_shared<io::DiskDevice>();
+  auto sim = io::NewSimEnv(env_.get(), device);
+  auto tree = ValueOrDie(AceTree::Open(sim.get(), "ace", layout_));
+  auto q = sampling::RangeQuery::OneDim(30000, 65000);
+  AceSampler sampler(tree.get(), q, 11);
+  uint64_t stabs = 0;
+  while (!sampler.done()) {
+    const io::DiskStats before = device->stats();
+    auto batch = ValueOrDie(sampler.NextBatch());
+    const io::DiskStats delta = device->stats() - before;
+    ++stabs;
+    ASSERT_EQ(delta.reads, 1u) << "stab " << stabs;
+    EXPECT_EQ(delta.batched_accesses, 0u) << "stab " << stabs;
+    if (stabs == 1) {
+      EXPECT_GT(batch.count(), 0u);
+    }
+  }
+  EXPECT_EQ(stabs, tree->meta().num_leaves);
+  EXPECT_EQ(sampler.leaves_read(), stabs);
 }
 
 // ---------------------------------------------------------------------------

@@ -103,6 +103,22 @@ TEST(WithinGrammarTest, RejectsMalformedBounds) {
   }
 }
 
+TEST(WithinGrammarTest, DeadlineMustFitTwoToThe53Milliseconds) {
+  // 1e309 lexes as inf, whose cast to uint64_t is undefined; 2^64 / 1000
+  // ms passed the old check and its µs product wrapped to 384 µs.
+  for (const char* sql :
+       {"ESTIMATE AVG(a) FROM v WITHIN 1e309 MS",
+        "ESTIMATE AVG(a) FROM v WITHIN 18446744073709552 MS",
+        "ESTIMATE AVG(a) FROM v WITHIN 9007199254740994 MS"}) {
+    auto stmt = ParseOne(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_TRUE(stmt.status().IsInvalidArgument()) << sql;
+  }
+  auto top = std::get<EstimateStmt>(ValueOrDie(
+      ParseOne("ESTIMATE AVG(a) FROM v WITHIN 9007199254740992 MS")));
+  EXPECT_EQ(top.within_ms, uint64_t{1} << 53);
+}
+
 // ---------------------------------------------------------------------------
 // StoppingRule
 // ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 // Determinism goldens: the exact byte sequences this PR must not change.
 //
-// Two layers are pinned:
+// Three layers are pinned:
 //   1. SplitMix64 / DeriveRngStream — the per-query stream derivation.
 //      Concurrent queries draw from independent Pcg64 streams derived
 //      from one root seed; these values are the contract.
-//   2. The serial AceSampler's full sample sequence for a fixed tree,
-//      query and seed — same root seed + one thread must stay
-//      byte-identical across refactors of the stab path, and across
-//      both leaf I/O policies (leaf-at-a-time and full drain).
+//   2. The AceSampler's full sample sequence for a fixed tree, query and
+//      seed, reading one leaf per stab — same root seed + one thread must
+//      stay byte-identical across refactors of the stab path.
 //   3. The ViewSampler's unified sequence over base tree + sorted runs +
 //      memtable, with an estimated and with an exact base count.
 
@@ -179,44 +178,6 @@ TEST_F(DeterminismTest, StabLeafOrderMatchesSamplerReads) {
   AceSampler sampler(tree_.get(), Query(), kSamplerSeed);
   DrainBytes(&sampler);
   EXPECT_EQ(precomputed, sampler.leaf_read_order());
-}
-
-TEST_F(DeterminismTest, BatchedWindowsEmitTheSerialByteStream) {
-  // The drain policy fetches the query's whole leaf set in one batched
-  // read but must consume the leaves in exact stab order, reproducing the
-  // leaf-at-a-time goldens above.
-  AceSampler baseline(tree_.get(), Query(), kSamplerSeed);
-  const std::string golden_bytes = DrainBytes(&baseline);
-  ASSERT_FALSE(golden_bytes.empty());
-
-  AceSamplerOptions options;
-  options.drain = true;
-  AceSampler sampler(tree_.get(), Query(), kSamplerSeed, options);
-  EXPECT_EQ(DrainBytes(&sampler), golden_bytes);
-  EXPECT_EQ(sampler.leaf_read_order(), baseline.leaf_read_order());
-  EXPECT_EQ(sampler.leaves_read(), baseline.leaves_read());
-  EXPECT_EQ(sampler.samples_returned(), baseline.samples_returned());
-}
-
-TEST_F(DeterminismTest, BatchedWindowReproducesSequenceGolden) {
-  // Belt and braces: the drain policy checked directly against the
-  // numeric golden, not just against another sampler run.
-  AceSamplerOptions options;
-  options.drain = true;
-  AceSampler sampler(tree_.get(), Query(), kSamplerSeed, options);
-  uint64_t fnv = 14695981039346656037ULL;
-  uint64_t n = 0;
-  while (!sampler.done()) {
-    auto batch = ValueOrDie(sampler.NextBatch());
-    for (size_t i = 0; i < batch.count(); ++i) {
-      fnv = (fnv ^ SaleRecord::DecodeFrom(batch.record(i)).row_id) *
-            1099511628211ULL;
-      ++n;
-    }
-  }
-  EXPECT_EQ(n, 1017u);
-  EXPECT_EQ(fnv, 532171317302528852ULL);
-  EXPECT_EQ(sampler.leaves_read(), 64u);
 }
 
 TEST_F(DeterminismTest, RepeatRunsAreIdentical) {

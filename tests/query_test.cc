@@ -149,6 +149,23 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(Parse("SHOW VIEWS SHOW TABLES;").ok());  // missing ';'
 }
 
+TEST(ParserTest, CountsMustBeExactIntegersUpToTwoToThe53) {
+  // Each of these was cast to uint64_t before its range check: undefined
+  // behaviour for values past 2^64.
+  for (const char* sql :
+       {"ESTIMATE AVG(a) FROM v SAMPLES 1e23;", "SAMPLE FROM v LIMIT 1e20;",
+        "GENERATE TABLE t ROWS 1e30;", "GENERATE TABLE t ROWS 5 SEED 1e300;",
+        "SAMPLE FROM v LIMIT 9007199254740994;",
+        "SAMPLE FROM v LIMIT 2.5;"}) {
+    auto stmt = ParseOne(sql);
+    ASSERT_FALSE(stmt.ok()) << sql;
+    EXPECT_TRUE(stmt.status().IsInvalidArgument()) << sql;
+  }
+  auto top = std::get<SampleStmt>(
+      ValueOrDie(ParseOne("SAMPLE FROM v LIMIT 9007199254740992;")));
+  EXPECT_EQ(top.limit, uint64_t{1} << 53);
+}
+
 // ---------------------------------------------------------------------------
 // Executor end-to-end
 // ---------------------------------------------------------------------------

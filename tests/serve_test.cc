@@ -352,6 +352,19 @@ TEST_F(ServeTest, ParseAndExecFailuresAreDistinctlyTyped) {
   EXPECT_TRUE(doc.Find("ok")->AsBool());
 }
 
+TEST_F(ServeTest, OutOfRangeCountIsParseErrorAndConnectionSurvives) {
+  StartServer(ServerOptions{});
+  auto client = Connect();
+  auto reply = client->Call(
+      "ESTIMATE AVG(amount) FROM sv WHERE day BETWEEN 1000 AND 90000 "
+      "SAMPLES 1e23;");
+  ASSERT_FALSE(reply.ok());
+  EXPECT_EQ(std::string(reply.status().message()).rfind("parse: ", 0), 0u)
+      << reply.status().ToString();
+  obs::Json doc = ValueOrDie(client->Call(kGoodQuery));
+  EXPECT_TRUE(doc.Find("ok")->AsBool());
+}
+
 /// Races connection setup/teardown against in-flight queries. The
 /// assertions are mild on purpose — under TSan this test's job is to
 /// make the fd-lifetime and staged-output synchronization misbehave if

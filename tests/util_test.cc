@@ -1,12 +1,15 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "util/coding.h"
 #include "util/crc32c.h"
+#include "util/numeric.h"
 #include "util/random.h"
 #include "util/reservoir.h"
 #include "util/result.h"
@@ -110,6 +113,19 @@ TEST(CodingTest, RoundTrips) {
   EXPECT_EQ(DecodeFixed64(buf), 0x0123456789abcdefULL);
   EncodeDouble(buf, -1234.5678);
   EXPECT_EQ(DecodeDouble(buf), -1234.5678);
+}
+
+TEST(ExactUintTest, AcceptsOnlyIntegersInZeroToTwoToThe53) {
+  EXPECT_EQ(ExactUint(0.0), std::optional<uint64_t>(0));
+  EXPECT_EQ(ExactUint(42.0), std::optional<uint64_t>(42));
+  EXPECT_EQ(ExactUint(9007199254740992.0),
+            std::optional<uint64_t>(kMaxExactUint));
+  for (double bad : {-1.0, 1.5, 9007199254740994.0, 1e23,
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_FALSE(ExactUint(bad).has_value()) << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -28,12 +28,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "obs/json.h"
 #include "obs/prometheus.h"
+#include "util/numeric.h"
 
 namespace msv {
 namespace {
@@ -71,10 +73,11 @@ std::vector<Point> ReadLastPoints(const std::string& path, size_t want) {
     Point p;
     p.root = std::move(parsed.value());
     if (const obs::Json* ts = p.root.Find("ts_us")) {
-      // A timestamp no uint64_t holds is not a line this tool wrote.
-      const double v = ts->AsNumber();
-      if (!(v >= 0.0 && v < 0x1p64)) continue;
-      p.ts_us = static_cast<uint64_t>(v);
+      // A timestamp that is not an exact integer in [0, 2^53] is not a
+      // line the exporter wrote.
+      std::optional<uint64_t> v = ExactUint(ts->AsNumber());
+      if (!v) continue;
+      p.ts_us = *v;
     }
     points.push_back(std::move(p));
   }
