@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <system_error>
 
 #include "btree/ranked_btree.h"
 #include "core/ace_builder.h"
@@ -132,12 +134,21 @@ void WriteCsv(const std::string& name,
 }
 
 namespace {
-/// Best-effort `git rev-parse --short HEAD`, so every BENCH_*.json pins
-/// the source revision it was measured at. "unknown" outside a checkout.
-std::string GitShaOrUnknown() {
+/// Best-effort `git describe --always --dirty --abbrev=7` of the source
+/// tree the bench was built from (MSV_SOURCE_DIR, set at configure time),
+/// so every BENCH_*.json pins the revision it measured, "-dirty" when the
+/// tree had uncommitted changes, wherever the bench runs from. "unknown"
+/// when the source tree is not a git checkout, even one nested inside
+/// another repository.
+std::string GitDescribeOrUnknown() {
+  const std::string source_dir = MSV_SOURCE_DIR;
+  std::error_code ec;
+  if (!std::filesystem::exists(source_dir + "/.git", ec)) return "unknown";
+  const std::string cmd = "git -C '" + source_dir +
+                          "' describe --always --dirty --abbrev=7 2>/dev/null";
   std::string sha = "unknown";
-  if (FILE* pipe = ::popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buf[64];
+  if (FILE* pipe = ::popen(cmd.c_str(), "r")) {
+    char buf[128];
     if (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
       std::string line(buf);
       while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
@@ -154,7 +165,7 @@ std::string GitShaOrUnknown() {
 void WriteBenchJson(const std::string& name, const obs::Json& numbers) {
   obs::Json record = obs::Json::Object();
   record["bench"] = obs::Json(name);
-  record["git_sha"] = obs::Json(GitShaOrUnknown());
+  record["git_sha"] = obs::Json(GitDescribeOrUnknown());
   record["numbers"] = numbers;
   record["metrics"] = obs::MetricRegistry::Global().Snapshot();
   std::filesystem::create_directories("bench_results");

@@ -310,15 +310,15 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
   if (!phase1_file.empty()) env->DeleteFile(phase1_file).IgnoreError();  // best-effort scratch cleanup
 
   // -------------------------------------------------------------------
-  // Phase 2b: external sort by (leaf, section).
+  // Phase 2b: external sort by (leaf, section), in place: the tagged file
+  // is scratch, so sorting it onto itself holds one copy of it, not two.
   // -------------------------------------------------------------------
-  const std::string placed_name = output_name + ".placed";
   {
     obs::Span span = obs::StartTraceSpan("ace.build.phase2b");
     extsort::SortOptions sort_options = options.sort;
     sort_options.temp_prefix = output_name + ".p2run";
     MSV_RETURN_IF_ERROR(extsort::ExternalSort(
-        env, tagged_name, placed_name,
+        env, tagged_name, tagged_name,
         [](const char* a, const char* b) {
           uint32_t la = DecodeFixed32(a), lb = DecodeFixed32(b);
           if (la != lb) return la < lb;
@@ -326,7 +326,6 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
         },
         sort_options, &local.phase2_sort));
   }
-  env->DeleteFile(tagged_name).IgnoreError();  // best-effort scratch cleanup
 
   // -------------------------------------------------------------------
   // Phase 2c: stream sorted records into leaf nodes + directory; then
@@ -367,7 +366,7 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
     uint64_t write_off = meta.data_offset;
     {
       MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> placed,
-                           HeapFile::Open(env, placed_name));
+                           HeapFile::Open(env, tagged_name));
       auto scanner = placed->NewScanner(
           TwoBlockChunk(kScanBlockBytes, placed->record_size()));
       MSV_ASSIGN_OR_RETURN(const char* rec, scanner.Next());
@@ -473,7 +472,7 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
     return Status::OK();
   };
   Status write_status = write_tree();
-  env->DeleteFile(placed_name).IgnoreError();  // best-effort scratch cleanup
+  env->DeleteFile(tagged_name).IgnoreError();  // best-effort scratch cleanup
   if (!write_status.ok()) {
     env->DeleteFile(tmp_name).IgnoreError();  // best-effort scratch cleanup
     return write_status;

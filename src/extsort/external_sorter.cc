@@ -24,13 +24,18 @@ std::string RunName(const std::string& prefix, uint64_t id) {
 }
 
 // Reads the input sequentially, sorts chunks in memory, writes sorted runs.
+// When the whole input fits in one chunk, that one run is written straight
+// to `output_name` and no run file is made; it is written only after the
+// input has been read to its end, so `output_name` may name the input.
 Result<std::vector<std::string>> FormRuns(io::Env* env, const HeapFile& input,
+                                          const std::string& output_name,
                                           const RecordLess& less,
                                           const SortOptions& options,
                                           uint64_t* next_run_id) {
   const size_t record_size = input.record_size();
   const size_t chunk_records =
       std::max<size_t>(1, options.memory_budget_bytes / record_size);
+  const bool one_run = input.record_count() <= chunk_records;
 
   // Buffers hold at most the input, so a small sort gets small buffers;
   // run boundaries and write sizes follow chunk_records, not the buffers.
@@ -60,7 +65,9 @@ Result<std::vector<std::string>> FormRuns(io::Env* env, const HeapFile& input,
     std::sort(ptrs.begin(), ptrs.end(),
               [&less](const char* a, const char* b) { return less(a, b); });
 
-    std::string run_name = RunName(options.temp_prefix, (*next_run_id)++);
+    std::string run_name = one_run
+                               ? output_name
+                               : RunName(options.temp_prefix, (*next_run_id)++);
     // Batched run writes: a bigger writer buffer turns the run dump into
     // fewer, larger accesses interleaving less with the input scan.
     const size_t writer_buffer = std::min(
@@ -185,14 +192,18 @@ Status ExternalSort(io::Env* env, const std::string& input_name,
   std::vector<std::string> runs;
   {
     obs::Span span = obs::StartTraceSpan("extsort.form_runs");
-    MSV_ASSIGN_OR_RETURN(
-        runs, FormRuns(env, *input, less, options, &next_run_id));
+    MSV_ASSIGN_OR_RETURN(runs, FormRuns(env, *input, output_name, less,
+                                        options, &next_run_id));
     span.AddAttr("runs", static_cast<uint64_t>(runs.size()));
   }
   input.reset();
   local.initial_runs = runs.size();
-  local.run_files_written = runs.size();
   reg.GetCounter("extsort.runs")->Add(runs.size());
+  if (runs.front() == output_name) {  // one run, already the output
+    if (metrics != nullptr) *metrics = local;
+    return Status::OK();
+  }
+  local.run_files_written = runs.size();
 
   // Merge passes until at most max_fanin runs remain, then one final merge
   // into the output.

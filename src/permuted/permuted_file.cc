@@ -42,24 +42,23 @@ Status BuildPermutedFile(io::Env* env, const std::string& input_name,
   }
   input.reset();
 
-  // External sort on the random key (TPMMS).
-  const std::string sorted_name = output_name + ".sorted";
+  // External sort on the random key (TPMMS), in place over the scratch
+  // keyed file.
   extsort::SortOptions sort_options = options.sort;
   sort_options.temp_prefix = output_name + ".sortrun";
   MSV_RETURN_IF_ERROR(extsort::ExternalSort(
-      env, keyed_name, sorted_name,
+      env, keyed_name, keyed_name,
       [](const char* a, const char* b) {
         return DecodeFixed64(a) < DecodeFixed64(b);
       },
       sort_options));
-  env->DeleteFile(keyed_name).IgnoreError();  // best-effort scratch cleanup
 
   // Pass B: strip the key while writing the final file (the paper notes
   // the key is removed during the final TPMMS pass; we keep the sorter
   // generic and strip in a separate sequential pass).
   {
     MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> sorted,
-                         HeapFile::Open(env, sorted_name));
+                         HeapFile::Open(env, keyed_name));
     MSV_ASSIGN_OR_RETURN(
         std::unique_ptr<HeapFileWriter> writer,
         HeapFileWriter::Create(env, output_name, record_size));
@@ -71,7 +70,7 @@ Status BuildPermutedFile(io::Env* env, const std::string& input_name,
     }
     MSV_RETURN_IF_ERROR(writer->Finish());
   }
-  env->DeleteFile(sorted_name).IgnoreError();  // best-effort scratch cleanup
+  env->DeleteFile(keyed_name).IgnoreError();  // best-effort scratch cleanup
   return Status::OK();
 }
 

@@ -160,13 +160,13 @@ Status BuildRTree(io::Env* env, const std::string& input_name,
   byx.reset();
   env->DeleteFile(byx_name).IgnoreError();  // best-effort scratch cleanup
 
-  // ----- STR step 3: sort by (slice, dimension 1 [, dim 2 ...]).
-  const std::string placed_name = output_name + ".placed";
+  // ----- STR step 3: sort by (slice, dimension 1 [, dim 2 ...]), in place
+  // over the scratch tagged file.
   {
     extsort::SortOptions sort_options = options.sort;
     sort_options.temp_prefix = output_name + ".r2run";
     MSV_RETURN_IF_ERROR(extsort::ExternalSort(
-        env, tagged_name, placed_name,
+        env, tagged_name, tagged_name,
         [&layout, dims](const char* a, const char* b) {
           uint32_t sa = DecodeFixed32(a), sb = DecodeFixed32(b);
           if (sa != sb) return sa < sb;
@@ -178,7 +178,6 @@ Status BuildRTree(io::Env* env, const std::string& input_name,
         },
         sort_options));
   }
-  env->DeleteFile(tagged_name).IgnoreError();  // best-effort scratch cleanup
 
   // ----- Pack leaves, then internal levels bottom-up.
   MSV_ASSIGN_OR_RETURN(std::unique_ptr<io::File> out,
@@ -191,7 +190,7 @@ Status BuildRTree(io::Env* env, const std::string& input_name,
   uint64_t next_page = 1;
   {
     MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> placed,
-                         HeapFile::Open(env, placed_name));
+                         HeapFile::Open(env, tagged_name));
     auto scanner = placed->NewScanner();
     uint64_t remaining = placed->record_count();
     double keys[storage::kMaxKeyDims] = {0};
@@ -219,7 +218,7 @@ Status BuildRTree(io::Env* env, const std::string& input_name,
       ++next_page;
     }
   }
-  env->DeleteFile(placed_name).IgnoreError();  // best-effort scratch cleanup
+  env->DeleteFile(tagged_name).IgnoreError();  // best-effort scratch cleanup
 
   RTreeMeta meta;
   meta.page_size = page_size;

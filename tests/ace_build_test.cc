@@ -265,10 +265,31 @@ TEST(AceBuildTest, ConstructionUsesTwoExternalSorts) {
                              SaleRecord::Layout1D(), options, &metrics));
   EXPECT_EQ(metrics.phase1_sort.records, 10000u);
   EXPECT_EQ(metrics.phase2_sort.records, 10000u);
+  // Both sorts fit the default budget: one run each, written straight to
+  // its output with no merge.
+  EXPECT_EQ(metrics.phase1_sort.merge_passes, 0u);
+  EXPECT_EQ(metrics.phase2_sort.merge_passes, 0u);
   // Temp files cleaned up: only "sale" and "ace" remain.
   auto files = ValueOrDie(env->ListFiles());
   std::sort(files.begin(), files.end());
   EXPECT_EQ(files, (std::vector<std::string>{"ace", "sale"}));
+
+  // A budget of a tenth of the input makes both sorts external: several
+  // runs and a merge, phase 2b's in place. Scratch still goes.
+  auto small_env = io::NewMemEnv();
+  MakeSale(small_env.get(), "sale", 10000, 9);
+  options.sort.memory_budget_bytes = 1000 * SaleRecord::kSize;
+  MSV_ASSERT_OK(BuildAceTree(small_env.get(), "sale", "ace",
+                             SaleRecord::Layout1D(), options, &metrics));
+  EXPECT_GE(metrics.phase1_sort.initial_runs, 3u);
+  EXPECT_GE(metrics.phase2_sort.initial_runs, 3u);
+  EXPECT_GE(metrics.phase2_sort.merge_passes, 1u);
+  files = ValueOrDie(small_env->ListFiles());
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"ace", "sale"}));
+  auto tree =
+      ValueOrDie(AceTree::Open(small_env.get(), "ace", SaleRecord::Layout1D()));
+  MSV_EXPECT_OK(tree->CheckInvariants().ToStatus());
 }
 
 TEST(AceBuildTest, SpaceOverheadIsSmall) {

@@ -1,4 +1,7 @@
 #include <algorithm>
+#include <cstring>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "extsort/external_sorter.h"
@@ -247,6 +250,112 @@ TEST(ExternalSortEdgeTest, AlreadySortedInput) {
   for (uint64_t i = 0; i < 500; ++i) {
     const char* r = ValueOrDie(scanner.Next());
     EXPECT_EQ(DecodeFixed64(r), i);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One-run and in-place sorts
+// ---------------------------------------------------------------------------
+
+// 16-byte records: 8-byte key with duplicates, 8-byte unique payload.
+void WriteKeyed(io::Env* env, const std::string& name, uint64_t n,
+                uint64_t seed) {
+  auto writer = ValueOrDie(HeapFileWriter::Create(env, name, 16));
+  Pcg64 rng(seed);
+  char rec[16];
+  for (uint64_t i = 0; i < n; ++i) {
+    EncodeFixed64(rec, rng.Below(500));
+    EncodeFixed64(rec + 8, i);
+    MSV_ASSERT_OK(writer->Append(rec));
+  }
+  MSV_ASSERT_OK(writer->Finish());
+}
+
+// Total order (key, then payload), so every correct sort of one input
+// writes the same bytes whatever its run layout.
+bool KeyThenPayload(const char* a, const char* b) {
+  uint64_t ka = DecodeFixed64(a), kb = DecodeFixed64(b);
+  if (ka != kb) return ka < kb;
+  return DecodeFixed64(a + 8) < DecodeFixed64(b + 8);
+}
+
+std::string FileBytes(io::Env* env, const std::string& name) {
+  auto file = ValueOrDie(env->OpenFile(name, /*create=*/false));
+  std::string bytes(static_cast<size_t>(ValueOrDie(file->Size())), '\0');
+  EXPECT_EQ(ValueOrDie(file->Read(0, bytes.size(), bytes.data())),
+            bytes.size());
+  return bytes;
+}
+
+void ExpectSortedPermutation(io::Env* env, const std::string& name,
+                             uint64_t n) {
+  auto out = ValueOrDie(HeapFile::Open(env, name));
+  ASSERT_EQ(out->record_count(), n);
+  auto scanner = out->NewScanner();
+  std::vector<char> prev(16);
+  std::set<uint64_t> payloads;
+  for (uint64_t i = 0; i < n; ++i) {
+    const char* rec = ValueOrDie(scanner.Next());
+    ASSERT_NE(rec, nullptr);
+    if (i > 0) {
+      EXPECT_FALSE(KeyThenPayload(rec, prev.data())) << i;
+    }
+    std::memcpy(prev.data(), rec, 16);
+    payloads.insert(DecodeFixed64(rec + 8));
+  }
+  EXPECT_EQ(payloads.size(), n);
+}
+
+TEST(ExternalSortOneRunTest, WritesOutputDirectlyAndMatchesMultiRunBytes) {
+  auto env = io::NewMemEnv();
+  WriteKeyed(env.get(), "in", 3000, 11);
+
+  SortOptions one_run;
+  one_run.temp_prefix = "tmp_run";
+  SortMetrics one;
+  MSV_ASSERT_OK(ExternalSort(env.get(), "in", "one", KeyThenPayload, one_run,
+                             &one));
+  EXPECT_EQ(one.records, 3000u);
+  EXPECT_EQ(one.initial_runs, 1u);
+  EXPECT_EQ(one.merge_passes, 0u);
+  EXPECT_EQ(one.run_files_written, 0u);
+  auto files = ValueOrDie(env->ListFiles());
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"in", "one"}));
+
+  SortOptions many_runs = one_run;
+  many_runs.memory_budget_bytes = 16 * 1000;  // three 1000-record runs
+  SortMetrics many;
+  MSV_ASSERT_OK(ExternalSort(env.get(), "in", "many", KeyThenPayload,
+                             many_runs, &many));
+  EXPECT_GE(many.initial_runs, 3u);
+  EXPECT_EQ(many.merge_passes, 1u);
+  EXPECT_EQ(many.run_files_written, many.initial_runs);
+
+  EXPECT_EQ(FileBytes(env.get(), "one"), FileBytes(env.get(), "many"));
+  ExpectSortedPermutation(env.get(), "one", 3000);
+}
+
+TEST(ExternalSortInPlaceTest, SortsFileOntoItself) {
+  for (size_t budget : {size_t{64} << 20, size_t{16 * 100}}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    auto env = io::NewMemEnv();
+    WriteKeyed(env.get(), "f", 2500, 21);
+    WriteKeyed(env.get(), "ref", 2500, 21);
+    SortOptions options;
+    options.memory_budget_bytes = budget;
+    options.max_fanin = 4;  // several runs take two merge passes or more
+    SortMetrics metrics;
+    MSV_ASSERT_OK(ExternalSort(env.get(), "f", "f", KeyThenPayload, options,
+                               &metrics));
+    MSV_ASSERT_OK(ExternalSort(env.get(), "ref", "ref_sorted",
+                               KeyThenPayload, options));
+    EXPECT_EQ(metrics.initial_runs, budget > 16 * 2500 ? 1u : 25u);
+    ExpectSortedPermutation(env.get(), "f", 2500);
+    EXPECT_EQ(FileBytes(env.get(), "f"), FileBytes(env.get(), "ref_sorted"));
+    auto files = ValueOrDie(env->ListFiles());
+    std::sort(files.begin(), files.end());
+    EXPECT_EQ(files, (std::vector<std::string>{"f", "ref", "ref_sorted"}));
   }
 }
 

@@ -1,4 +1,5 @@
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "gtest/gtest.h"
@@ -378,6 +379,31 @@ TEST_F(ExecutorTest, CatalogPersistsAcrossSessions) {
   EXPECT_NE(out.find("v ON sale INDEX ON day"), std::string::npos);
   out = Run("SAMPLE FROM v WHERE day BETWEEN 0 AND 1000 LIMIT 3;");
   EXPECT_NE(out.find("random sample"), std::string::npos);
+}
+
+TEST_F(ExecutorTest, BuildAndCompactionLeaveNoScratchFiles) {
+  // The build's sorts run in place or straight into their output; none of
+  // their scratch (the tagged file, the sort outputs, run files) outlives
+  // CREATE or a compaction.
+  auto expect_no_scratch = [&](const std::string& when) {
+    for (const std::string& f : ValueOrDie(env_->ListFiles())) {
+      for (std::string_view part : {".phase1", ".phase2", ".placed",
+                                    ".p1run.", ".p2run.", ".tmp"}) {
+        EXPECT_EQ(f.find(part), std::string::npos) << when << ": " << f;
+      }
+    }
+  };
+  Run("CREATE MATERIALIZED SAMPLE VIEW v AS SELECT * FROM sale "
+      "INDEX ON day;");
+  expect_no_scratch("after CREATE");
+  Run("INSERT INTO v ROWS 3000 SEED 9;");
+  Run("REBUILD v;");
+  bool compacted = false;  // a generation after g1 exists
+  for (const std::string& f : ValueOrDie(env_->ListFiles())) {
+    compacted |= f.rfind("view.v.base.g", 0) == 0 && f != "view.v.base.g1";
+  }
+  EXPECT_TRUE(compacted);
+  expect_no_scratch("after compaction");
 }
 
 TEST_F(ExecutorTest, DropRemovesFiles) {

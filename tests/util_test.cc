@@ -4,10 +4,12 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "util/coding.h"
+#include "util/cpu.h"
 #include "util/crc32c.h"
 #include "util/numeric.h"
 #include "util/random.h"
@@ -132,14 +134,79 @@ TEST(ExactUintTest, AcceptsOnlyIntegersInZeroToTwoToThe53) {
 // CRC-32C
 // ---------------------------------------------------------------------------
 
+// Every dispatch level, including the ones the host clamps or cannot
+// accelerate, must give the same answer.
+constexpr util::CpuLevel kAllCpuLevels[] = {
+    util::CpuLevel::kScalar, util::CpuLevel::kSse2, util::CpuLevel::kAvx2};
+
+// Bit-at-a-time reference, independent of both kernels' tables.
+uint32_t BitwiseCrc32c(const char* data, size_t n, uint32_t init) {
+  uint32_t crc = ~init;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= static_cast<unsigned char>(data[i]);
+    for (int k = 0; k < 8; ++k) crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+  }
+  return ~crc;
+}
+
 TEST(Crc32cTest, KnownVectors) {
-  // RFC 3720 test vectors.
+  // RFC 3720 section B.4, at every dispatch level and through Crc32c.
   std::vector<char> zeros(32, 0);
-  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8a9136aau);
   std::vector<char> ones(32, static_cast<char>(0xff));
-  EXPECT_EQ(Crc32c(ones.data(), ones.size()), 0x62a8ab43u);
-  const char* hello = "123456789";
-  EXPECT_EQ(Crc32c(hello, 9), 0xe3069283u);
+  std::vector<char> up(32), down(32);
+  for (int i = 0; i < 32; ++i) {
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  for (util::CpuLevel level : kAllCpuLevels) {
+    SCOPED_TRACE(util::CpuLevelName(level));
+    EXPECT_EQ(Crc32cAt(level, zeros.data(), zeros.size()), 0x8A9136AAu);
+    EXPECT_EQ(Crc32cAt(level, ones.data(), ones.size()), 0x62A8AB43u);
+    EXPECT_EQ(Crc32cAt(level, up.data(), up.size()), 0x46DD794Eu);
+    EXPECT_EQ(Crc32cAt(level, down.data(), down.size()), 0x113FDB5Cu);
+    EXPECT_EQ(Crc32cAt(level, "123456789", 9), 0xE3069283u);
+  }
+  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+}
+
+TEST(Crc32cTest, KernelsAgreeWithBitwiseReference) {
+  // Lengths cross the 3 x 8192 and 3 x 256 block edges of the hardware
+  // loop; offsets cover every alignment of its 8-byte words.
+  Pcg64 rng(0xc5c32c);
+  std::vector<char> buf(70'000 + 64);
+  for (char& c : buf) c = static_cast<char>(rng.Below(256));
+  std::vector<size_t> lengths = {0,         1,         7,         8,
+                                 9,         255,       767,       768,
+                                 769,       1023,      24'575,    24'576,
+                                 24'577,    25'343,    25'344,    25'345,
+                                 49'152,    70'000};
+  for (int i = 0; i < 60; ++i) lengths.push_back(rng.Below(70'001));
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    const size_t n = lengths[i];
+    const size_t offset = i % 64;
+    const char* p = buf.data() + offset;
+    const uint32_t init = i % 2 == 0 ? 0u : static_cast<uint32_t>(rng.Next());
+    const uint32_t want = BitwiseCrc32c(p, n, init);
+    const size_t split = n == 0 ? 0 : rng.Below(n + 1);
+    for (util::CpuLevel level : kAllCpuLevels) {
+      SCOPED_TRACE(std::string(util::CpuLevelName(level)) + " n=" +
+                   std::to_string(n) + " offset=" + std::to_string(offset));
+      EXPECT_EQ(Crc32cAt(level, p, n, init), want);
+      // A checksum chained across a split equals the whole.
+      uint32_t head = Crc32cAt(level, p, split, init);
+      EXPECT_EQ(Crc32cAt(level, p + split, n - split, head), want);
+    }
+  }
+  // Every start offset 0..63 over one length that enters both passes.
+  for (size_t offset = 0; offset < 64; ++offset) {
+    const char* p = buf.data() + offset;
+    const uint32_t want = BitwiseCrc32c(p, 25'000, 7);
+    for (util::CpuLevel level : kAllCpuLevels) {
+      EXPECT_EQ(Crc32cAt(level, p, 25'000, 7), want)
+          << util::CpuLevelName(level) << " offset=" << offset;
+    }
+  }
 }
 
 TEST(Crc32cTest, ExtendMatchesWhole) {
