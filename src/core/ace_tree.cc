@@ -162,8 +162,8 @@ Result<std::vector<LeafData>> AceTree::ReadLeaves(
     MSV_RETURN_IF_ERROR(CheckLeafLocation(idx));
   }
   // Elevator (SCAN) schedule: issue requests in ascending physical offset
-  // so adjacent leaves become contiguous in array order, which is what
-  // File::ReadBatch coalesces into single modeled accesses.
+  // so a leaf adjacent on disk to the one before it is a sequential
+  // access (transfer time, no seek) on the simulated disk.
   std::vector<size_t> order(leaf_indices.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {

@@ -119,12 +119,13 @@ class AceTree {
   /// costs only one seek, per the paper's variable-size-leaf scheme).
   Result<LeafData> ReadLeaf(uint64_t leaf_index) const;
 
-  /// Reads a set of leaves with one batched I/O call. Requests are issued
-  /// in elevator order (ascending physical offset), so runs of leaves
-  /// that are adjacent on disk — the builder lays leaves out contiguously
-  /// in index order — coalesce into single modeled accesses. Results are
-  /// returned in *input* order, so callers' consumption order (and hence
-  /// the sample stream) is unaffected by the I/O schedule.
+  /// Reads a set of leaves with one File::ReadBatch call, one request per
+  /// leaf. Requests are issued in elevator order (ascending physical
+  /// offset), so a leaf adjacent on disk to the previous one — the builder
+  /// lays leaves out contiguously in index order — is a sequential access
+  /// that pays no seek. Results are returned in *input* order, so callers'
+  /// consumption order (and hence the sample stream) is unaffected by the
+  /// I/O schedule.
   Result<std::vector<LeafData>> ReadLeaves(
       const std::vector<uint64_t>& leaf_indices) const;
 

@@ -5,7 +5,8 @@
 // further samples from it are free. The pool caches fixed-size pages of a
 // File keyed by (file id, page number) and evicts the least-recently-used
 // unpinned page when full. It serves the index baselines only; ACE leaves
-// are read with File::ReadBatch and never pass through a pool.
+// are read straight from their File, one Read per leaf, and never pass
+// through a pool.
 //
 // Concurrency: the pool is safely shareable across threads. One mutex
 // guards the frame table, the page map, the LRU tick and the counters

@@ -28,9 +28,6 @@ DiskDevice::DiskDevice(DiskModelOptions options) : options_(options) {
   c_sequential_ = reg.GetCounter("io.disk.sequential_ios");
   c_busy_us_ = reg.GetCounter("io.disk.busy_us");
   h_access_us_ = reg.GetHistogram("io.disk.access_us");
-  c_batch_accesses_ = reg.GetCounter("io.batch.accesses");
-  c_batch_pages_ = reg.GetCounter("io.batch.pages");
-  h_batch_pages_ = reg.GetHistogram("io.batch.pages_per_access");
   g_clock_ms_ = reg.GetGauge("io.disk.clock_ms");
 }
 
@@ -42,16 +39,6 @@ thread_local uint64_t tls_disk_busy_us = 0;
 uint64_t ThreadDiskBusyUs() { return tls_disk_busy_us; }
 
 void DiskDevice::Access(uint64_t pos, uint64_t len, bool is_write) {
-  AccessImpl(pos, len, /*pages=*/0, is_write);
-}
-
-void DiskDevice::AccessRun(uint64_t pos, uint64_t len, uint64_t pages,
-                           bool is_write) {
-  AccessImpl(pos, len, pages, is_write);
-}
-
-void DiskDevice::AccessImpl(uint64_t pos, uint64_t len, uint64_t pages,
-                            bool is_write) {
   // Serialized-arm model: one request owns the arm at a time. Seek vs
   // sequential is judged against the head position the previous request
   // (from any thread) left behind, so interleaved readers pay the seeks
@@ -80,13 +67,6 @@ void DiskDevice::AccessImpl(uint64_t pos, uint64_t len, uint64_t pages,
   h_access_us_->Record(us);
   head_pos_ = pos + len;
   head_valid_ = true;
-  if (pages > 0) {
-    ++totals_.batched_accesses;
-    totals_.batched_pages += pages;
-    c_batch_accesses_->Add();
-    c_batch_pages_->Add(pages);
-    h_batch_pages_->Record(pages);
-  }
   if (is_write) {
     ++totals_.writes;
     totals_.written_bytes += len;
@@ -130,34 +110,6 @@ class SimFile : public File {
     MSV_ASSIGN_OR_RETURN(size_t got, inner_->Read(offset, n, scratch));
     if (got > 0) device_->Access(region_base_ + offset, got, /*is_write=*/false);
     return got;
-  }
-
-  Status ReadBatch(ReadRequest* reqs, size_t count) override {
-    MSV_RETURN_IF_ERROR(inner_->ReadBatch(reqs, count));
-    // Charge one modeled access per maximal contiguous, fully-satisfied
-    // run (array order): one seek + the run's total transfer. A request
-    // short of its ask (EOF) ends its run — the device can't keep
-    // streaming past a hole — and zero-byte requests charge nothing,
-    // matching Read()'s got==0 behaviour.
-    size_t i = 0;
-    while (i < count) {
-      if (reqs[i].got == 0) {
-        ++i;
-        continue;
-      }
-      size_t j = i + 1;
-      uint64_t len = reqs[i].got;
-      while (j < count && reqs[j].got > 0 &&
-             reqs[j - 1].got == reqs[j - 1].n &&
-             reqs[j].offset == reqs[j - 1].offset + reqs[j - 1].n) {
-        len += reqs[j].got;
-        ++j;
-      }
-      device_->AccessRun(region_base_ + reqs[i].offset, len,
-                         /*pages=*/j - i, /*is_write=*/false);
-      i = j;
-    }
-    return Status::OK();
   }
 
   Status Write(uint64_t offset, const char* data, size_t n) override {

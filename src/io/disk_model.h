@@ -10,6 +10,11 @@
 //   * an access starting exactly where the previous one ended pays transfer
 //     time only (sequential I/O).
 //
+// Through a SimEnv, every Read, Write and Append that moves bytes is one
+// access; a File::ReadBatch of k requests is k accesses, each judged
+// against the head position the previous one left. Nothing coalesces
+// requests below the caller.
+//
 // Time accumulates on a SimClock owned by the device; benchmark harnesses
 // read it between sampling steps. Accesses to *different* files on the same
 // device also interfere (the head moves), which is what penalizes the
@@ -85,12 +90,6 @@ struct DiskStats {
   /// per access with the same rounding as the io.disk.busy_us registry
   /// counter, so struct totals and traced span deltas compare exactly.
   uint64_t busy_us = 0;
-  /// Coalesced multi-page accesses charged through AccessRun(), and the
-  /// total pages they carried. batched_pages / batched_accesses is the
-  /// coalesce ratio; each batched access also counts once in reads/seeks/
-  /// sequential_ios above, so the per-access families stay reconciled.
-  uint64_t batched_accesses = 0;
-  uint64_t batched_pages = 0;
 
   DiskStats operator-(const DiskStats& b) const {
     return DiskStats{reads - b.reads,
@@ -99,9 +98,7 @@ struct DiskStats {
                      written_bytes - b.written_bytes,
                      seeks - b.seeks,
                      sequential_ios - b.sequential_ios,
-                     busy_us - b.busy_us,
-                     batched_accesses - b.batched_accesses,
-                     batched_pages - b.batched_pages};
+                     busy_us - b.busy_us};
   }
 };
 
@@ -122,14 +119,6 @@ class DiskDevice {
   /// position `pos` and advances the head. Safe from any thread; requests
   /// racing for the arm are served in lock-acquisition order.
   void Access(uint64_t pos, uint64_t len, bool is_write);
-
-  /// Charges one coalesced access covering `pages` logically distinct
-  /// requests that are physically contiguous: the arm pays at most one
-  /// seek + rotation for the whole run, then `len` bytes of transfer —
-  /// the entire point of batched I/O under a seek-dominated model. Also
-  /// records io.batch.* metrics (accesses, pages, pages-per-access
-  /// histogram) and the DiskStats batched_* fields; Access() never does.
-  void AccessRun(uint64_t pos, uint64_t len, uint64_t pages, bool is_write);
 
   /// Model time to read `bytes` sequentially from a cold start; the
   /// normalization denominator for all paper figures.
@@ -153,10 +142,6 @@ class DiskDevice {
   uint64_t head_pos_ MSV_GUARDED_BY(mu_) = 0;
   bool head_valid_ MSV_GUARDED_BY(mu_) = false;
 
-  /// Shared body of Access()/AccessRun(); acquires the arm lock. `pages`
-  /// is 0 for plain accesses (skips the io.batch.* family entirely).
-  void AccessImpl(uint64_t pos, uint64_t len, uint64_t pages, bool is_write);
-
   // Registry series shared by every DiskDevice (process-wide totals).
   obs::Counter* c_reads_;
   obs::Counter* c_writes_;
@@ -166,9 +151,6 @@ class DiskDevice {
   obs::Counter* c_sequential_;
   obs::Counter* c_busy_us_;
   obs::LogHistogram* h_access_us_;
-  obs::Counter* c_batch_accesses_;
-  obs::Counter* c_batch_pages_;
-  obs::LogHistogram* h_batch_pages_;
   obs::Gauge* g_clock_ms_;
 };
 

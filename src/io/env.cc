@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -64,23 +63,6 @@ class MemFile : public File {
     size_t got = std::min(n, avail);
     std::memcpy(scratch, bytes.data() + offset, got);
     return got;
-  }
-
-  Status ReadBatch(ReadRequest* reqs, size_t count) override {
-    // One shared-lock acquisition for the whole batch.
-    ReaderLock lock(data_->mu);
-    const auto& bytes = data_->bytes;
-    for (size_t i = 0; i < count; ++i) {
-      ReadRequest& r = reqs[i];
-      if (r.offset >= bytes.size()) {
-        r.got = 0;
-        continue;
-      }
-      size_t avail = bytes.size() - static_cast<size_t>(r.offset);
-      r.got = std::min(r.n, avail);
-      std::memcpy(r.scratch, bytes.data() + r.offset, r.got);
-    }
-    return Status::OK();
   }
 
   Status Write(uint64_t offset, const char* data, size_t n) override {
@@ -216,21 +198,6 @@ class PosixFile : public File {
     return got;
   }
 
-  Status ReadBatch(ReadRequest* reqs, size_t count) override {
-    size_t i = 0;
-    while (i < count) {
-      // Maximal contiguous run in array order, capped at kMaxIov.
-      size_t j = i + 1;
-      while (j < count && j - i < kMaxIov &&
-             reqs[j].offset == reqs[j - 1].offset + reqs[j - 1].n) {
-        ++j;
-      }
-      MSV_RETURN_IF_ERROR(ReadRun(reqs + i, j - i));
-      i = j;
-    }
-    return Status::OK();
-  }
-
   Status Write(uint64_t offset, const char* data, size_t n) override {
     return WriteAt(offset, data, n);
   }
@@ -264,48 +231,6 @@ class PosixFile : public File {
   }
 
  private:
-  // IOV_MAX is at least 16 on any POSIX system; 256 keeps the stack iovec
-  // array small while comfortably covering our leaf-batch sizes.
-  static constexpr size_t kMaxIov = 256;
-
-  // One contiguous run of requests, serviced with preadv(2). A short
-  // preadv (signal, EOF, kernel split) resumes at the partial boundary;
-  // the final byte count is distributed over the requests in order, so
-  // each `got` matches what a standalone pread would have returned.
-  Status ReadRun(ReadRequest* reqs, size_t count) {
-    size_t total = 0;
-    for (size_t i = 0; i < count; ++i) total += reqs[i].n;
-    const uint64_t base = reqs[0].offset;
-    size_t done = 0;
-    while (done < total) {
-      struct iovec iov[kMaxIov];
-      int iovcnt = 0;
-      size_t skip = done;
-      for (size_t i = 0; i < count; ++i) {
-        if (skip >= reqs[i].n) {
-          skip -= reqs[i].n;
-          continue;
-        }
-        iov[iovcnt].iov_base = reqs[i].scratch + skip;
-        iov[iovcnt].iov_len = reqs[i].n - skip;
-        skip = 0;
-        ++iovcnt;
-      }
-      ssize_t r = ::preadv(fd_, iov, iovcnt, static_cast<off_t>(base + done));
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        return PosixError("preadv at " + std::to_string(base + done), errno);
-      }
-      if (r == 0) break;  // end of file
-      done += static_cast<size_t>(r);
-    }
-    for (size_t i = 0; i < count; ++i) {
-      reqs[i].got = std::min(reqs[i].n, done);
-      done -= reqs[i].got;
-    }
-    return Status::OK();
-  }
-
   Status WriteAt(uint64_t offset, const char* data, size_t n) {
     size_t put = 0;
     while (put < n) {
@@ -327,7 +252,10 @@ class PosixFile : public File {
 class PosixEnv : public Env {
  public:
   explicit PosixEnv(std::string root) : root_(std::move(root)) {
-    if (!root_.empty() && root_.back() != '/') root_ += '/';
+    // An empty root is the working directory, spelled "./" so that
+    // every path below is root_ + name.
+    if (root_.empty()) root_ = ".";
+    if (root_.back() != '/') root_ += '/';
   }
 
   Result<std::unique_ptr<File>> OpenFile(const std::string& name,
@@ -371,10 +299,9 @@ class PosixEnv : public Env {
   }
 
   Result<std::vector<std::string>> ListFiles() override {
-    std::string dir = root_.empty() ? "." : root_;
-    DIR* d = ::opendir(dir.c_str());
+    DIR* d = ::opendir(root_.c_str());
     if (d == nullptr) {
-      return PosixError("opendir " + dir, errno);
+      return PosixError("opendir " + root_, errno);
     }
     std::vector<std::string> names;
     errno = 0;
@@ -383,7 +310,7 @@ class PosixEnv : public Env {
       if (n == "." || n == "..") continue;
       // Only regular files participate in the Env namespace.
       struct stat st;
-      if (::stat((dir + n).c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
+      if (::stat((root_ + n).c_str(), &st) == 0 && S_ISREG(st.st_mode)) {
         names.push_back(std::move(n));
       }
       errno = 0;
@@ -391,21 +318,20 @@ class PosixEnv : public Env {
     int err = errno;
     ::closedir(d);
     if (err != 0) {
-      return PosixError("readdir " + dir, err);
+      return PosixError("readdir " + root_, err);
     }
     std::sort(names.begin(), names.end());
     return names;
   }
 
   Status SyncDir() override {
-    std::string dir = root_.empty() ? "." : root_;
-    int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    int fd = ::open(root_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
     if (fd < 0) {
-      return PosixError("open dir " + dir, errno);
+      return PosixError("open dir " + root_, errno);
     }
     Status st = Status::OK();
     if (::fsync(fd) != 0) {
-      st = PosixError("fsync dir " + dir, errno);
+      st = PosixError("fsync dir " + root_, errno);
     }
     ::close(fd);
     return st;

@@ -23,9 +23,9 @@
 
 namespace msv::io {
 
-/// One positional read inside a File::ReadBatch call. `got` is filled by
-/// the implementation with the number of bytes actually read (short only
-/// at end-of-file, matching File::Read).
+/// One positional read inside a File::ReadBatch call. `got` is filled
+/// with the number of bytes actually read (short only at end-of-file,
+/// matching File::Read).
 struct ReadRequest {
   uint64_t offset = 0;
   size_t n = 0;
@@ -46,15 +46,14 @@ class File {
   /// number of bytes actually read (short only at end-of-file).
   virtual Result<size_t> Read(uint64_t offset, size_t n, char* scratch) = 0;
 
-  /// Reads `count` positional requests. Each request's `got` is set exactly
-  /// as a standalone Read would set it (short only at end-of-file).
-  ///
-  /// Implementations treat a maximal run of requests that is contiguous *in
-  /// array order* (reqs[j].offset == reqs[j-1].offset + reqs[j-1].n) as one
-  /// underlying device access: SimEnv charges one seek for the whole run,
-  /// FaultInjectionEnv consumes one op index per run, PosixEnv issues one
-  /// preadv(2). Callers wanting coalescing should therefore sort requests
-  /// by offset before calling. The default implementation loops over Read.
+  /// Reads `count` positional requests in array order, one Read each, and
+  /// sets each request's `got` to what that Read returned. A batch costs
+  /// exactly what its requests cost as separate Reads on every backend:
+  /// nothing is coalesced below the caller, so a caller that wants one
+  /// device access for a contiguous byte range issues one Read for it.
+  /// Stops at the first failed request; earlier requests keep their `got`.
+  /// Virtual only so that decorators outside the library can observe
+  /// whole batches; the library's backends do not override it.
   virtual Status ReadBatch(ReadRequest* reqs, size_t count);
 
   /// Writes `n` bytes at `offset`, extending the file if needed.
@@ -119,7 +118,8 @@ class Env {
 std::unique_ptr<Env> NewMemEnv();
 
 /// Creates an environment backed by the host filesystem rooted at `root`
-/// (file names are interpreted relative to it). The directory must exist.
+/// (file names are interpreted relative to it; "" is the working
+/// directory). The directory must exist.
 std::unique_ptr<Env> NewPosixEnv(std::string root);
 
 /// Replaces small file `name` with `contents` atomically: writes

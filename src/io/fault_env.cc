@@ -116,47 +116,6 @@ class FaultFile : public File {
     return got;
   }
 
-  Status ReadBatch(ReadRequest* reqs, size_t count) override {
-    // One op index per underlying device access, i.e. per maximal
-    // contiguous run in array order — a coalesced batch is one arm
-    // movement, so it must be one crash point, not `count` of them.
-    size_t i = 0;
-    while (i < count) {
-      size_t j = i + 1;
-      while (j < count &&
-             reqs[j].offset == reqs[j - 1].offset + reqs[j - 1].n) {
-        ++j;
-      }
-      int64_t at = 0;
-      FaultAction action = state_->Gate(OpKind::kRead, &at);
-      if (action == FaultAction::kFail) return FaultState::Injected(at);
-      MSV_RETURN_IF_ERROR(inner_->ReadBatch(reqs + i, j - i));
-      if (action == FaultAction::kShortRead) {
-        // Half the run's delivered bytes survive, truncated DOWN to a
-        // request boundary: a deterministic "the device died mid-batch"
-        // point. A single-request run degrades to exactly what Read()
-        // does (got / 2).
-        if (j - i == 1) {
-          reqs[i].got /= 2;
-        } else {
-          size_t delivered = 0;
-          for (size_t k = i; k < j; ++k) delivered += reqs[k].got;
-          size_t keep = delivered / 2;
-          size_t acc = 0;
-          for (size_t k = i; k < j; ++k) {
-            if (acc + reqs[k].got > keep) {
-              reqs[k].got = 0;
-            } else {
-              acc += reqs[k].got;
-            }
-          }
-        }
-      }
-      i = j;
-    }
-    return Status::OK();
-  }
-
   Status Write(uint64_t offset, const char* data, size_t n) override {
     int64_t at = 0;
     FaultAction action = state_->Gate(OpKind::kWrite, &at);

@@ -1,13 +1,11 @@
-// Batched I/O equivalence and accounting tests.
+// Batched read tests.
 //
-// The ReadBatch contract must be indistinguishable from page-at-a-time
-// Read() in the bytes it delivers — on every backend — while changing
-// only the *cost*: runs of requests contiguous in array order collapse
-// into one modeled device access (SimEnv), one fault-injection op index
-// (FaultInjectionEnv) and one preadv(2) (PosixEnv). This file pins both
-// halves: randomized byte-equivalence across backends, and the exact
-// seek/op/metric accounting of the coalescing layers (SimFile,
-// AceTree::ReadLeaves and the heap-file scanner's chunk size).
+// File::ReadBatch is one Read per request on every backend: it delivers
+// the same bytes as those Reads and, on the simulated disk, charges the
+// same reads, seeks and busy time. This file pins that contract with
+// randomized batches on every backend, then the two users of batched or
+// chunked reads above the io layer: AceTree::ReadLeaves (results in input
+// order, requests in offset order) and the heap-file scanner's chunk size.
 
 #include <algorithm>
 #include <cstdint>
@@ -106,6 +104,22 @@ TEST_P(BatchEquivalenceTest, RandomizedBatchesMatchScalarReads) {
   auto file = ValueOrDie(env()->OpenFile("f", true));
   MSV_ASSERT_OK(file->Write(0, data.data(), data.size()));
 
+  // The scalar reference reads go through `scalar`. On SimEnv that is a
+  // twin file on its own device, which sees the same write and then the
+  // same requests one Read at a time, so both devices must end every
+  // round with the same charges.
+  File* scalar = file.get();
+  std::shared_ptr<DiskDevice> twin_device;
+  std::unique_ptr<Env> twin_env;
+  std::unique_ptr<File> twin_file;
+  if (device_) {
+    twin_device = std::make_shared<DiskDevice>();
+    twin_env = NewSimEnv(inner_.get(), twin_device);
+    twin_file = ValueOrDie(twin_env->OpenFile("f", false));
+    MSV_ASSERT_OK(twin_file->Write(0, data.data(), data.size()));
+    scalar = twin_file.get();
+  }
+
   Pcg64 rng = DeriveRngStream(2026, 805);
   for (int round = 0; round < 50; ++round) {
     const size_t count = 1 + rng.Below(12);
@@ -143,7 +157,7 @@ TEST_P(BatchEquivalenceTest, RandomizedBatchesMatchScalarReads) {
     MSV_ASSERT_OK(file->ReadBatch(reqs.data(), reqs.size()));
     for (size_t i = 0; i < count; ++i) {
       std::string expect(reqs[i].n, '\xee');
-      size_t want_got = ValueOrDie(file->Read(
+      size_t want_got = ValueOrDie(scalar->Read(
           reqs[i].offset, reqs[i].n, expect.data()));
       ASSERT_EQ(reqs[i].got, want_got)
           << "round " << round << " req " << i << " offset "
@@ -151,6 +165,17 @@ TEST_P(BatchEquivalenceTest, RandomizedBatchesMatchScalarReads) {
       EXPECT_EQ(std::string(reqs[i].scratch, reqs[i].got),
                 std::string(expect.data(), want_got))
           << "round " << round << " req " << i;
+    }
+    if (device_) {
+      const DiskStats batch = device_->stats();
+      const DiskStats scalar_stats = twin_device->stats();
+      EXPECT_EQ(batch.reads, scalar_stats.reads) << "round " << round;
+      EXPECT_EQ(batch.seeks, scalar_stats.seeks) << "round " << round;
+      EXPECT_EQ(batch.sequential_ios, scalar_stats.sequential_ios)
+          << "round " << round;
+      EXPECT_EQ(batch.read_bytes, scalar_stats.read_bytes)
+          << "round " << round;
+      EXPECT_EQ(batch.busy_us, scalar_stats.busy_us) << "round " << round;
     }
   }
 }
@@ -164,6 +189,15 @@ TEST_P(BatchEquivalenceTest, EmptyAndPastEofBatches) {
   MSV_ASSERT_OK(file->ReadBatch(reqs, 2));
   EXPECT_EQ(reqs[0].got, 0u);
   EXPECT_EQ(reqs[1].got, 0u);
+  // The same as scalar Reads, plus a zero-byte one: nothing is read.
+  EXPECT_EQ(ValueOrDie(file->Read(100, 4, buf)), 0u);
+  EXPECT_EQ(ValueOrDie(file->Read(6, 4, buf)), 0u);
+  EXPECT_EQ(ValueOrDie(file->Read(0, 0, buf)), 0u);
+  if (device_) {
+    // A zero-byte or past-EOF read charges the device nothing.
+    EXPECT_EQ(device_->stats().reads, 0u);
+    EXPECT_EQ(device_->stats().read_bytes, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -174,129 +208,38 @@ INSTANTIATE_TEST_SUITE_P(
       return BackendName(info.param);
     });
 
-// ---------------------------------------------------------------------------
-// SimFile: coalescing and the io.batch.* accounting
-// ---------------------------------------------------------------------------
+TEST(SimBatchTest, EofEndsTheRunAndZeroReadsAreFree) {
+  constexpr size_t kPage = 1024;
+  constexpr size_t kPages = 16;
+  auto inner = NewMemEnv();
+  auto device = std::make_shared<DiskDevice>();
+  auto env = NewSimEnv(inner.get(), device);
+  // Written beneath the device, so its stats count only the reads under
+  // test.
+  const std::string data(kPage * kPages, 'p');
+  auto raw = ValueOrDie(inner->OpenFile("f", true));
+  MSV_ASSERT_OK(raw->Write(0, data.data(), data.size()));
+  auto file = ValueOrDie(env->OpenFile("f", false));
 
-class SimBatchTest : public ::testing::Test {
- protected:
-  static constexpr size_t kPage = 1024;
-  static constexpr size_t kPages = 16;
-
-  void SetUp() override {
-    inner_ = NewMemEnv();
-    device_ = std::make_shared<DiskDevice>();
-    env_ = NewSimEnv(inner_.get(), device_);
-    std::string data(kPage * kPages, '\0');
-    for (size_t i = 0; i < data.size(); ++i) {
-      data[i] = static_cast<char>(i / kPage);
-    }
-    // Written beneath the device, so its stats count only the reads
-    // under test.
-    auto raw = ValueOrDie(inner_->OpenFile("f", true));
-    MSV_ASSERT_OK(raw->Write(0, data.data(), data.size()));
-    file_ = ValueOrDie(env_->OpenFile("f", false));
-  }
-
-  /// Builds one page-sized request per entry of `pages`.
-  std::vector<ReadRequest> PageRequests(const std::vector<uint64_t>& pages) {
-    scratch_.assign(pages.size() * kPage, '\xee');
-    std::vector<ReadRequest> reqs(pages.size());
-    for (size_t i = 0; i < pages.size(); ++i) {
-      reqs[i] = ReadRequest{pages[i] * kPage, kPage,
-                            scratch_.data() + i * kPage};
-    }
-    return reqs;
-  }
-
-  std::unique_ptr<Env> inner_;
-  std::shared_ptr<DiskDevice> device_;
-  std::unique_ptr<Env> env_;
-  std::unique_ptr<File> file_;
-  std::string scratch_;
-};
-
-TEST_F(SimBatchTest, AdjacentRunIsOneSeekOneAccess) {
-  auto reqs = PageRequests({4, 5, 6, 7});
-  MSV_ASSERT_OK(file_->ReadBatch(reqs.data(), reqs.size()));
-  DiskStats d = device_->stats();
-  EXPECT_EQ(d.reads, 1u);
-  EXPECT_EQ(d.seeks, 1u);
-  EXPECT_EQ(d.sequential_ios, 0u);
-  EXPECT_EQ(d.read_bytes, 4 * kPage);
-  EXPECT_EQ(d.batched_accesses, 1u);
-  EXPECT_EQ(d.batched_pages, 4u);
-}
-
-TEST_F(SimBatchTest, BatchBusyTimeMatchesOneBigAccess) {
-  // The whole point of coalescing: a 4-page adjacent batch must cost
-  // exactly what one 4-page read costs, not 4 seeks.
-  auto reqs = PageRequests({4, 5, 6, 7});
-  MSV_ASSERT_OK(file_->ReadBatch(reqs.data(), reqs.size()));
-  uint64_t batched_us = device_->stats().busy_us;
-
-  DiskDevice reference;
-  reference.Access(0, 4 * kPage, /*is_write=*/false);
-  EXPECT_EQ(batched_us, reference.stats().busy_us);
-
-  // And strictly less than the same pages read one at a time from a cold
-  // head (4 seeks): the modeled saving the benches measure.
-  DiskDevice scalar;
-  for (int i = 0; i < 4; ++i) {
-    scalar.Access(2 * i * kPage, kPage, /*is_write=*/false);  // discontiguous
-  }
-  EXPECT_LT(batched_us, scalar.stats().busy_us);
-}
-
-TEST_F(SimBatchTest, GapSplitsTheRun) {
-  auto reqs = PageRequests({0, 1, 8, 9});
-  MSV_ASSERT_OK(file_->ReadBatch(reqs.data(), reqs.size()));
-  DiskStats d = device_->stats();
-  EXPECT_EQ(d.reads, 2u);
-  EXPECT_EQ(d.seeks, 2u);
-  EXPECT_EQ(d.batched_accesses, 2u);
-  EXPECT_EQ(d.batched_pages, 4u);
-}
-
-TEST_F(SimBatchTest, ArrayOrderDefinesRuns) {
-  // The same pages out of order do not coalesce: the contract is
-  // contiguity in array order, and callers are expected to sort.
-  auto reqs = PageRequests({7, 6, 5, 4});
-  MSV_ASSERT_OK(file_->ReadBatch(reqs.data(), reqs.size()));
-  DiskStats d = device_->stats();
-  EXPECT_EQ(d.reads, 4u);
-  EXPECT_EQ(d.batched_accesses, 4u);
-  EXPECT_EQ(d.batched_pages, 4u);
-}
-
-TEST_F(SimBatchTest, EofEndsTheRunAndZeroReadsAreFree) {
-  // Requests: last full page, then one page past EOF, then fully past
-  // EOF. The short/empty tail must not extend the charged run.
-  scratch_.assign(3 * kPage, '\xee');
-  ReadRequest reqs[3] = {
-      {(kPages - 1) * kPage, kPage, scratch_.data()},
-      {kPages * kPage, kPage, scratch_.data() + kPage},
-      {(kPages + 1) * kPage, kPage, scratch_.data() + 2 * kPage},
+  // The last full page, then one page at EOF, one fully past it and a
+  // zero-byte request: only the first is charged.
+  std::string scratch(3 * kPage, '\xee');
+  ReadRequest reqs[4] = {
+      {(kPages - 1) * kPage, kPage, scratch.data()},
+      {kPages * kPage, kPage, scratch.data() + kPage},
+      {(kPages + 1) * kPage, kPage, scratch.data() + 2 * kPage},
+      {0, 0, scratch.data()},
   };
-  MSV_ASSERT_OK(file_->ReadBatch(reqs, 3));
+  MSV_ASSERT_OK(file->ReadBatch(reqs, 4));
   EXPECT_EQ(reqs[0].got, kPage);
   EXPECT_EQ(reqs[1].got, 0u);
   EXPECT_EQ(reqs[2].got, 0u);
-  DiskStats d = device_->stats();
+  EXPECT_EQ(reqs[3].got, 0u);
+  EXPECT_EQ(scratch.substr(0, kPage), data.substr(0, kPage));
+  const DiskStats d = device->stats();
   EXPECT_EQ(d.reads, 1u);
+  EXPECT_EQ(d.seeks, 1u);
   EXPECT_EQ(d.read_bytes, kPage);
-  EXPECT_EQ(d.batched_accesses, 1u);
-  EXPECT_EQ(d.batched_pages, 1u);
-}
-
-TEST_F(SimBatchTest, RegistryCountersTrackDeviceStats) {
-  obs::MetricRegistry& reg = obs::MetricRegistry::Global();
-  uint64_t acc0 = reg.GetCounter("io.batch.accesses")->Value();
-  uint64_t pages0 = reg.GetCounter("io.batch.pages")->Value();
-  auto reqs = PageRequests({2, 3, 4, 10, 11});
-  MSV_ASSERT_OK(file_->ReadBatch(reqs.data(), reqs.size()));
-  EXPECT_EQ(reg.GetCounter("io.batch.accesses")->Value(), acc0 + 2);
-  EXPECT_EQ(reg.GetCounter("io.batch.pages")->Value(), pages0 + 5);
 }
 
 }  // namespace
@@ -362,18 +305,19 @@ TEST_F(ReadLeavesTest, ResultsMatchScalarReadLeafInInputOrder) {
   }
 }
 
-TEST_F(ReadLeavesTest, AdjacentLeavesCoalesceIntoOneAccess) {
+TEST_F(ReadLeavesTest, AdjacentLeavesPayOneSeekThenTransfer) {
   // The builder lays leaves out contiguously in index order, so four
-  // consecutive indices — in any request order — are one elevator run.
+  // consecutive indices — in any request order — are read in offset
+  // order: one request per leaf, and only the first one seeks.
   const io::DiskStats before = device_->stats();
   auto batch = ValueOrDie(tree_->ReadLeaves({12, 10, 13, 11}));
   ASSERT_EQ(batch.size(), 4u);
   EXPECT_EQ(batch[0].leaf_index, 12u);
   EXPECT_EQ(batch[3].leaf_index, 11u);
   const io::DiskStats d = device_->stats() - before;
-  EXPECT_EQ(d.reads, 1u);
-  EXPECT_EQ(d.batched_accesses, 1u);
-  EXPECT_EQ(d.batched_pages, 4u);
+  EXPECT_EQ(d.reads, 4u);
+  EXPECT_EQ(d.seeks, 1u);
+  EXPECT_EQ(d.sequential_ios, 3u);
 }
 
 TEST_F(ReadLeavesTest, InvalidIndexRejectedBeforeAnyIo) {
@@ -431,7 +375,6 @@ TEST(ReadaheadScannerTest, SameRecordsHalfTheRefillSeeks) {
   // Twice the chunk: half the refill reads (+1 for rounding), each one a
   // single access, so less modeled time.
   EXPECT_LE(large.reads, small.reads / 2 + 1);
-  EXPECT_EQ(large.batched_accesses, 0u);
   EXPECT_LT(large.busy_us, small.busy_us);
 }
 

@@ -1,14 +1,19 @@
 // Env contract test: one behavioural suite run against every backend
 // (MemEnv, PosixEnv, FaultInjectionEnv-over-Mem), plus backend-specific
-// checks — POSIX errno classification, >2 GiB offsets (gated behind
-// MSV_SLOW_TESTS), and the fault env's injection and crash semantics.
+// checks — POSIX errno classification, the empty root, >2 GiB offsets
+// (gated behind MSV_SLOW_TESTS), and the fault env's injection (one op
+// per request, batched or not) and crash semantics.
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "io/env.h"
@@ -202,6 +207,21 @@ TEST_F(PosixEnvContractTest, SizeSurvivesConcurrentlyMovedOffsets) {
   EXPECT_EQ(c, '2');
 }
 
+TEST_F(PosixEnvContractTest, EmptyRootListsWorkingDirectoryFiles) {
+  // NewPosixEnv("") is the working directory; ListFiles must see what
+  // OpenFile created there (views find their WALs through it).
+  auto cwd = NewPosixEnv("");
+  const std::string name =
+      "msv_empty_root_" + std::to_string(::getpid()) + ".tmp";
+  { auto f = ValueOrDie(cwd->OpenFile(name, true)); }
+  EXPECT_TRUE(std::filesystem::exists(name));
+  const std::vector<std::string> names = ValueOrDie(cwd->ListFiles());
+  EXPECT_NE(std::find(names.begin(), names.end(), name), names.end());
+  MSV_ASSERT_OK(cwd->SyncDir());
+  MSV_ASSERT_OK(cwd->DeleteFile(name));
+  EXPECT_FALSE(ValueOrDie(cwd->FileExists(name)));
+}
+
 TEST_F(PosixEnvContractTest, OffsetsBeyondTwoGiB) {
   if (std::getenv("MSV_SLOW_TESTS") == nullptr) {
     GTEST_SKIP() << "set MSV_SLOW_TESTS=1 to run >2 GiB offset tests";
@@ -308,93 +328,32 @@ TEST_F(FaultEnvTest, FaultCountersPublished) {
 }
 
 // ---------------------------------------------------------------------------
-// FaultInjectionEnv: batched reads and the op-index ledger
+// FaultInjectionEnv: batched reads are one op per request
 // ---------------------------------------------------------------------------
-
-namespace {
-/// Builds one `page`-byte request per entry of `offsets` over `scratch`
-/// (which is resized to fit).
-std::vector<ReadRequest> PageBatch(const std::vector<uint64_t>& offsets,
-                                   size_t page, std::string* scratch) {
-  scratch->assign(offsets.size() * page, '\0');
-  std::vector<ReadRequest> reqs(offsets.size());
-  for (size_t i = 0; i < offsets.size(); ++i) {
-    reqs[i] = ReadRequest{offsets[i], page, scratch->data() + i * page};
-  }
-  return reqs;
-}
-}  // namespace
-
-TEST_F(FaultEnvTest, BatchConsumesOneOpPerContiguousRun) {
-  auto f = ValueOrDie(env_->OpenFile("f", true));
-  std::string data(800, 'x');
-  MSV_ASSERT_OK(f->Write(0, data.data(), data.size()));
-  std::string scratch;
-
-  // One contiguous 4-page run: one underlying device access, one op.
-  auto adjacent = PageBatch({0, 100, 200, 300}, 100, &scratch);
-  int64_t before = env_->op_count();
-  MSV_ASSERT_OK(f->ReadBatch(adjacent.data(), adjacent.size()));
-  EXPECT_EQ(env_->op_count(), before + 1);
-
-  // Three scattered pages: three runs, three ops.
-  auto scattered = PageBatch({0, 300, 600}, 100, &scratch);
-  before = env_->op_count();
-  MSV_ASSERT_OK(f->ReadBatch(scattered.data(), scattered.size()));
-  EXPECT_EQ(env_->op_count(), before + 3);
-
-  // Two adjacent pairs split by a gap: two runs, two ops.
-  auto pairs = PageBatch({0, 100, 500, 600}, 100, &scratch);
-  before = env_->op_count();
-  MSV_ASSERT_OK(f->ReadBatch(pairs.data(), pairs.size()));
-  EXPECT_EQ(env_->op_count(), before + 2);
-}
 
 TEST_F(FaultEnvTest, MidBatchFaultHitsTheRunItIsArmedFor) {
   auto f = ValueOrDie(env_->OpenFile("f", true));
   std::string data(800, 'x');
   MSV_ASSERT_OK(f->Write(0, data.data(), data.size()));
-  std::string scratch;
-  // Two runs: {0,100} and {500}. Arm the op *after* the first run, so
-  // run 1 completes and run 2 is the one that dies.
-  auto reqs = PageBatch({0, 100, 500}, 100, &scratch);
-  env_->ArmFault(env_->op_count() + 1, FaultMode::kError, /*sticky=*/false);
+  // Three requests, the first two adjacent: still three ops, one per
+  // request. Arm the second one, so the first keeps its bytes and the
+  // batch stops at the armed request.
+  std::string scratch(300, '\0');
+  std::vector<ReadRequest> reqs = {{0, 100, scratch.data()},
+                                   {100, 100, scratch.data() + 100},
+                                   {500, 100, scratch.data() + 200}};
+  const int64_t before = env_->op_count();
+  env_->ArmFault(before + 1, FaultMode::kError, /*sticky=*/false);
   Status st = f->ReadBatch(reqs.data(), reqs.size());
   ASSERT_TRUE(st.IsIOError());
   EXPECT_NE(st.ToString().find("injected"), std::string::npos);
-  EXPECT_EQ(reqs[0].got, 100u);  // the first run had already been served
-  EXPECT_EQ(reqs[1].got, 100u);
-  MSV_ASSERT_OK(f->ReadBatch(reqs.data(), reqs.size()));  // non-sticky
-}
-
-TEST_F(FaultEnvTest, ShortReadOnBatchTruncatesAtRequestBoundary) {
-  auto f = ValueOrDie(env_->OpenFile("f", true));
-  std::string data(400, 'y');
-  MSV_ASSERT_OK(f->Write(0, data.data(), data.size()));
-  std::string scratch;
-  // One 4-page contiguous run of 400 bytes: the injected short read
-  // keeps half the delivered bytes, rounded DOWN to a request boundary
-  // — a deterministic page-aligned truncation, like a real device that
-  // died mid-transfer.
-  auto reqs = PageBatch({0, 100, 200, 300}, 100, &scratch);
-  env_->ArmFault(env_->op_count(), FaultMode::kShortRead, /*sticky=*/false);
-  MSV_ASSERT_OK(f->ReadBatch(reqs.data(), reqs.size()));
+  EXPECT_EQ(env_->op_count(), before + 2);  // the third request never ran
   EXPECT_EQ(reqs[0].got, 100u);
-  EXPECT_EQ(reqs[1].got, 100u);
+  EXPECT_EQ(reqs[1].got, 0u);
   EXPECT_EQ(reqs[2].got, 0u);
-  EXPECT_EQ(reqs[3].got, 0u);
-}
-
-TEST_F(FaultEnvTest, ShortReadOnSingleRequestBatchMatchesScalarRead) {
-  auto f = ValueOrDie(env_->OpenFile("f", true));
-  std::string data(100, 'z');
-  MSV_ASSERT_OK(f->Write(0, data.data(), data.size()));
-  std::string scratch;
-  auto reqs = PageBatch({0}, 100, &scratch);
-  env_->ArmFault(env_->op_count(), FaultMode::kShortRead, /*sticky=*/false);
-  MSV_ASSERT_OK(f->ReadBatch(reqs.data(), reqs.size()));
-  // Same halving a scalar Read() would get (ShortReadReturnsHalf above).
-  EXPECT_EQ(reqs[0].got, 50u);
+  MSV_ASSERT_OK(f->ReadBatch(reqs.data(), reqs.size()));  // non-sticky
+  EXPECT_EQ(env_->op_count(), before + 5);
+  for (const ReadRequest& r : reqs) EXPECT_EQ(r.got, 100u);
 }
 
 // ---------------------------------------------------------------------------

@@ -39,9 +39,9 @@ Custom rules (things clang-tidy cannot express for this repo):
   msv-batched-io         no scalar Read()/ReadExact() calls inside loops
                          in the src/core and src/extsort hot paths: a
                          page-per-call loop pays one modeled device
-                         access per page where File::ReadBatch /
-                         AceTree::ReadLeaves coalesce the adjacent run
-                         into one.
+                         access per page, where one Read/ReadExact of
+                         the contiguous range pays one. Nothing below
+                         the caller coalesces reads.
   msv-hot-path-alloc     no per-record std::string construction and no
                          calls through stored std::function callables
                          inside batch loops in src/core / src/sampling:
@@ -342,9 +342,10 @@ def check_raw_seek(path: Path, lines: list[str], findings: list[Finding]):
 # --- msv-batched-io --------------------------------------------------------
 
 # Hot-path page-fetch loops in the sampler and external-sort layers must
-# use the batched interfaces (File::ReadBatch, AceTree::ReadLeaves): a
-# scalar Read per iteration pays one modeled device access per page,
-# where a coalesced batch pays one seek for the whole adjacent run.
+# not read page by page: a scalar Read per iteration pays one modeled
+# device access per page, where one Read/ReadExact of the contiguous
+# range pays one. No layer below the caller coalesces reads, File::ReadBatch
+# included (one Read per request).
 # ace_verify.cc is exempt — the scrubber walks pages one at a time on
 # purpose so a torn page is attributed precisely.
 BATCHED_IO_DIRS = {("src", "core"), ("src", "extsort")}
@@ -385,9 +386,9 @@ def check_batched_io(path: Path, lines: list[str], findings: list[Finding]):
             findings.append(Finding(
                 path, no, "msv-batched-io",
                 "scalar Read()/ReadExact() in a loop on a hot path — "
-                "coalesce the run with File::ReadBatch / "
-                "AceTree::ReadLeaves (one modeled seek per adjacent run "
-                "instead of one per page)"))
+                "read the contiguous range with one Read/ReadExact "
+                "(one modeled device access per range instead of one "
+                "per page)"))
 
 
 # --- msv-hot-path-alloc ----------------------------------------------------
