@@ -33,7 +33,7 @@ int Main(int argc, char** argv) {
 
     RunningStats sizes;
     for (uint64_t leaf = 0; leaf < tree->meta().num_leaves; ++leaf) {
-      auto data_or = tree->ReadLeaf(leaf);
+      auto data_or = tree->ReadLeaf(leaf, tree->meta().height);
       MSV_CHECK(data_or.ok());
       for (uint32_t s = 1; s <= height; ++s) {
         sizes.Add(static_cast<double>(data_or.value().SectionCount(s)));

@@ -343,7 +343,7 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
   meta.directory_offset = AlignUp(
       meta.internal_offset + (num_leaves - 1) * kInternalNodeSize, 512);
   meta.data_offset = AlignUp(
-      meta.directory_offset + num_leaves * kDirectoryEntrySize,
+      meta.directory_offset + num_leaves * DirectoryEntrySize(height),
       options.page_size);
   for (uint32_t d = 0; d < options.key_dims; ++d) {
     meta.domain_min[d] = root_box.lo[d];
@@ -363,6 +363,8 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
     MSV_RETURN_IF_ERROR(out->Truncate(0));
 
     std::vector<LeafLocation> directory(num_leaves);
+    // Per-section counts and checksums, leaf-major (format v3).
+    std::vector<SectionEntry> sections(num_leaves * height);
     uint64_t write_off = meta.data_offset;
     {
       MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> placed,
@@ -387,23 +389,27 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
       };
 
       std::string blob;  // one leaf's serialized bytes
-      std::vector<uint32_t> section_counts(height);
       for (uint64_t leaf = 0; leaf < num_leaves; ++leaf) {
+        SectionEntry* entries = sections.data() + leaf * height;
         blob.assign(leaf_header, '\0');
-        std::fill(section_counts.begin(), section_counts.end(), 0);
         while (rec != nullptr && DecodeFixed32(rec) == leaf) {
           uint32_t section = DecodeFixed32(rec + 4);
           MSV_CHECK(section >= 1 && section <= height);
           // Records arrive grouped by section in ascending order, so
           // appending keeps sections contiguous.
           blob.append(rec + 8, record_size);
-          ++section_counts[section - 1];
+          ++entries[section - 1].count;
           MSV_ASSIGN_OR_RETURN(rec, scanner.Next());
         }
         EncodeFixed32(blob.data(), static_cast<uint32_t>(leaf));
         EncodeFixed32(blob.data() + 4, height);
+        size_t section_off = leaf_header;
         for (uint32_t s = 0; s < height; ++s) {
-          EncodeFixed32(blob.data() + 8 + 4 * s, section_counts[s]);
+          EncodeFixed32(blob.data() + 8 + 4 * s, entries[s].count);
+          const size_t bytes = size_t{entries[s].count} * record_size;
+          entries[s].masked_crc =
+              MaskCrc(Crc32c(blob.data() + section_off, bytes));
+          section_off += bytes;
         }
         // Trailing masked CRC protects the whole leaf blob.
         char crc[4];
@@ -449,12 +455,11 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
 
     // Directory.
     {
-      std::string dir_bytes(num_leaves * kDirectoryEntrySize, '\0');
+      const size_t entry_size = DirectoryEntrySize(height);
+      std::string dir_bytes(num_leaves * entry_size, '\0');
       for (uint64_t i = 0; i < num_leaves; ++i) {
-        EncodeFixed64(dir_bytes.data() + i * kDirectoryEntrySize,
-                      directory[i].offset);
-        EncodeFixed64(dir_bytes.data() + i * kDirectoryEntrySize + 8,
-                      directory[i].length);
+        EncodeDirectoryEntry(dir_bytes.data() + i * entry_size, directory[i],
+                             sections.data() + i * height, height);
       }
       meta.directory_crc =
           MaskCrc(Crc32c(dir_bytes.data(), dir_bytes.size()));

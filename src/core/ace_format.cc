@@ -96,4 +96,23 @@ InternalNode DecodeInternalNode(const char* src) {
   return node;
 }
 
+void EncodeDirectoryEntry(char* dst, const LeafLocation& loc,
+                          const SectionEntry* sections, uint32_t height) {
+  EncodeFixed64(dst, loc.offset);
+  EncodeFixed64(dst + 8, loc.length);
+  for (uint32_t s = 0; s < height; ++s) {
+    EncodeFixed32(dst + 16 + 8 * s, sections[s].count);
+    EncodeFixed32(dst + 20 + 8 * s, sections[s].masked_crc);
+  }
+}
+
+LeafLocation DecodeDirectoryEntry(const char* src, uint32_t height,
+                                  SectionEntry* sections) {
+  for (uint32_t s = 0; s < height; ++s) {
+    sections[s].count = DecodeFixed32(src + 16 + 8 * s);
+    sections[s].masked_crc = DecodeFixed32(src + 20 + 8 * s);
+  }
+  return LeafLocation{DecodeFixed64(src), DecodeFixed64(src + 8)};
+}
+
 }  // namespace msv::core

@@ -74,6 +74,16 @@ uint64_t StabCursor::NextLeafId() {
   return id;
 }
 
+uint32_t StabCursor::UsefulLevels(uint64_t leaf_heap_id) const {
+  const uint32_t height = splits_->height();
+  uint32_t levels = 0;
+  while (levels < height &&
+         overlaps_[SplitTree::AncestorAtLevel(leaf_heap_id, levels + 1)]) {
+    ++levels;
+  }
+  return levels;
+}
+
 std::vector<uint64_t> ComputeStabLeafOrder(
     const SplitTree& splits, const sampling::RangeQuery& query) {
   StabCursor cursor(&splits, splits.CoveringSets(query));
@@ -142,6 +152,7 @@ AceSampler::AceSampler(const AceTree* tree, sampling::RangeQuery query,
   finished_ = cursor_->exhausted();
 
   level_disk_us_.assign(tree_->meta().height, 0);
+  level_sections_read_.assign(tree_->meta().height, 0);
   obs::MetricRegistry& reg = obs::MetricRegistry::Global();
   c_leaf_reads_ = reg.GetCounter("ace.leaf_reads");
   c_samples_ = reg.GetCounter("ace.samples_emitted");
@@ -160,7 +171,8 @@ void AceSampler::EmitLevelSpans() {
     obs::Span s = obs::StartTraceSpan("ace.level");
     s.AddAttr("level", static_cast<uint64_t>(level));
     s.AddMetric("disk_us", static_cast<double>(level_disk_us_[level - 1]));
-    s.AddMetric("sections_read", static_cast<double>(leaves_read_));
+    s.AddMetric("sections_read",
+                static_cast<double>(level_sections_read_[level - 1]));
     s.AddMetric("rounds", static_cast<double>(combiner_->rounds(level)));
     s.AddMetric("samples", static_cast<double>(combiner_->emitted(level)));
   }
@@ -179,16 +191,20 @@ Status AceSampler::Stab(sampling::SampleBatch* out) {
   // The busy delta is the calling thread's own attribution, so concurrent
   // samplers hammering the same arm never inflate each other's levels.
   const uint64_t busy_before = io::ThreadDiskBusyUs();
+  // Only sections whose ancestor is in the covering set can contribute
+  // (Algorithm 4); they are a prefix of the leaf, read in one piece.
   MSV_ASSIGN_OR_RETURN(LeafData leaf,
-                       tree_->ReadLeaf(tree_->splits().LeafIndexOf(heap_id)));
-  // Split the read's disk µs across the leaf's sections by bytes: share k
-  // belongs to level k + 1.
+                       tree_->ReadLeaf(tree_->splits().LeafIndexOf(heap_id),
+                                       cursor_->UsefulLevels(heap_id)));
+  // Split the read's disk µs across the sections read by bytes: share k
+  // belongs to level k + 1 (sections not read have no bytes).
   std::vector<uint64_t> section_bytes;
   section_bytes.reserve(leaf.sections.size());
   for (std::string_view s : leaf.sections) section_bytes.push_back(s.size());
   std::vector<uint64_t> shares = SplitLargestRemainder(
       io::ThreadDiskBusyUs() - busy_before, section_bytes);
   for (size_t k = 0; k < shares.size(); ++k) level_disk_us_[k] += shares[k];
+  for (uint32_t k = 0; k < leaf.levels_read; ++k) ++level_sections_read_[k];
 
   ++leaves_read_;
   c_leaf_reads_->Add();

@@ -32,7 +32,8 @@ namespace msv::core {
 /// id of each leaf in retrieval order. The order depends only on the
 /// split tree and the query's covering sets — never on leaf contents —
 /// so ComputeStabLeafOrder can list a query's leaf order without reading
-/// a leaf. The sampler reads exactly one leaf per stab, in this order.
+/// a leaf. The sampler reads exactly one leaf prefix per stab, in this
+/// order.
 class StabCursor {
  public:
   StabCursor(const SplitTree* splits,
@@ -43,6 +44,12 @@ class StabCursor {
   /// been yielded (immediately, if the query misses the whole domain).
   uint64_t NextLeafId();
   bool exhausted() const { return exhausted_; }
+
+  /// Number k of leading section levels of leaf `leaf_heap_id` whose
+  /// ancestor intersects the query: the leaf's sections 1..k can hold
+  /// matches and the rest cannot. CoveringSets only descends from
+  /// intersecting nodes, so the useful levels always form this prefix.
+  uint32_t UsefulLevels(uint64_t leaf_heap_id) const;
 
  private:
   const SplitTree* splits_;
@@ -87,9 +94,8 @@ class AceSampler : public sampling::SampleStream {
   /// Simulated disk microseconds attributed to section level `level`
   /// (1-based). Each stab's disk-µs delta — measured with the calling
   /// thread's io::ThreadDiskBusyUs(), so concurrent samplers never see
-  /// each other's I/O — is split across the sections of the one leaf the
-  /// stab read, proportionally to section bytes with a largest-remainder
-  /// split, so
+  /// each other's I/O — is split across the sections the stab read,
+  /// proportionally to section bytes with a largest-remainder split, so
   ///   sum_level level_disk_us(level) == total busy_us of all leaf reads
   /// holds exactly (asserted by the trace end-to-end test).
   uint64_t level_disk_us(uint32_t level) const {
@@ -97,8 +103,8 @@ class AceSampler : public sampling::SampleStream {
   }
 
  private:
-  /// One stab: reads the cursor's next leaf and appends the samples it
-  /// makes emittable to `out`.
+  /// One stab: reads the header and useful sections of the cursor's next
+  /// leaf and appends the samples they make emittable to `out`.
   Status Stab(sampling::SampleBatch* out);
 
   /// Closes out the trace: one child span per section level carrying the
@@ -119,6 +125,8 @@ class AceSampler : public sampling::SampleStream {
 
   /// Per-level (index level-1) disk-µs attribution; see level_disk_us().
   std::vector<uint64_t> level_disk_us_;
+  /// Per-level (index level-1) count of leaf sections read.
+  std::vector<uint64_t> level_sections_read_;
   obs::Counter* c_leaf_reads_;
   obs::Counter* c_samples_;
   /// Open for the sampler's whole lifetime; level spans nest under it.

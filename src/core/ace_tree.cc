@@ -34,14 +34,15 @@ Result<std::unique_ptr<AceTree>> AceTree::Open(
     return offset <= file_bytes && bytes <= file_bytes - offset;
   };
   if (!fits(meta.internal_offset, (num_leaves - 1) * kInternalNodeSize) ||
-      !fits(meta.directory_offset, num_leaves * kDirectoryEntrySize)) {
+      !fits(meta.directory_offset,
+            num_leaves * DirectoryEntrySize(meta.height))) {
     return Status::Corruption("ACE internal or directory region past end of "
                               "file (" + std::to_string(file_bytes) +
                               " bytes)");
   }
 
   // Internal-node array; region checksum verified before any node is
-  // trusted (format v2).
+  // trusted.
   std::vector<InternalNode> nodes(num_leaves - 1);
   {
     std::string bytes((num_leaves - 1) * kInternalNodeSize, '\0');
@@ -60,17 +61,19 @@ Result<std::unique_ptr<AceTree>> AceTree::Open(
 
   // Leaf directory, checksummed the same way.
   std::vector<LeafLocation> directory(num_leaves);
+  std::vector<SectionEntry> sections(num_leaves * meta.height);
   {
-    std::string bytes(num_leaves * kDirectoryEntrySize, '\0');
+    const size_t entry_size = DirectoryEntrySize(meta.height);
+    std::string bytes(num_leaves * entry_size, '\0');
     MSV_RETURN_IF_ERROR(
         file->ReadExact(meta.directory_offset, bytes.size(), bytes.data()));
     if (MaskCrc(Crc32c(bytes.data(), bytes.size())) != meta.directory_crc) {
       return Status::Corruption("ACE directory checksum mismatch");
     }
     for (uint64_t i = 0; i < num_leaves; ++i) {
-      directory[i].offset = DecodeFixed64(bytes.data() + i * kDirectoryEntrySize);
-      directory[i].length =
-          DecodeFixed64(bytes.data() + i * kDirectoryEntrySize + 8);
+      directory[i] = DecodeDirectoryEntry(bytes.data() + i * entry_size,
+                                          meta.height,
+                                          sections.data() + i * meta.height);
     }
   }
 
@@ -94,17 +97,18 @@ Result<std::unique_ptr<AceTree>> AceTree::Open(
 
   return std::unique_ptr<AceTree>(new AceTree(
       std::move(file), layout, meta, std::move(splits), std::move(directory),
-      std::move(node_counts), file_bytes));
+      std::move(sections), std::move(node_counts), file_bytes));
 }
 
-Result<LeafData> LeafData::Parse(std::vector<char> page, uint64_t leaf_index,
-                                 uint32_t height, size_t record_size) {
-  if (page.size() < 4) {
+Result<LeafData> LeafData::Parse(std::unique_ptr<char[]> page, size_t size,
+                                 uint64_t leaf_index, uint32_t height,
+                                 size_t record_size) {
+  if (size < 4) {
     return Status::Corruption("leaf blob shorter than its checksum");
   }
-  const size_t body = page.size() - 4;
-  uint32_t stored = UnmaskCrc(DecodeFixed32(page.data() + body));
-  if (stored != Crc32c(page.data(), body)) {
+  const size_t body = size - 4;
+  uint32_t stored = UnmaskCrc(DecodeFixed32(page.get() + body));
+  if (stored != Crc32c(page.get(), body)) {
     return Status::Corruption("leaf " + std::to_string(leaf_index) +
                               " checksum mismatch");
   }
@@ -113,8 +117,8 @@ Result<LeafData> LeafData::Parse(std::vector<char> page, uint64_t leaf_index,
   if (body < header) {
     return Status::Corruption("leaf blob shorter than header");
   }
-  uint32_t stored_index = DecodeFixed32(page.data());
-  uint32_t stored_height = DecodeFixed32(page.data() + 4);
+  uint32_t stored_index = DecodeFixed32(page.get());
+  uint32_t stored_height = DecodeFixed32(page.get() + 4);
   if (stored_index != leaf_index || stored_height != height) {
     return Status::Corruption("leaf header mismatch for leaf " +
                               std::to_string(leaf_index));
@@ -123,15 +127,16 @@ Result<LeafData> LeafData::Parse(std::vector<char> page, uint64_t leaf_index,
   LeafData leaf;
   leaf.leaf_index = leaf_index;
   leaf.record_size = record_size;
+  leaf.levels_read = height;
   leaf.sections.reserve(height);
   size_t off = header;
   for (uint32_t s = 0; s < height; ++s) {
-    uint32_t count = DecodeFixed32(page.data() + 8 + 4 * s);
+    uint32_t count = DecodeFixed32(page.get() + 8 + 4 * s);
     size_t bytes = static_cast<size_t>(count) * record_size;
     if (bytes > body - off) {
       return Status::Corruption("leaf section overruns blob");
     }
-    leaf.sections.emplace_back(page.data() + off, bytes);
+    leaf.sections.emplace_back(page.get() + off, bytes);
     off += bytes;
   }
   if (off != body) {
@@ -141,16 +146,97 @@ Result<LeafData> LeafData::Parse(std::vector<char> page, uint64_t leaf_index,
   return leaf;
 }
 
-Result<LeafData> AceTree::ReadLeaf(uint64_t leaf_index) const {
+Result<LeafData> AceTree::ParseWholeLeaf(uint64_t leaf_index,
+                                         std::unique_ptr<char[]> page) const {
+  MSV_ASSIGN_OR_RETURN(
+      LeafData leaf,
+      LeafData::Parse(std::move(page), directory_[leaf_index].length,
+                      leaf_index, meta_.height, meta_.record_size));
+  MSV_RETURN_IF_ERROR(CheckHeader(leaf_index, leaf.page_.get()));
+  return leaf;
+}
+
+Status AceTree::CheckHeader(uint64_t leaf_index, const char* page) const {
+  bool ok = DecodeFixed32(page) == leaf_index &&
+            DecodeFixed32(page + 4) == meta_.height;
+  std::span<const SectionEntry> entries = section_entries(leaf_index);
+  for (uint32_t s = 0; s < meta_.height && ok; ++s) {
+    ok = DecodeFixed32(page + 8 + 4 * s) == entries[s].count;
+  }
+  if (ok) return Status::OK();
+  return Status::Corruption("leaf " + std::to_string(leaf_index) +
+                            " header differs from the directory");
+}
+
+Status AceTree::CheckSection(uint64_t leaf_index, uint32_t level,
+                             std::string_view bytes) const {
+  const SectionEntry& entry = section_entries(leaf_index)[level - 1];
+  if (bytes.size() != size_t{entry.count} * meta_.record_size) {
+    return Status::Corruption(
+        "leaf " + std::to_string(leaf_index) + " section " +
+        std::to_string(level) + " count differs from the directory");
+  }
+  if (MaskCrc(Crc32c(bytes.data(), bytes.size())) != entry.masked_crc) {
+    return Status::Corruption("leaf " + std::to_string(leaf_index) +
+                              " section " + std::to_string(level) +
+                              " checksum mismatch");
+  }
+  return Status::OK();
+}
+
+Result<LeafData> AceTree::ReadLeaf(uint64_t leaf_index,
+                                   uint32_t levels) const {
   if (leaf_index >= meta_.num_leaves) {
     return Status::OutOfRange("leaf index out of range");
   }
-  const LeafLocation& loc = directory_[leaf_index];
+  const uint32_t h = meta_.height;
+  if (levels == 0 || levels > h) {
+    return Status::InvalidArgument("leaf read of " + std::to_string(levels) +
+                                   " levels in a tree of height " +
+                                   std::to_string(h));
+  }
   MSV_RETURN_IF_ERROR(CheckLeafLocation(leaf_index));
-  std::vector<char> page(loc.length);
-  MSV_RETURN_IF_ERROR(file_->ReadExact(loc.offset, loc.length, page.data()));
-  return LeafData::Parse(std::move(page), leaf_index, meta_.height,
-                         meta_.record_size);
+  const LeafLocation& loc = directory_[leaf_index];
+  if (levels == h) {
+    // No zero-fill: the read overwrites every byte.
+    auto page = std::make_unique_for_overwrite<char[]>(loc.length);
+    MSV_RETURN_IF_ERROR(file_->ReadExact(loc.offset, loc.length, page.get()));
+    return ParseWholeLeaf(leaf_index, std::move(page));
+  }
+
+  // Prefix: the header and sections 1..levels, sized from the directory
+  // and ending before the leaf's trailing checksum.
+  std::span<const SectionEntry> entries = section_entries(leaf_index);
+  const size_t header = LeafHeaderSize(h);
+  uint64_t size = header;
+  for (uint32_t s = 0; s < levels; ++s) {
+    size += uint64_t{entries[s].count} * meta_.record_size;
+  }
+  if (loc.length < 4 || size > loc.length - 4) {
+    return Status::Corruption("leaf " + std::to_string(leaf_index) +
+                              " directory sections overrun the leaf");
+  }
+  auto page = std::make_unique_for_overwrite<char[]>(size);
+  MSV_RETURN_IF_ERROR(file_->ReadExact(loc.offset, size, page.get()));
+
+  // No section checksum covers the header, so it is verified field by
+  // field against the checksummed directory.
+  MSV_RETURN_IF_ERROR(CheckHeader(leaf_index, page.get()));
+
+  LeafData leaf;
+  leaf.leaf_index = leaf_index;
+  leaf.record_size = meta_.record_size;
+  leaf.levels_read = levels;
+  leaf.sections.resize(h);
+  size_t off = header;
+  for (uint32_t s = 0; s < levels; ++s) {
+    const size_t bytes = size_t{entries[s].count} * meta_.record_size;
+    leaf.sections[s] = std::string_view(page.get() + off, bytes);
+    MSV_RETURN_IF_ERROR(CheckSection(leaf_index, s + 1, leaf.sections[s]));
+    off += bytes;
+  }
+  leaf.page_ = std::move(page);
+  return leaf;
 }
 
 Result<std::vector<LeafData>> AceTree::ReadLeaves(
@@ -173,15 +259,15 @@ Result<std::vector<LeafData>> AceTree::ReadLeaves(
     return a < b;
   });
 
-  std::vector<std::vector<char>> pages(leaf_indices.size());
+  std::vector<std::unique_ptr<char[]>> pages(leaf_indices.size());
   std::vector<io::ReadRequest> reqs(leaf_indices.size());
   for (size_t k = 0; k < order.size(); ++k) {
     const size_t pos = order[k];
     const LeafLocation& loc = directory_[leaf_indices[pos]];
-    pages[pos].resize(loc.length);
+    pages[pos] = std::make_unique_for_overwrite<char[]>(loc.length);
     reqs[k].offset = loc.offset;
     reqs[k].n = loc.length;
-    reqs[k].scratch = pages[pos].data();
+    reqs[k].scratch = pages[pos].get();
   }
   MSV_RETURN_IF_ERROR(file_->ReadBatch(reqs.data(), reqs.size()));
   for (size_t k = 0; k < reqs.size(); ++k) {
@@ -196,9 +282,8 @@ Result<std::vector<LeafData>> AceTree::ReadLeaves(
   std::vector<LeafData> leaves;
   leaves.reserve(leaf_indices.size());
   for (size_t i = 0; i < leaf_indices.size(); ++i) {
-    MSV_ASSIGN_OR_RETURN(
-        LeafData leaf, LeafData::Parse(std::move(pages[i]), leaf_indices[i],
-                                       meta_.height, meta_.record_size));
+    MSV_ASSIGN_OR_RETURN(LeafData leaf,
+                         ParseWholeLeaf(leaf_indices[i], std::move(pages[i])));
     leaves.push_back(std::move(leaf));
   }
   return leaves;

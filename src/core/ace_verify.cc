@@ -3,7 +3,9 @@
 //
 // The checks mirror the paper's correctness claims:
 //   * leaf-page integrity — CRC32C checksum and self-identifying header
-//     of every leaf blob (format invariants, ace_format.h);
+//     of every leaf blob, and each section's record count and CRC32C
+//     against the directory entry that prefix reads trust (format
+//     invariants, ace_format.h);
 //   * split-tree sanity — split dimensions in range, split keys inside
 //     their node's box, persisted cnt_l/cnt_r summing bottom-up to the
 //     superblock's record total;
@@ -173,7 +175,7 @@ InvariantReport AceTree::CheckInvariants() const {
   const uint64_t internal_end =
       meta_.internal_offset + meta_.num_internal_nodes() * kInternalNodeSize;
   const uint64_t directory_end =
-      meta_.directory_offset + F * kDirectoryEntrySize;
+      meta_.directory_offset + F * DirectoryEntrySize(h);
   if (meta_.internal_offset < kSuperblockSize ||
       meta_.directory_offset < internal_end ||
       meta_.data_offset < directory_end) {
@@ -196,7 +198,7 @@ InvariantReport AceTree::CheckInvariants() const {
   timer.Finish("geometry");
 
   // --- Region checksums: re-read the raw internal-node and directory
-  // bytes and compare against the superblock's CRCs (format v2). Open()
+  // bytes and compare against the superblock's CRCs. Open()
   // already verified these once; re-checking here catches corruption that
   // landed after the tree was opened.
   {
@@ -213,7 +215,7 @@ InvariantReport AceTree::CheckInvariants() const {
       sink.Add(StatusCode::kCorruption, InvariantViolation::kNoLeaf,
                "regions: internal region checksum mismatch");
     }
-    bytes.assign(F * kDirectoryEntrySize, '\0');
+    bytes.assign(F * DirectoryEntrySize(h), '\0');
     st = file_->ReadExact(meta_.directory_offset, bytes.size(), bytes.data());
     if (!st.ok()) {
       sink.Add(st.code(), InvariantViolation::kNoLeaf,
@@ -273,12 +275,13 @@ InvariantReport AceTree::CheckInvariants() const {
   }
   timer.Finish("split_tree");
 
-  // --- Leaf scan: checksums, headers, partitioning, Lemma 1/2.
+  // --- Leaf scan: checksums, headers, directory section entries,
+  // partitioning, Lemma 1/2.
   std::vector<uint64_t> cell_counts(F, 0);
   std::vector<double> keys(meta_.key_dims, 0.0);
   uint64_t total_records = 0;
   for (uint64_t leaf = 0; leaf < F && !sink.full(); ++leaf) {
-    Result<LeafData> data_or = ReadLeaf(leaf);
+    Result<LeafData> data_or = ReadLeaf(leaf, h);
     if (!data_or.ok()) {
       sink.Add(data_or.status().code(), leaf,
                std::string(data_or.status().message()));  // NOLINT(msv-hot-path-alloc) scrubber error path, cold
@@ -295,6 +298,12 @@ InvariantReport AceTree::CheckInvariants() const {
       const size_t count = data.SectionCount(level);
       ++report.sections_checked;
       total_records += count;
+      // The directory's count and checksum of this section are what a
+      // prefix read verifies the section against.
+      if (Status st = CheckSection(leaf, level, data.sections[level - 1]);
+          !st.ok()) {
+        sink.Add(st.code(), leaf, std::string(st.message()));  // NOLINT(msv-hot-path-alloc) scrubber error path, cold
+      }
 
       // Lemma 2: section i of leaf L samples the records of L's level-i
       // ancestor A; its size is Binomial(n_A, 1 / (h * F_A)).

@@ -85,10 +85,13 @@ void CombineEngine::AddLeaf(uint64_t leaf_heap_id, const LeafData& leaf,
     uint64_t ancestor = SplitTree::AncestorAtLevel(leaf_heap_id, level);
     auto it = state.node_pos.find(ancestor);
     if (it == state.node_pos.end()) {
-      // The leaf's level-`level` ancestor does not intersect the query;
-      // can only happen for a leaf the shuttle should not have visited.
+      // The leaf's level-`level` ancestor does not intersect the query,
+      // so the section holds no match and the stab did not read it.
       continue;
     }
+    // A needed section must never look empty because it was not read.
+    MSV_CHECK_MSG(level <= leaf.levels_read,
+                  "combine needs a leaf section the read skipped");
     // Filter the section against the query now (the paper buffers only
     // records matching the predicate, Sec. 8.2 / Fig. 15) with the
     // batched branch-free kernel; the surviving records live in the

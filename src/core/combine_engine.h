@@ -57,7 +57,9 @@ class CombineEngine {
                 size_t record_size, uint32_t height);
 
   /// Feeds one retrieved leaf; appends any newly emittable samples to
-  /// `out` (shuffled so consumers see exchangeable order).
+  /// `out` (shuffled so consumers see exchangeable order). Every section
+  /// whose level-i ancestor is in C_i must have been read (level <=
+  /// leaf.levels_read); the engine checks this and aborts otherwise.
   void AddLeaf(uint64_t leaf_heap_id, const LeafData& leaf,
                sampling::SampleBatch* out, Pcg64* rng);
 

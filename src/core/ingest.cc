@@ -1,6 +1,8 @@
 #include "core/ingest.h"
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 #include <sstream>
 #include <vector>
 
@@ -12,6 +14,27 @@ namespace msv::core {
 // Memtable
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// First index in [0, n) at which `pred` is false, for a `pred` that is
+/// true on a prefix of the indices and false on the rest.
+template <typename Pred>
+uint64_t PartitionPoint(uint64_t n, Pred pred) {
+  uint64_t lo = 0;
+  uint64_t hi = n;
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (pred(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
+
 void Memtable::Append(const char* records, size_t count) {
   data_.append(records, count * record_size_);
   count_ += count;
@@ -21,11 +44,29 @@ void Memtable::CollectMatches(const storage::RecordLayout& layout,
                               const sampling::RangeQuery& query,
                               sampling::SampleBatch* out) const {
   out->record_size = record_size_;
-  std::vector<uint32_t> idx(count_);
-  const size_t matches = query.MatchBatch(
-      layout, data_.data(), static_cast<size_t>(count_), idx.data());
+  uint64_t first = 0;
+  uint64_t last = count_;
+  if (key_sorted_) {
+    // The records passing the closed [lo, hi] test on the first key are
+    // one slice. `!(key >= lo)` rather than `key < lo` keeps a NaN bound
+    // matching nothing, as RangeQuery::Matches does.
+    const sampling::Interval& bound = query.bounds[0];
+    first = PartitionPoint(count_, [&](uint64_t i) {
+      return !(layout.Key(record(i), 0) >= bound.lo);
+    });
+    last = std::max(first, PartitionPoint(count_, [&](uint64_t i) {
+                      return layout.Key(record(i), 0) <= bound.hi;
+                    }));
+    if (query.dims == 1) {
+      out->AppendN(record(first), last - first);
+      return;
+    }
+  }
+  const size_t n = static_cast<size_t>(last - first);
+  auto idx = std::make_unique_for_overwrite<uint32_t[]>(n);
+  const size_t matches = query.MatchBatch(layout, record(first), n, idx.get());
   out->Reserve(matches);
-  for (size_t i = 0; i < matches; ++i) out->Append(record(idx[i]));
+  for (size_t i = 0; i < matches; ++i) out->Append(record(first + idx[i]));
 }
 
 std::shared_ptr<const Memtable> Memtable::Sealed(
@@ -41,6 +82,9 @@ std::shared_ptr<const Memtable> Memtable::Sealed(
   run->data_.reserve(data_.size());
   for (const char* rec : recs) run->data_.append(rec, record_size_);
   run->count_ = count_;
+  run->key_sorted_ = std::none_of(recs.begin(), recs.end(), [&](const char* r) {
+    return std::isnan(layout.Key(r, 0));
+  });
   return run;
 }
 

@@ -64,13 +64,17 @@ class Memtable {
   }
 
   /// Appends the records matching `query` to `out`, packed, in record
-  /// order (a sealed run's is key order).
+  /// order (a sealed run's is key order). On a sealed run the matches on
+  /// the first key are one slice, found by binary search; only k-d
+  /// queries filter that slice further.
   void CollectMatches(const storage::RecordLayout& layout,
                       const sampling::RangeQuery& query,
                       sampling::SampleBatch* out) const;
 
   /// An immutable copy with the records stably sorted by the first key
-  /// dimension (the run order), under the same id.
+  /// dimension (the run order), under the same id. Insert takes any
+  /// bytes, so a key can be NaN, which `<` cannot order: a run holding a
+  /// NaN first key is not binary-searched.
   std::shared_ptr<const Memtable> Sealed(
       const storage::RecordLayout& layout) const;
 
@@ -79,6 +83,8 @@ class Memtable {
   size_t record_size_;
   std::string data_;
   uint64_t count_ = 0;
+  /// Records are in ascending first-key order with no NaN first key.
+  bool key_sorted_ = false;
 };
 
 /// Appends raw records to a view WAL. The format is a bare concatenation

@@ -451,9 +451,10 @@ Status MaterializedSampleView::BuildCompactedBase(const CompactionPlan& plan) {
     MSV_ASSIGN_OR_RETURN(std::unique_ptr<storage::HeapFileWriter> writer,
                          storage::HeapFileWriter::Create(
                              env_, scratch, layout_.record_size));
+    const uint32_t height = plan.base->meta().height;
     for (uint64_t leaf = 0; leaf < plan.base->meta().num_leaves; ++leaf) {
-      MSV_ASSIGN_OR_RETURN(LeafData data, plan.base->ReadLeaf(leaf));
-      for (uint32_t s = 1; s <= plan.base->meta().height; ++s) {
+      MSV_ASSIGN_OR_RETURN(LeafData data, plan.base->ReadLeaf(leaf, height));
+      for (uint32_t s = 1; s <= height; ++s) {
         for (size_t i = 0; i < data.SectionCount(s); ++i) {
           MSV_RETURN_IF_ERROR(writer->Append(data.SectionRecord(s, i)));
         }

@@ -113,7 +113,8 @@ TEST_P(AceBuildInvariants, EveryRecordStoredExactlyOnce) {
   std::set<uint64_t> seen;
   uint64_t total = 0;
   for (uint64_t leaf = 0; leaf < tree_->meta().num_leaves; ++leaf) {
-    LeafData data = ValueOrDie(tree_->ReadLeaf(leaf));
+    LeafData data =
+        ValueOrDie(tree_->ReadLeaf(leaf, tree_->meta().height));
     EXPECT_EQ(data.leaf_index, leaf);
     for (uint32_t s = 1; s <= tree_->meta().height; ++s) {
       for (size_t i = 0; i < data.SectionCount(s); ++i) {
@@ -133,7 +134,8 @@ TEST_P(AceBuildInvariants, SectionsRespectAncestorBoxes) {
   // box of L's level-i ancestor (and the boxes are nested by construction).
   const SplitTree& splits = tree_->splits();
   for (uint64_t leaf = 0; leaf < tree_->meta().num_leaves; ++leaf) {
-    LeafData data = ValueOrDie(tree_->ReadLeaf(leaf));
+    LeafData data =
+        ValueOrDie(tree_->ReadLeaf(leaf, tree_->meta().height));
     uint64_t heap_id = splits.LeafHeapId(leaf);
     for (uint32_t s = 1; s <= tree_->meta().height; ++s) {
       Box box = splits.BoxOf(SplitTree::AncestorAtLevel(heap_id, s));
@@ -203,7 +205,8 @@ TEST_P(AceBuildInvariants, SectionSizesMatchLemma2) {
   uint64_t total = 0;
   uint64_t sections = 0;
   for (uint64_t leaf = 0; leaf < tree_->meta().num_leaves; ++leaf) {
-    LeafData data = ValueOrDie(tree_->ReadLeaf(leaf));
+    LeafData data =
+        ValueOrDie(tree_->ReadLeaf(leaf, tree_->meta().height));
     for (uint32_t s = 1; s <= height; ++s) {
       total += data.SectionCount(s);
       ++sections;
@@ -214,7 +217,8 @@ TEST_P(AceBuildInvariants, SectionSizesMatchLemma2) {
   // Per-section totals across leaves: each section level holds ~N/h.
   std::vector<uint64_t> per_level(height, 0);
   for (uint64_t leaf = 0; leaf < tree_->meta().num_leaves; ++leaf) {
-    LeafData data = ValueOrDie(tree_->ReadLeaf(leaf));
+    LeafData data =
+        ValueOrDie(tree_->ReadLeaf(leaf, tree_->meta().height));
     for (uint32_t s = 1; s <= height; ++s) {
       per_level[s - 1] += data.SectionCount(s);
     }
@@ -339,7 +343,7 @@ TEST(AceBuildTest, LeafDirectoryIsContiguousAndComplete) {
   uint64_t expect_offset = tree->meta().data_offset;
   uint64_t total_records = 0;
   for (uint64_t leaf = 0; leaf < tree->meta().num_leaves; ++leaf) {
-    LeafData data = ValueOrDie(tree->ReadLeaf(leaf));
+    LeafData data = ValueOrDie(tree->ReadLeaf(leaf, tree->meta().height));
     total_records += data.TotalRecords();
     uint64_t blob = LeafHeaderSize(tree->meta().height) +
                     data.TotalRecords() * SaleRecord::kSize +

@@ -75,6 +75,15 @@ std::vector<char> EncodeLeafPage(uint64_t leaf_index,
   return std::vector<char>(page.begin(), page.end());
 }
 
+// LeafData::Parse over a copy of `page`, as a read would hand it over.
+Result<LeafData> ParsePage(const std::vector<char>& page, uint64_t leaf_index,
+                           uint32_t height) {
+  auto bytes = std::make_unique_for_overwrite<char[]>(page.size());
+  std::copy(page.begin(), page.end(), bytes.get());
+  return LeafData::Parse(std::move(bytes), page.size(), leaf_index, height,
+                         kRec);
+}
+
 static_assert(!std::is_copy_constructible_v<LeafData> &&
                   !std::is_copy_assignable_v<LeafData>,
               "a copied LeafData would view into another leaf's page");
@@ -93,8 +102,8 @@ TEST(LeafDataTest, SectionViewsSurviveMoves) {
     const uint32_t height = static_cast<uint32_t>(sections.size());
     LeafData moved;
     {
-      LeafData leaf = ValueOrDie(
-          LeafData::Parse(EncodeLeafPage(5, sections), 5, height, kRec));
+      LeafData leaf =
+          ValueOrDie(ParsePage(EncodeLeafPage(5, sections), 5, height));
       const char* first = leaf.sections[0].data();
       moved = std::move(leaf);
       EXPECT_EQ(moved.sections[0].data(), first);  // the bytes stayed put
@@ -111,12 +120,12 @@ TEST(LeafDataTest, SectionViewsSurviveMoves) {
 
 TEST(LeafDataTest, ParseRejectsDamagedPages) {
   std::vector<char> page = EncodeLeafPage(2, {MakeRecords({{1, 1}}), ""});
-  EXPECT_TRUE(LeafData::Parse(page, 2, 2, kRec).ok());
-  EXPECT_TRUE(LeafData::Parse(page, 3, 2, kRec).status().IsCorruption());
-  EXPECT_TRUE(LeafData::Parse(page, 2, 3, kRec).status().IsCorruption());
+  EXPECT_TRUE(ParsePage(page, 2, 2).ok());
+  EXPECT_TRUE(ParsePage(page, 3, 2).status().IsCorruption());
+  EXPECT_TRUE(ParsePage(page, 2, 3).status().IsCorruption());
   page[page.size() / 2] ^= 1;
-  EXPECT_TRUE(LeafData::Parse(page, 2, 2, kRec).status().IsCorruption());
-  EXPECT_TRUE(LeafData::Parse({'x'}, 2, 2, kRec).status().IsCorruption());
+  EXPECT_TRUE(ParsePage(page, 2, 2).status().IsCorruption());
+  EXPECT_TRUE(ParsePage({'x'}, 2, 2).status().IsCorruption());
 }
 
 class CombineEngineTest : public ::testing::Test {
@@ -124,8 +133,8 @@ class CombineEngineTest : public ::testing::Test {
   CombineEngineTest() : layout_{kRec, {0}} {}
 
   LeafData MakeLeaf(uint64_t leaf_index, std::string s1, std::string s2) {
-    return ValueOrDie(LeafData::Parse(EncodeLeafPage(leaf_index, {s1, s2}),
-                                      leaf_index, 2, kRec));
+    return ValueOrDie(
+        ParsePage(EncodeLeafPage(leaf_index, {s1, s2}), leaf_index, 2));
   }
 
   storage::RecordLayout layout_;
@@ -521,6 +530,106 @@ TEST_F(AceSamplerTest, EachStabChargesExactlyOneDeviceRead) {
   }
   EXPECT_EQ(stabs, tree->meta().num_leaves);
   EXPECT_EQ(sampler.leaves_read(), stabs);
+}
+
+TEST_F(AceSamplerTest, UsefulLevelsFormAPrefix) {
+  // Section i of a leaf is useful when the leaf's level-i ancestor is in
+  // the covering set C_i. For every leaf a query visits, those levels must
+  // be exactly 1..k, with k what the stab cursor reports, in 1-d and 2-d.
+  for (uint32_t dims : {1u, 2u}) {
+    Build(20000, 7, dims, /*seed=*/89);
+    relation::WorkloadGenerator gen({{0.0, 100000.0}, {0.0, 10000.0}},
+                                    31 + dims);
+    for (double sel : {0.001, 0.02, 0.25, 0.7}) {
+      for (int trial = 0; trial < 5; ++trial) {
+        const sampling::RangeQuery q = gen.Query(sel, dims);
+        const SplitTree& splits = tree_->splits();
+        const auto covering = splits.CoveringSets(q);
+        const StabCursor cursor(&splits, covering);
+        for (uint64_t leaf : ComputeStabLeafOrder(splits, q)) {
+          const uint64_t heap_id = splits.LeafHeapId(leaf);
+          uint32_t k = 0;
+          for (uint32_t level = 1; level <= splits.height(); ++level) {
+            const bool useful = std::binary_search(
+                covering[level - 1].begin(), covering[level - 1].end(),
+                SplitTree::AncestorAtLevel(heap_id, level));
+            if (useful) {
+              ASSERT_EQ(k, level - 1)
+                  << "level " << level << " of leaf " << leaf
+                  << " is useful after a useless one, " << q.ToString();
+              k = level;
+            }
+          }
+          EXPECT_GE(k, 1u) << q.ToString();
+          EXPECT_EQ(cursor.UsefulLevels(heap_id), k) << q.ToString();
+        }
+      }
+    }
+  }
+}
+
+TEST_F(AceSamplerTest, CombineAbortsOnANeededSectionThatWasNotRead) {
+  // A whole-domain query needs every section of every leaf; a leaf read
+  // only to level 2 must stop the engine rather than look empty past it.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto q = sampling::RangeQuery::OneDim(0, 100000);
+  const auto covering = tree_->splits().CoveringSets(q);
+  LeafData prefix = ValueOrDie(tree_->ReadLeaf(0, 2));
+  EXPECT_DEATH(
+      {
+        CombineEngine engine(&layout_, q, covering,
+                             tree_->meta().record_size, tree_->meta().height);
+        sampling::SampleBatch out;
+        out.record_size = tree_->meta().record_size;
+        Pcg64 rng(1);
+        engine.AddLeaf(tree_->splits().LeafHeapId(0), prefix, &out, &rng);
+      },
+      "skipped");
+}
+
+TEST_F(AceSamplerTest, DrainReadsOnlyTheUsefulPrefixes) {
+  // Through a byte-counting simulated disk, a full drain reads, per stab,
+  // exactly the leaf header plus the sections whose ancestor intersects
+  // the query: less than the file at 25% selectivity, and far less at 2%.
+  const uint32_t h = tree_->meta().height;
+  const size_t rs = tree_->meta().record_size;
+  for (double width : {25000.0, 2000.0}) {
+    auto q = sampling::RangeQuery::OneDim(40000, 40000 + width);
+    const SplitTree& splits = tree_->splits();
+    const auto covering = splits.CoveringSets(q);
+    uint64_t expected = 0;
+    for (uint64_t leaf : ComputeStabLeafOrder(splits, q)) {
+      // Section sizes from the leaf itself, not from the directory.
+      LeafData whole = ValueOrDie(tree_->ReadLeaf(leaf, h));
+      expected += LeafHeaderSize(h);
+      uint32_t level = 1;
+      for (; level <= h; ++level) {
+        if (!std::binary_search(
+                covering[level - 1].begin(), covering[level - 1].end(),
+                SplitTree::AncestorAtLevel(splits.LeafHeapId(leaf), level))) {
+          break;
+        }
+        expected += whole.SectionCount(level) * rs;
+      }
+      if (level > h) expected += 4;  // a whole leaf ends in its checksum
+    }
+
+    auto device = std::make_shared<io::DiskDevice>();
+    auto sim = io::NewSimEnv(env_.get(), device);
+    auto tree = ValueOrDie(AceTree::Open(sim.get(), "ace", layout_));
+    const io::DiskStats before = device->stats();
+    AceSampler sampler(tree.get(), q, 12);
+    auto got = DrainRowIds(&sampler);
+    const io::DiskStats delta = device->stats() - before;
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, Oracle(q));
+    EXPECT_EQ(delta.reads, tree->meta().num_leaves);
+    EXPECT_EQ(delta.read_bytes, expected) << "width " << width;
+    EXPECT_LT(delta.read_bytes, tree->file_bytes()) << "width " << width;
+    if (width < 10000) {
+      EXPECT_LT(delta.read_bytes, tree->file_bytes() / 2);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

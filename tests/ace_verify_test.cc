@@ -39,13 +39,17 @@ class AceVerifyTest : public ::testing::Test {
     tree_ = ValueOrDie(AceTree::Open(env_.get(), "ace", layout_));
   }
 
+  /// Byte offset of `leaf`'s directory entry in the file.
+  uint64_t EntryOffset(uint64_t leaf) const {
+    return tree_->meta().directory_offset +
+           leaf * DirectoryEntrySize(tree_->meta().height);
+  }
+
   /// Directory entry of `leaf`, read straight from the file bytes.
   LeafLocation Locate(uint64_t leaf) {
     auto file = ValueOrDie(env_->OpenFile("ace", /*create=*/false));
-    char entry[kDirectoryEntrySize];
-    MSV_EXPECT_OK(file->ReadExact(
-        tree_->meta().directory_offset + leaf * kDirectoryEntrySize,
-        sizeof(entry), entry));
+    char entry[16];  // offset u64, length u64
+    MSV_EXPECT_OK(file->ReadExact(EntryOffset(leaf), sizeof(entry), entry));
     return LeafLocation{DecodeFixed64(entry), DecodeFixed64(entry + 8)};
   }
 
@@ -65,20 +69,32 @@ class AceVerifyTest : public ::testing::Test {
     MSV_ASSERT_OK(file->Write(off, &byte, 1));
   }
 
-  /// Rewrites the trailing masked CRC of the leaf blob at `loc` so that
-  /// semantic corruption survives the checksum check.
-  void FixLeafChecksum(const LeafLocation& loc) {
+  /// Rewrites the trailing masked CRC of leaf `leaf`'s blob and the
+  /// directory's section CRCs of it (then the region CRCs), so that
+  /// semantic corruption survives every checksum check.
+  void FixLeafChecksum(uint64_t leaf) {
+    const LeafLocation loc = Locate(leaf);
+    const uint32_t h = tree_->meta().height;
     auto file = ValueOrDie(env_->OpenFile("ace", /*create=*/false));
     std::string blob(loc.length, '\0');
     MSV_ASSERT_OK(file->ReadExact(loc.offset, loc.length, blob.data()));
     char crc[4];
     EncodeFixed32(crc, MaskCrc(Crc32c(blob.data(), blob.size() - 4)));
     MSV_ASSERT_OK(file->Write(loc.offset + loc.length - 4, crc, 4));
+    size_t off = LeafHeaderSize(h);
+    for (uint32_t s = 0; s < h; ++s) {
+      const size_t bytes = size_t{DecodeFixed32(blob.data() + 8 + 4 * s)} *
+                           tree_->meta().record_size;
+      EncodeFixed32(crc, MaskCrc(Crc32c(blob.data() + off, bytes)));
+      MSV_ASSERT_OK(file->Write(EntryOffset(leaf) + 20 + 8 * s, crc, 4));
+      off += bytes;
+    }
+    FixRegionChecksums();
   }
 
   /// Recomputes the superblock's internal/directory region CRCs from the
   /// (possibly clobbered) file bytes, so semantic corruption survives the
-  /// format-v2 region checksums and reaches the invariant checks.
+  /// region checksums and reaches the invariant checks.
   void FixRegionChecksums() {
     auto file = ValueOrDie(env_->OpenFile("ace", /*create=*/false));
     char super[kSuperblockSize];
@@ -90,7 +106,7 @@ class AceVerifyTest : public ::testing::Test {
           file->ReadExact(meta.internal_offset, bytes.size(), bytes.data()));
     }
     meta.internal_crc = MaskCrc(Crc32c(bytes.data(), bytes.size()));
-    bytes.assign(meta.num_leaves * kDirectoryEntrySize, '\0');
+    bytes.assign(meta.num_leaves * DirectoryEntrySize(meta.height), '\0');
     MSV_ASSERT_OK(
         file->ReadExact(meta.directory_offset, bytes.size(), bytes.data()));
     meta.directory_crc = MaskCrc(Crc32c(bytes.data(), bytes.size()));
@@ -143,17 +159,18 @@ TEST_F(AceVerifyTest, MisplacedRecordSurvivingChecksumIsCaught) {
   char key[8];
   EncodeDouble(key, 1e18);
   // Sections are stored in order 1..h; find the byte offset of section h.
-  auto leaf = ValueOrDie(tree_->ReadLeaf(victim));
+  auto leaf = ValueOrDie(tree_->ReadLeaf(victim, tree_->meta().height));
   uint64_t section_h_off = loc.offset + header;
   for (uint32_t s = 1; s < tree_->meta().height; ++s) {
     section_h_off += leaf.SectionCount(s) * tree_->meta().record_size;
   }
   ASSERT_GT(leaf.SectionCount(tree_->meta().height), 0u);
   Clobber(section_h_off + SaleRecord::kDayOffset, key, sizeof(key));
-  FixLeafChecksum(loc);
+  FixLeafChecksum(victim);
 
   Reopen();
-  ASSERT_TRUE(tree_->ReadLeaf(victim).ok()) << "checksum should pass";
+  ASSERT_TRUE(tree_->ReadLeaf(victim, tree_->meta().height).ok())
+      << "checksum should pass";
   InvariantReport report = tree_->CheckInvariants();
   ASSERT_FALSE(report.ok());
   bool found = false;
@@ -170,7 +187,7 @@ TEST_F(AceVerifyTest, DuplicatedRecordViolatesLemma1) {
   Build(20000, 3);
   const uint64_t victim = 1;
   LeafLocation loc = Locate(victim);
-  auto leaf = ValueOrDie(tree_->ReadLeaf(victim));
+  auto leaf = ValueOrDie(tree_->ReadLeaf(victim, tree_->meta().height));
   const size_t rs = tree_->meta().record_size;
   ASSERT_GE(leaf.SectionCount(1), 2u);
   // Copy record 0 of section 1 over record 1 of section 1: containment
@@ -178,7 +195,7 @@ TEST_F(AceVerifyTest, DuplicatedRecordViolatesLemma1) {
   const size_t header = LeafHeaderSize(tree_->meta().height);
   std::string rec0(leaf.SectionRecord(1, 0), rs);
   Clobber(loc.offset + header + rs, rec0.data(), rs);
-  FixLeafChecksum(loc);
+  FixLeafChecksum(victim);
 
   Reopen();
   InvariantReport report = tree_->CheckInvariants();
@@ -215,7 +232,9 @@ TEST_F(AceVerifyTest, MaxViolationsTruncatesReport) {
   Build(20000, 8);  // 128 leaves: more than the report's cap
   ASSERT_GT(tree_->meta().num_leaves, InvariantReport::kMaxViolations);
   // Zero out the whole directory: every leaf becomes unreadable.
-  std::string zeros(tree_->meta().num_leaves * kDirectoryEntrySize, '\0');
+  std::string zeros(
+      tree_->meta().num_leaves * DirectoryEntrySize(tree_->meta().height),
+      '\0');
   Clobber(tree_->meta().directory_offset, zeros.data(), zeros.size());
   FixRegionChecksums();  // let the semantic check, not the CRC, object
   Reopen();
@@ -267,18 +286,17 @@ TEST_F(AceVerifyTest, DirectoryEntryPastEndOfFileIsPerLeafCorruption) {
   // A petabyte-long entry for one leaf, with the region CRC recomputed.
   char length[8];
   EncodeFixed64(length, uint64_t{1} << 50);
-  Clobber(tree_->meta().directory_offset + victim * kDirectoryEntrySize + 8,
-          length, sizeof(length));
+  Clobber(EntryOffset(victim) + 8, length, sizeof(length));
   FixRegionChecksums();
   Reopen();
 
-  auto leaf = tree_->ReadLeaf(victim);
+  auto leaf = tree_->ReadLeaf(victim, tree_->meta().height);
   ASSERT_FALSE(leaf.ok());
   EXPECT_TRUE(leaf.status().IsCorruption()) << leaf.status().ToString();
   auto batch = tree_->ReadLeaves({0, victim});
   ASSERT_FALSE(batch.ok());
   EXPECT_TRUE(batch.status().IsCorruption()) << batch.status().ToString();
-  MSV_EXPECT_OK(tree_->ReadLeaf(victim + 1).status());
+  MSV_EXPECT_OK(tree_->ReadLeaf(victim + 1, tree_->meta().height).status());
 
   // The scrubber attributes the bad entry to its leaf; the other leaves
   // verify (tree-wide totals miss the victim's records).
@@ -324,6 +342,82 @@ TEST_F(AceVerifyTest, RegionCorruptionAfterOpenCaughtByRecheck) {
     if (v.detail.find("directory checksum") != std::string::npos) found = true;
   }
   EXPECT_TRUE(found) << report.ToString();
+}
+
+TEST_F(AceVerifyTest, PrefixReadVerifiesOnlyWhatItReads) {
+  Build(20000, 4);
+  const uint32_t h = tree_->meta().height;
+  const size_t rs = tree_->meta().record_size;
+  const uint64_t victim = 3;
+  const LeafLocation loc = Locate(victim);
+  LeafData whole = ValueOrDie(tree_->ReadLeaf(victim, h));
+  ASSERT_GT(whole.SectionCount(1), 0u);
+  ASSERT_GT(whole.SectionCount(h), 0u);
+
+  // A clean prefix: sections 1..2 as in the whole leaf, the rest empty.
+  LeafData prefix = ValueOrDie(tree_->ReadLeaf(victim, 2));
+  EXPECT_EQ(prefix.levels_read, 2u);
+  ASSERT_EQ(prefix.sections.size(), h);
+  for (uint32_t level = 1; level <= h; ++level) {
+    EXPECT_EQ(prefix.sections[level - 1],
+              level <= 2 ? whole.sections[level - 1] : std::string_view())
+        << "section " << level;
+  }
+  EXPECT_TRUE(tree_->ReadLeaf(victim, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(tree_->ReadLeaf(victim, h + 1).status().IsInvalidArgument());
+
+  // A byte flipped beyond the prefix (inside section h) is not read, so
+  // the prefix read passes; whole reads and the scrubber catch it.
+  const size_t header = LeafHeaderSize(h);
+  const uint64_t section_h_off =
+      loc.offset + loc.length - 4 - whole.SectionCount(h) * rs;
+  FlipBit(section_h_off + 3);
+  Reopen();
+  MSV_EXPECT_OK(tree_->ReadLeaf(victim, 2).status());
+  MSV_EXPECT_OK(tree_->ReadLeaf(victim, h - 1).status());
+  EXPECT_TRUE(tree_->ReadLeaf(victim, h).status().IsCorruption());
+  InvariantReport report = tree_->CheckInvariants();
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.violations.front().leaf, victim) << report.ToString();
+  FlipBit(section_h_off + 3);  // undo
+
+  // A byte flipped inside the prefix fails the read, whether it lands in
+  // a section or in the header.
+  for (uint64_t off : {loc.offset + header + 5, loc.offset + 9}) {
+    FlipBit(off);
+    Reopen();
+    Result<LeafData> bad = tree_->ReadLeaf(victim, 2);
+    EXPECT_TRUE(bad.status().IsCorruption()) << bad.status().ToString();
+    FlipBit(off);
+  }
+  Reopen();
+  MSV_EXPECT_OK(tree_->ReadLeaf(victim, 2).status());
+  EXPECT_TRUE(tree_->CheckInvariants().ok());
+}
+
+TEST_F(AceVerifyTest, DirectorySectionEntryDisagreeingWithLeafIsCaught) {
+  // A directory whose checksum is valid but whose section count or CRC
+  // disagrees with the leaf: prefix reads trust that entry, so both the
+  // prefix read and the scrubber must object.
+  const uint64_t victim = 5;
+  for (uint64_t field : {16u /* section 1 count */, 28u /* section 2 CRC */}) {
+    Build(20000, 4);
+    const uint64_t at = EntryOffset(victim) + field;
+    FlipBit(at);
+    FixRegionChecksums();
+    Reopen();
+    Result<LeafData> prefix = tree_->ReadLeaf(victim, 2);
+    EXPECT_TRUE(prefix.status().IsCorruption())
+        << "field " << field << ": " << prefix.status().ToString();
+    MSV_EXPECT_OK(tree_->ReadLeaf(victim - 1, 2).status());
+    InvariantReport report = tree_->CheckInvariants();
+    ASSERT_FALSE(report.ok()) << "field " << field;
+    bool found = false;
+    for (const auto& v : report.violations) {
+      found = found || (v.leaf == victim && v.code == StatusCode::kCorruption);
+    }
+    EXPECT_TRUE(found) << report.ToString();
+  }
 }
 
 }  // namespace

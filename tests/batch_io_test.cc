@@ -300,7 +300,8 @@ TEST_F(ReadLeavesTest, ResultsMatchScalarReadLeafInInputOrder) {
   auto batch = ValueOrDie(tree_->ReadLeaves(want));
   ASSERT_EQ(batch.size(), want.size());
   for (size_t i = 0; i < want.size(); ++i) {
-    auto scalar = ValueOrDie(tree_->ReadLeaf(want[i]));
+    auto scalar =
+        ValueOrDie(tree_->ReadLeaf(want[i], tree_->meta().height));
     ExpectLeafEq(batch[i], scalar);
   }
 }

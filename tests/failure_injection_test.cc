@@ -82,7 +82,8 @@ TEST_F(FailureInjectionTest, AceTruncatedLeafRegion) {
   auto reopened = ValueOrDie(
       core::AceTree::Open(env_.get(), "ace", SaleRecord::Layout1D()));
   // Early leaves may still read; the last leaf must fail cleanly.
-  auto r = reopened->ReadLeaf(reopened->meta().num_leaves - 1);
+  auto r = reopened->ReadLeaf(reopened->meta().num_leaves - 1,
+                              reopened->meta().height);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsIOError() || r.status().IsCorruption());
 }
@@ -97,7 +98,7 @@ TEST_F(FailureInjectionTest, AceCorruptLeafHeader) {
   Clobber("ace", off, std::string(bad, 4));
   auto reopened = ValueOrDie(
       core::AceTree::Open(env_.get(), "ace", SaleRecord::Layout1D()));
-  auto r = reopened->ReadLeaf(0);
+  auto r = reopened->ReadLeaf(0, reopened->meta().height);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption());
 }
@@ -111,7 +112,7 @@ TEST_F(FailureInjectionTest, AceBitFlipInLeafPayloadDetected) {
   Clobber("ace", off, "\x01");
   auto reopened = ValueOrDie(
       core::AceTree::Open(env_.get(), "ace", SaleRecord::Layout1D()));
-  auto r = reopened->ReadLeaf(0);
+  auto r = reopened->ReadLeaf(0, reopened->meta().height);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCorruption());
   EXPECT_NE(std::string(r.status().message()).find("checksum"),

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -24,6 +25,7 @@
 #include "query/executor.h"
 #include "storage/record.h"
 #include "test_util.h"
+#include "util/coding.h"
 #include "util/random.h"
 
 namespace msv::core {
@@ -50,6 +52,69 @@ MaterializedSampleView::Options SmallViewOptions() {
 
 sampling::RangeQuery AllDays() {
   return sampling::RangeQuery::OneDim(-1.0, 2e9);
+}
+
+// A sealed run's CollectMatches binary-searches the slice of its first
+// key; it must return exactly what the batched predicate kernel returns
+// over the whole run, in the same (key) order.
+TEST(MemtableTest, SealedRunSliceEqualsMatchBatch) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // 24-byte records: key 0 at 0, key 1 at 8, a row id at 16.
+  const storage::RecordLayout layout{24, {0, 8}};
+  auto encode = [](double k0, double k1, uint64_t id) {
+    std::string rec(24, '\0');
+    EncodeDouble(rec.data(), k0);
+    EncodeDouble(rec.data() + 8, k1);
+    EncodeFixed64(rec.data() + 16, id);
+    return rec;
+  };
+  auto reference = [&](const Memtable& run, const sampling::RangeQuery& q) {
+    std::vector<uint32_t> idx(run.count());
+    const size_t n =
+        q.MatchBatch(layout, run.record(0), run.count(), idx.data());
+    std::string bytes;
+    for (size_t i = 0; i < n; ++i) bytes.append(run.record(idx[i]), 24);
+    return bytes;
+  };
+
+  Pcg64 rng(17);
+  for (bool with_nan : {false, true}) {
+    Memtable live(1, 24);
+    for (uint64_t id = 0; id < 500; ++id) {
+      // Few distinct keys, so most keys repeat and many equal a bound.
+      double k0 = static_cast<double>(rng.Below(20));
+      if (id % 97 == 0) k0 = -kInf;
+      if (id % 89 == 0) k0 = kInf;
+      if (with_nan && id % 101 == 0) k0 = kNaN;
+      const std::string rec =
+          encode(k0, static_cast<double>(rng.Below(10)), id);
+      live.Append(rec.data(), 1);
+    }
+    const std::shared_ptr<const Memtable> run = live.Sealed(layout);
+    const std::vector<std::pair<double, double>> bounds = {
+        {5, 10},     {5, 5},     {-kInf, 3}, {15, kInf}, {-kInf, kInf},
+        {100, 200},  {-50, -1},  {10.5, 10.7}, {-kInf, -kInf},
+        {kInf, kInf}, {kNaN, 10}, {3, kNaN}, {0, 19}};
+    for (const auto& [lo, hi] : bounds) {
+      for (size_t dims : {1u, 2u}) {
+        sampling::RangeQuery q = sampling::RangeQuery::OneDim(lo, hi);
+        if (dims == 2) {
+          q.dims = 2;
+          q.bounds[1] = sampling::Interval{2, 6};
+        }
+        sampling::SampleBatch got;
+        run->CollectMatches(layout, q, &got);
+        EXPECT_EQ(got.record_size, 24u);
+        EXPECT_EQ(got.data, reference(*run, q))
+            << "[" << lo << ", " << hi << "] dims " << dims << " nan "
+            << with_nan;
+        sampling::SampleBatch live_got;
+        live.CollectMatches(layout, q, &live_got);
+        EXPECT_EQ(live_got.data, reference(live, q));
+      }
+    }
+  }
 }
 
 class IngestTest : public ::testing::Test {

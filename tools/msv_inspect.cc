@@ -4,10 +4,15 @@
 // Usage:
 //   msv_inspect <dir> stats <file>        print geometry + size breakdown
 //   msv_inspect <dir> verify <file>       full scrub: per-page leaf CRCs,
-//                                         format-v2 region checksums
-//                                         (internal nodes + directory),
-//                                         headers, counts, containment
-//   msv_inspect <dir> leaf <file> <n>     dump one leaf's section sizes
+//                                         region checksums (internal
+//                                         nodes + directory), section
+//                                         counts and CRCs against the
+//                                         directory, headers, counts,
+//                                         containment
+//   msv_inspect <dir> leaf <file> <n>     dump one leaf's sections: records,
+//                                         bytes and checksum status (exit
+//                                         1 if any section disagrees with
+//                                         the directory)
 //   msv_inspect <dir> histogram <file>    leaf record-count order
 //                                         statistics (exit 1 if any
 //                                         leaf is unreadable)
@@ -119,11 +124,12 @@ int CmdVerify(io::Env* env, const std::string& name) {
                  tree_or.status().ToString().c_str());
     return 1;
   }
-  // Full structural scrub: per-page leaf CRCs, the format-v2 region
-  // checksums over the internal-node and directory regions (re-read from
-  // disk, so corruption after Open is still caught), headers, directory
-  // geometry, split-tree counts, Lemma-1 disjointness, Lemma-2 section
-  // sizes and leaf-set partitioning (see AceTree::CheckInvariants).
+  // Full structural scrub: per-page leaf CRCs, the region checksums over
+  // the internal-node and directory regions (re-read from disk, so
+  // corruption after Open is still caught), every section's count and
+  // CRC against its directory entry, headers, directory geometry,
+  // split-tree counts, Lemma-1 disjointness, Lemma-2 section sizes and
+  // leaf-set partitioning (see AceTree::CheckInvariants).
   core::InvariantReport report = tree_or.value()->CheckInvariants();
   const int rc = report.ok() ? 0 : 1;
   if (report.ok()) {
@@ -147,7 +153,8 @@ int CmdLeaf(io::Env* env, const std::string& name, uint64_t leaf) {
                  tree_or.status().ToString().c_str());
     return 1;
   }
-  auto data_or = tree_or.value()->ReadLeaf(leaf);
+  const core::AceTree& tree = *tree_or.value();
+  auto data_or = tree.ReadLeaf(leaf, tree.meta().height);
   if (!data_or.ok()) {
     std::fprintf(stderr, "cannot read leaf: %s\n",
                  data_or.status().ToString().c_str());
@@ -156,10 +163,16 @@ int CmdLeaf(io::Env* env, const std::string& name, uint64_t leaf) {
   const auto& data = data_or.value();
   std::printf("leaf %" PRIu64 ": %" PRIu64 " records\n", leaf,
               data.TotalRecords());
-  for (size_t s = 1; s <= data.sections.size(); ++s) {
-    std::printf("  section %zu: %zu records\n", s, data.SectionCount(s));
+  int rc = 0;
+  for (uint32_t s = 1; s <= data.sections.size(); ++s) {
+    // The directory's count and CRC are what a prefix read trusts.
+    const Status st = tree.CheckSection(leaf, s, data.sections[s - 1]);
+    std::printf("  section %u: %zu records, %zu bytes, crc %s\n", s,
+                data.SectionCount(s), data.sections[s - 1].size(),
+                st.ok() ? "ok" : st.ToString().c_str());
+    if (!st.ok()) rc = 1;
   }
-  return 0;
+  return rc;
 }
 
 int CmdHistogram(io::Env* env, const std::string& name) {
@@ -175,7 +188,7 @@ int CmdHistogram(io::Env* env, const std::string& name) {
   counts.reserve(leaves);
   uint64_t failed = 0;
   for (uint64_t leaf = 0; leaf < leaves; ++leaf) {
-    auto data = tree.ReadLeaf(leaf);
+    auto data = tree.ReadLeaf(leaf, tree.meta().height);
     if (!data.ok()) {
       if (failed++ == 0) {
         std::fprintf(stderr, "FAIL leaf %" PRIu64 ": %s\n", leaf,
