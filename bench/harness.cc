@@ -18,6 +18,19 @@
 
 namespace msv::bench {
 
+namespace {
+
+/// Where WriteCsv and WriteBenchJson put their files: bench_results/,
+/// whose records are committed, or bench_results/smoke/ (ignored by git)
+/// once Flags has parsed a nonzero --smoke, so a smoke run never
+/// overwrites a committed record with CI-sized numbers.
+std::string& ResultsDir() {
+  static std::string dir = "bench_results";
+  return dir;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Flags
 // ---------------------------------------------------------------------------
@@ -49,6 +62,11 @@ Flags::Flags(int argc, char** argv,
       std::exit(2);
     }
     values_[key] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
+  }
+  auto smoke = values_.find("smoke");
+  if (smoke != values_.end() &&
+      std::strtoull(smoke->second.c_str(), nullptr, 10) != 0) {
+    ResultsDir() = "bench_results/smoke";
   }
 }
 
@@ -118,8 +136,9 @@ RunResult RunTimed(sampling::SampleStream* stream,
 void WriteCsv(const std::string& name,
               const std::vector<std::string>& header,
               const std::vector<std::vector<double>>& rows) {
-  std::filesystem::create_directories("bench_results");
-  std::ofstream out("bench_results/" + name);
+  std::filesystem::create_directories(ResultsDir());
+  const std::string path = ResultsDir() + "/" + name;
+  std::ofstream out(path);
   for (size_t i = 0; i < header.size(); ++i) {
     out << (i ? "," : "") << header[i];
   }
@@ -130,7 +149,7 @@ void WriteCsv(const std::string& name,
     }
     out << "\n";
   }
-  std::fprintf(stderr, "[wrote bench_results/%s]\n", name.c_str());
+  std::fprintf(stderr, "[wrote %s]\n", path.c_str());
 }
 
 namespace {
@@ -168,8 +187,8 @@ void WriteBenchJson(const std::string& name, const obs::Json& numbers) {
   record["git_sha"] = obs::Json(GitDescribeOrUnknown());
   record["numbers"] = numbers;
   record["metrics"] = obs::MetricRegistry::Global().Snapshot();
-  std::filesystem::create_directories("bench_results");
-  const std::string path = "bench_results/BENCH_" + name + ".json";
+  std::filesystem::create_directories(ResultsDir());
+  const std::string path = ResultsDir() + "/BENCH_" + name + ".json";
   std::ofstream out(path);
   out << record.Dump(2) << "\n";
   std::fprintf(stderr, "[wrote %s]\n", path.c_str());

@@ -92,12 +92,14 @@ RunResult RunTimed(sampling::SampleStream* stream,
                    const io::DiskDevice& device, double max_ms,
                    const std::function<uint64_t()>& gauge_fn = nullptr);
 
-/// Writes a CSV file (creating bench_results/ beside the cwd).
+/// Writes a CSV file under bench_results/ in the cwd, or under
+/// bench_results/smoke/ when the bench was run with --smoke.
 void WriteCsv(const std::string& name,
               const std::vector<std::string>& header,
               const std::vector<std::vector<double>>& rows);
 
-/// Writes bench_results/BENCH_<name>.json: a self-describing record
+/// Writes bench_results/BENCH_<name>.json (bench_results/smoke/ with
+/// --smoke, like WriteCsv): a self-describing record
 /// holding the bench's headline numbers plus a full dump of the process
 /// metrics registry, so CI can track the perf trajectory without
 /// scraping tables. The format round-trips through obs::Json::Parse

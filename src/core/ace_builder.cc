@@ -49,16 +49,16 @@ uint64_t BoundaryToHeapId(uint64_t m, uint32_t height) {
   return (1ull << (level - 1)) + j - 1;  // heap id
 }
 
-// Phase 1, 1-d: external sort by key, then read split keys off the exact
-// rank boundaries in one sequential pass. Returns the sorted file's name.
-Result<std::string> Phase1OneDim(io::Env* env, const std::string& input_name,
-                                 const std::string& output_name,
-                                 const storage::RecordLayout& layout,
-                                 const AceBuildOptions& options,
-                                 uint32_t height, uint64_t num_records,
-                                 std::vector<InternalNode>* nodes, Box* root,
-                                 extsort::SortMetrics* sort_metrics) {
-  const std::string sorted_name = output_name + ".phase1";
+// Phase 1, 1-d: external sort by key into `sorted_name` (which may be
+// `input_name`: the sort runs in place), then read split keys off the
+// exact rank boundaries in one sequential pass.
+Status Phase1OneDim(io::Env* env, const std::string& input_name,
+                    const std::string& sorted_name,
+                    const std::string& output_name,
+                    const storage::RecordLayout& layout,
+                    const AceBuildOptions& options, uint32_t height,
+                    uint64_t num_records, std::vector<InternalNode>* nodes,
+                    Box* root, extsort::SortMetrics* sort_metrics) {
   extsort::SortOptions sort_options = options.sort;
   sort_options.temp_prefix = output_name + ".p1run";
   MSV_RETURN_IF_ERROR(extsort::ExternalSort(
@@ -100,7 +100,7 @@ Result<std::string> Phase1OneDim(io::Env* env, const std::string& input_name,
   root->lo[0] = first_key;
   root->hi[0] =
       std::nextafter(last_key, std::numeric_limits<double>::infinity());
-  return sorted_name;
+  return Status::OK();
 }
 
 // Phase 1, k-d: reservoir-sample key vectors (one sequential pass, also
@@ -213,10 +213,15 @@ Status AceBuildOptions::Validate(const storage::RecordLayout& layout) const {
   return Status::OK();
 }
 
-Status BuildAceTree(io::Env* env, const std::string& input_name,
-                    const std::string& output_name,
-                    const storage::RecordLayout& layout,
-                    const AceBuildOptions& options, AceBuildMetrics* metrics) {
+namespace {
+
+/// The build. With `consume_input` the input is the caller's scratch: the
+/// 1-d phase 1 sorts it onto itself, and it is deleted after phase 2a.
+Status Build(io::Env* env, const std::string& input_name,
+             const std::string& output_name,
+             const storage::RecordLayout& layout,
+             const AceBuildOptions& options, AceBuildMetrics* metrics,
+             bool consume_input) {
   MSV_RETURN_IF_ERROR(options.Validate(layout));
 
   MSV_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> input,
@@ -253,14 +258,16 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
   std::vector<InternalNode> nodes(num_leaves - 1);
   Box root_box;
   std::string phase2_input = input_name;
-  std::string phase1_file;  // to delete later
+  // Deleted after phase 2a: the 1-d key-sorted copy, and a consumed input.
+  std::string phase1_file = consume_input ? input_name : std::string();
   {
     obs::Span span = obs::StartTraceSpan("ace.build.phase1");
     if (options.key_dims == 1) {
-      MSV_ASSIGN_OR_RETURN(
-          phase1_file,
-          Phase1OneDim(env, input_name, output_name, layout, options, height,
-                       num_records, &nodes, &root_box, &local.phase1_sort));
+      if (!consume_input) phase1_file = output_name + ".phase1";
+      MSV_RETURN_IF_ERROR(Phase1OneDim(env, input_name, phase1_file,
+                                       output_name, layout, options, height,
+                                       num_records, &nodes, &root_box,
+                                       &local.phase1_sort));
       phase2_input = phase1_file;  // same multiset; saves re-reading input
     } else {
       MSV_RETURN_IF_ERROR(Phase1MultiDim(env, input_name, layout, options,
@@ -490,6 +497,25 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
   local.overhead_bytes = meta.data_offset + num_leaves * leaf_header;
   if (metrics != nullptr) *metrics = local;
   return Status::OK();
+}
+
+}  // namespace
+
+Status BuildAceTree(io::Env* env, const std::string& input_name,
+                    const std::string& output_name,
+                    const storage::RecordLayout& layout,
+                    const AceBuildOptions& options, AceBuildMetrics* metrics) {
+  return Build(env, input_name, output_name, layout, options, metrics,
+               /*consume_input=*/false);
+}
+
+Status BuildAceTreeFromScratch(io::Env* env, const std::string& scratch_input,
+                               const std::string& output_name,
+                               const storage::RecordLayout& layout,
+                               const AceBuildOptions& options,
+                               AceBuildMetrics* metrics) {
+  return Build(env, scratch_input, output_name, layout, options, metrics,
+               /*consume_input=*/true);
 }
 
 }  // namespace msv::core

@@ -63,6 +63,18 @@ Status BuildAceTree(io::Env* env, const std::string& input_name,
                     const AceBuildOptions& options = {},
                     AceBuildMetrics* metrics = nullptr);
 
+/// BuildAceTree for a caller whose input is its own scratch, which the
+/// build consumes: the 1-d build sorts `scratch_input` onto itself in
+/// phase 1 rather than into a separate sorted copy, so its peak holds one
+/// input-sized file fewer, and every build deletes the input once phase
+/// 2a has read it. The tree is the one BuildAceTree builds from the same
+/// bytes. After an error the input may be gone, or reordered.
+Status BuildAceTreeFromScratch(io::Env* env, const std::string& scratch_input,
+                               const std::string& output_name,
+                               const storage::RecordLayout& layout,
+                               const AceBuildOptions& options = {},
+                               AceBuildMetrics* metrics = nullptr);
+
 /// Smallest height whose expected leaf size fits in `page_size` (exposed
 /// for tests and capacity planning).
 uint32_t ChooseHeight(uint64_t num_records, size_t record_size,

@@ -168,6 +168,45 @@ Status AceTree::CheckHeader(uint64_t leaf_index, const char* page) const {
                             " header differs from the directory");
 }
 
+Result<size_t> AceTree::PrefixSize(uint64_t leaf_index,
+                                   uint32_t levels) const {
+  std::span<const SectionEntry> entries = section_entries(leaf_index);
+  uint64_t size = LeafHeaderSize(meta_.height);
+  for (uint32_t s = 0; s < levels; ++s) {
+    size += uint64_t{entries[s].count} * meta_.record_size;
+  }
+  const uint64_t length = directory_[leaf_index].length;
+  if (length < 4 || size > length - 4) {
+    return Status::Corruption("leaf " + std::to_string(leaf_index) +
+                              " directory sections overrun the leaf");
+  }
+  return static_cast<size_t>(size);
+}
+
+Result<std::vector<AceTree::SectionCheck>> AceTree::CheckLeafSections(
+    uint64_t leaf_index) const {
+  if (leaf_index >= meta_.num_leaves) {
+    return Status::OutOfRange("leaf index out of range");
+  }
+  const uint32_t h = meta_.height;
+  MSV_RETURN_IF_ERROR(CheckLeafLocation(leaf_index));
+  MSV_ASSIGN_OR_RETURN(const size_t size, PrefixSize(leaf_index, h));
+  std::vector<char> page(size);
+  MSV_RETURN_IF_ERROR(
+      file_->ReadExact(directory_[leaf_index].offset, size, page.data()));
+  std::span<const SectionEntry> entries = section_entries(leaf_index);
+  std::vector<SectionCheck> checks(h);
+  size_t off = LeafHeaderSize(h);
+  for (uint32_t s = 0; s < h; ++s) {
+    const size_t bytes = size_t{entries[s].count} * meta_.record_size;
+    checks[s].count = entries[s].count;
+    checks[s].status = CheckSection(
+        leaf_index, s + 1, std::string_view(page.data() + off, bytes));
+    off += bytes;
+  }
+  return checks;
+}
+
 Status AceTree::CheckSection(uint64_t leaf_index, uint32_t level,
                              std::string_view bytes) const {
   const SectionEntry& entry = section_entries(leaf_index)[level - 1];
@@ -208,14 +247,7 @@ Result<LeafData> AceTree::ReadLeaf(uint64_t leaf_index,
   // and ending before the leaf's trailing checksum.
   std::span<const SectionEntry> entries = section_entries(leaf_index);
   const size_t header = LeafHeaderSize(h);
-  uint64_t size = header;
-  for (uint32_t s = 0; s < levels; ++s) {
-    size += uint64_t{entries[s].count} * meta_.record_size;
-  }
-  if (loc.length < 4 || size > loc.length - 4) {
-    return Status::Corruption("leaf " + std::to_string(leaf_index) +
-                              " directory sections overrun the leaf");
-  }
+  MSV_ASSIGN_OR_RETURN(const size_t size, PrefixSize(leaf_index, levels));
   auto page = std::make_unique_for_overwrite<char[]>(size);
   MSV_RETURN_IF_ERROR(file_->ReadExact(loc.offset, size, page.get()));
 

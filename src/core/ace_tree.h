@@ -146,6 +146,22 @@ class AceTree {
   Result<std::vector<LeafData>> ReadLeaves(
       const std::vector<uint64_t>& leaf_indices) const;
 
+  /// One section of a leaf as the directory describes it, and whether
+  /// the section's bytes match the directory's checksum.
+  struct SectionCheck {
+    uint32_t count = 0;  ///< records, from the directory
+    Status status;       ///< CheckSection of the bytes read
+  };
+
+  /// Diagnoses one leaf section by section, trusting only the checksummed
+  /// directory: reads the header and all h sections, skips the trailing
+  /// whole-leaf CRC and the header fields, and runs CheckSection on each
+  /// section where the directory's counts place it. One damaged section
+  /// therefore leaves the others' status visible (ReadLeaf stops at the
+  /// first failed check). Fails only when the leaf cannot be read.
+  Result<std::vector<SectionCheck>> CheckLeafSections(
+      uint64_t leaf_index) const;
+
   /// Corruption unless `bytes` holds the record count and masked CRC32C
   /// that the directory records for section `level` of `leaf_index`.
   Status CheckSection(uint64_t leaf_index, uint32_t level,
@@ -208,6 +224,10 @@ class AceTree {
   std::span<const SectionEntry> section_entries(uint64_t leaf_index) const {
     return {sections_.data() + leaf_index * meta_.height, meta_.height};
   }
+
+  /// Bytes of `leaf_index`'s header and sections 1..`levels`, sized from
+  /// the directory; Corruption when they overrun the leaf's trailing CRC.
+  Result<size_t> PrefixSize(uint64_t leaf_index, uint32_t levels) const;
 
   /// Corruption unless the leaf header at `page` holds `leaf_index`, the
   /// tree's height and the directory's h section counts.

@@ -444,8 +444,10 @@ Status MaterializedSampleView::Rebuild() {
 Status MaterializedSampleView::BuildCompactedBase(const CompactionPlan& plan) {
   // Dump the sealed inputs — base leaves in order (a sequential read of
   // the data region) plus every sealed run from memory, oldest first —
-  // into a scratch heap file, then rebuild. All inputs are immutable; no
-  // lock is held.
+  // into a scratch heap file, then rebuild from it. The build consumes the
+  // dump: a 1-d build sorts it in place instead of into a sorted copy, and
+  // the dump is deleted once phase 2a has read it. All inputs are
+  // immutable; no lock is held.
   const std::string scratch = ScratchName();
   auto write_scratch = [&]() -> Status {
     MSV_ASSIGN_OR_RETURN(std::unique_ptr<storage::HeapFileWriter> writer,
@@ -471,8 +473,10 @@ Status MaterializedSampleView::BuildCompactedBase(const CompactionPlan& plan) {
   if (st.ok()) {
     AceBuildOptions build = options_.build;
     build.seed = plan.build_seed;  // fresh section/leaf randomness
-    st = BuildAceTree(env_, scratch, plan.output_file, layout_, build);
+    st = BuildAceTreeFromScratch(env_, scratch, plan.output_file, layout_,
+                                 build);
   }
+  // The build deletes the dump once read; this covers a failure before.
   env_->DeleteFile(scratch).IgnoreError();  // best-effort scratch cleanup
   return st;
 }

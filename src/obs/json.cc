@@ -11,9 +11,20 @@ namespace msv::obs {
 
 namespace {
 
+/// Appends `s` quoted. Each run of characters that need no escape is
+/// copied with one append, so an answer with few line breaks costs about
+/// one memcpy.
 void AppendEscaped(std::string* out, const std::string& s) {
   out->push_back('"');
-  for (char c : s) {
+  size_t run = 0;  // start of the characters not yet appended
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    // Pointer and length, not (s, pos, n): GCC 12 flags the substring
+    // overload, inlined beside the literal appends, with a false
+    // -Wrestrict.
+    out->append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         *out += "\\\"";
@@ -30,16 +41,16 @@ void AppendEscaped(std::string* out, const std::string& s) {
       case '\r':
         *out += "\\r";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+      default: {
+        // Any other control character, as \u00XX in lowercase hex.
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 0xf]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
+  out->append(s.data() + run, s.size() - run);
   out->push_back('"');
 }
 
@@ -168,12 +179,17 @@ class Parser {
     MSV_DCHECK(text_[pos_] == '"');
     ++pos_;
     std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
+    for (;;) {
+      // Copy the run up to the next quote or backslash in one append.
+      size_t stop = pos_;
+      while (stop < text_.size() && text_[stop] != '"' &&
+             text_[stop] != '\\') {
+        ++stop;
       }
+      out.append(text_.data() + pos_, stop - pos_);
+      pos_ = stop;
+      if (pos_ >= text_.size()) return Error("unterminated string");
+      if (text_[pos_++] == '"') return out;
       if (pos_ >= text_.size()) return Error("bad escape");
       char e = text_[pos_++];
       switch (e) {
@@ -223,9 +239,6 @@ class Parser {
           return Error("bad escape");
       }
     }
-    if (pos_ >= text_.size()) return Error("unterminated string");
-    ++pos_;  // closing quote
-    return out;
   }
 
   Result<Json> ParseArray() {
@@ -317,12 +330,16 @@ const Json* Json::Find(const std::string& key) const {
 }
 
 void Json::DumpTo(std::string* out, int indent, int depth) const {
-  const std::string pad =
-      indent > 0 ? "\n" + std::string(static_cast<size_t>(indent * (depth + 1)), ' ')
-                 : "";
-  const std::string close_pad =
-      indent > 0 ? "\n" + std::string(static_cast<size_t>(indent * depth), ' ')
-                 : "";
+  // A line break and the indent of the members (pad) or of the closing
+  // bracket (close_pad); empty when compact.
+  std::string close_pad;
+  std::string pad;
+  if (indent > 0) {
+    close_pad.push_back('\n');
+    close_pad.append(static_cast<size_t>(indent * depth), ' ');
+    pad = close_pad;
+    pad.append(static_cast<size_t>(indent), ' ');
+  }
   switch (type_) {
     case Type::kNull:
       *out += "null";

@@ -2,16 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <sstream>
 
 #include "io/disk_model.h"
 #include "obs/log.h"
 #include "obs/trace.h"
+#include "query/format.h"
 #include "query/parser.h"
 #include "relation/sale_generator.h"
 #include "sampling/grouped_aggregator.h"
@@ -23,12 +21,6 @@
 namespace msv::query {
 
 namespace {
-
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.4f", v);
-  return buf;
-}
 
 /// Compiles a schema column reference down to the inlineable accessor the
 /// aggregators consume batches through (offset + kind; no per-record
@@ -89,19 +81,17 @@ bool IsWriteStatement(const Statement& statement) {
 
 std::string DescribeQuery(const ViewInfo& info,
                           const sampling::RangeQuery& query) {
-  std::ostringstream out;
-  bool any = false;
+  std::string out;
   for (size_t d = 0; d < info.index_columns.size(); ++d) {
     if (std::isinf(query.bounds[d].lo) && std::isinf(query.bounds[d].hi)) {
       continue;
     }
-    out << (any ? " AND " : "") << info.index_columns[d] << " in ["
-        << FormatDouble(query.bounds[d].lo) << ", "
-        << FormatDouble(query.bounds[d].hi) << "]";
-    any = true;
+    if (!out.empty()) out += " AND ";
+    out += info.index_columns[d] + " in [" + Fixed4(query.bounds[d].lo) +
+           ", " + Fixed4(query.bounds[d].hi) + "]";
   }
-  if (!any) out << "(unbounded)";
-  return out.str();
+  if (out.empty()) out = "(unbounded)";
+  return out;
 }
 
 }  // namespace
@@ -249,21 +239,18 @@ Result<std::string> Executor::ExecExplain(const ExplainStmt& stmt) {
     MSV_ASSIGN_OR_RETURN(result, ExecuteLocked(*stmt.inner));
   }
   obs::ExportTraceIfRequested(tracer);
-  std::ostringstream out;
-  out << result << "-- EXPLAIN ANALYZE --\n" << tracer.ToTree();
-  return out.str();
+  return result + "-- EXPLAIN ANALYZE --\n" + tracer.ToTree();
 }
 
 Result<std::string> Executor::ExplainPlan(const Statement& statement) {
-  std::ostringstream out;
-  out << "EXPLAIN " << StatementName(statement) << "\n";
+  std::string out = std::string("EXPLAIN ") + StatementName(statement) + "\n";
   const SampleStmt* sample = std::get_if<SampleStmt>(&statement);
   const EstimateStmt* estimate = std::get_if<EstimateStmt>(&statement);
   const std::string* view_name =
       sample ? &sample->view : estimate ? &estimate->view : nullptr;
   if (view_name == nullptr) {
-    out << "  (no plan details for this statement kind)\n";
-    return out.str();
+    out += "  (no plan details for this statement kind)\n";
+    return out;
   }
   MSV_ASSIGN_OR_RETURN(core::MaterializedSampleView* view,
                        GetView(*view_name));
@@ -278,14 +265,16 @@ Result<std::string> Executor::ExplainPlan(const Statement& statement) {
                        view->Sample(query, /*seed=*/0));
   const std::shared_ptr<const core::AceTree> tree = view->tree();
   const core::AceMeta& meta = tree->meta();
-  out << "  view=" << *view_name << " base_records=" << view->base_records()
-      << " delta_records=" << view->delta_records() << "\n";
-  out << "  ace_tree: height=" << meta.height << " leaves=" << meta.num_leaves
-      << " page_size=" << meta.page_size << "\n";
-  out << "  range: " << DescribeQuery(*info, query) << "\n";
-  out << "  estimated matches (base index count + delta): "
-      << sampler->population() << "\n";
-  return out.str();
+  out += "  view=" + *view_name +
+         " base_records=" + std::to_string(view->base_records()) +
+         " delta_records=" + std::to_string(view->delta_records()) + "\n";
+  out += "  ace_tree: height=" + std::to_string(meta.height) +
+         " leaves=" + std::to_string(meta.num_leaves) +
+         " page_size=" + std::to_string(meta.page_size) + "\n";
+  out += "  range: " + DescribeQuery(*info, query) + "\n";
+  out += "  estimated matches (base index count + delta): " +
+         std::to_string(sampler->population()) + "\n";
+  return out;
 }
 
 Result<std::string> Executor::ExecGenerate(const GenerateTableStmt& stmt) {
@@ -390,36 +379,28 @@ Result<std::string> Executor::ExecSample(const SampleStmt& stmt) {
   const TableInfo* table = catalog_->FindTable(info->table);
   const TableSchema& schema = *table->schema;
 
-  std::ostringstream out;
-  // Header row.
+  // Header row, then one appended row per sample: the answer is built in
+  // one string, with no per-row temporaries.
+  std::string out;
   for (size_t c = 0; c < schema.columns.size(); ++c) {
-    out << (c ? " | " : "") << schema.columns[c].name;
+    if (c) out += " | ";
+    out += schema.columns[c].name;
   }
-  out << "\n";
+  out += '\n';
   uint64_t emitted = 0;
   while (!sampler->done() && emitted < stmt.limit) {
     MSV_ASSIGN_OR_RETURN(sampling::SampleBatch batch, sampler->NextBatch());
     for (size_t i = 0; i < batch.count() && emitted < stmt.limit; ++i) {
-      const char* rec = batch.record(i);
-      for (size_t c = 0; c < schema.columns.size(); ++c) {
-        const Column& column = schema.columns[c];
-        out << (c ? " | " : "");
-        if (column.type == ColumnType::kDouble) {
-          out << FormatDouble(schema.Value(rec, column));
-        } else {
-          out << static_cast<uint64_t>(schema.Value(rec, column));
-        }
-      }
-      out << "\n";
+      AppendRow(&out, schema, batch.record(i));
       ++emitted;
     }
   }
-  out << "(" << emitted << " random sample" << (emitted == 1 ? "" : "s")
-      << ")\n";
+  out += "(" + std::to_string(emitted) + " random sample" +
+         (emitted == 1 ? "" : "s") + ")\n";
   obs::StatementLedger& ledger = obs::ThreadStatementLedger();
   ledger.samples = emitted;
   ledger.leaves = sampler->base_leaves_read();
-  return out.str();
+  return out;
 }
 
 Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
@@ -492,32 +473,34 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
       }
     }
     auto groups = agg.Groups();
-    std::ostringstream out;
+    std::string out;
     const size_t shown = std::min<size_t>(groups.size(), 12);
     for (size_t i = 0; i < shown; ++i) {
       const auto& g = groups[i];
-      out << stmt.group_by << "=" << g.group << "  ";
+      out += stmt.group_by + "=" + std::to_string(g.group) + "  ";
+      const sampling::Estimate* e = &g.count;
       switch (stmt.agg) {
         case EstimateStmt::Agg::kAvg:
-          out << "AVG(" << stmt.column << ") = " << FormatDouble(g.avg.value)
-              << " +/- " << FormatDouble(g.avg.half_width);
+          out += "AVG(" + stmt.column + ")";
+          e = &g.avg;
           break;
         case EstimateStmt::Agg::kSum:
-          out << "SUM(" << stmt.column << ") = " << FormatDouble(g.sum.value)
-              << " +/- " << FormatDouble(g.sum.half_width);
+          out += "SUM(" + stmt.column + ")";
+          e = &g.sum;
           break;
         case EstimateStmt::Agg::kCount:
-          out << "COUNT(*) = " << FormatDouble(g.count.value) << " +/- "
-              << FormatDouble(g.count.half_width);
+          out += "COUNT(*)";
           break;
       }
-      out << "  (" << g.samples << " samples)\n";
+      out += " = " + Fixed4(e->value) + " +/- " + Fixed4(e->half_width) +
+             "  (" + std::to_string(g.samples) + " samples)\n";
     }
     if (groups.size() > shown) {
-      out << "... and " << groups.size() - shown << " more groups\n";
+      out += "... and " + std::to_string(groups.size() - shown) +
+             " more groups\n";
     }
-    out << "(" << groups.size() << " groups, " << agg.samples_seen()
-        << " samples total)\n";
+    out += "(" + std::to_string(groups.size()) + " groups, " +
+           std::to_string(agg.samples_seen()) + " samples total)\n";
     obs::StatementLedger& ledger = obs::ThreadStatementLedger();
     ledger.samples = agg.samples_seen();
     ledger.leaves = sampler->base_leaves_read();
@@ -526,16 +509,16 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
       ledger.elapsed_us = rule.ElapsedUs();
       ledger.is_partial = deadline_hit && !sampler->done();
       if (ledger.is_partial) {
-        out << "bound: deadline " << stmt.within_ms << " ms hit after "
-            << agg.samples_seen() << " samples (partial)\n";
+        out += "bound: deadline " + std::to_string(stmt.within_ms) +
+               " ms hit after " + std::to_string(agg.samples_seen()) +
+               " samples (partial)\n";
       }
     }
-    return out.str();
+    return out;
   }
 
   if (stmt.agg == EstimateStmt::Agg::kCount) {
-    std::ostringstream out;
-    out << "COUNT(*) ~ " << population << "\n";
+    std::string out = "COUNT(*) ~ " + std::to_string(population) + "\n";
     // COUNT(*) is answered from the counts without sampling: any WITHIN
     // bound is trivially met and the result is never partial.
     obs::StatementLedger& ledger = obs::ThreadStatementLedger();
@@ -545,7 +528,7 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
     ledger.target_rel_pct = stmt.within_pct;
     ledger.deadline_us = deadline_us;
     if (bounded) ledger.elapsed_us = rule.ElapsedUs();
-    return out.str();
+    return out;
   }
 
   sampling::OnlineAggregator agg(AccessorFor(column), population,
@@ -563,15 +546,14 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
     }
   }
 
-  std::ostringstream out;
   obs::StatementLedger& ledger = obs::ThreadStatementLedger();
   sampling::Estimate e =
       stmt.agg == EstimateStmt::Agg::kAvg ? agg.Avg() : agg.Sum();
-  out << (stmt.agg == EstimateStmt::Agg::kAvg ? "AVG(" : "SUM(")
-      << stmt.column << ") = " << FormatDouble(e.value) << " +/- "
-      << FormatDouble(e.half_width) << " ("
-      << static_cast<int>(stmt.confidence * 100) << "% CI, " << e.samples
-      << " samples)\n";
+  std::string out =
+      (stmt.agg == EstimateStmt::Agg::kAvg ? "AVG(" : "SUM(") + stmt.column +
+      ") = " + Fixed4(e.value) + " +/- " + Fixed4(e.half_width) + " (" +
+      std::to_string(static_cast<int>(stmt.confidence * 100)) + "% CI, " +
+      std::to_string(e.samples) + " samples)\n";
   ledger.ci_half_width = e.half_width;
   ledger.samples = agg.samples_seen();
   ledger.leaves = sampler->base_leaves_read();
@@ -591,19 +573,20 @@ Result<std::string> Executor::ExecEstimate(const EstimateStmt& stmt) {
     const double achieved_pct =
         e.value != 0.0 ? 100.0 * e.half_width / std::fabs(e.value) : 0.0;
     if (ledger.is_partial) {
-      out << "bound: deadline " << stmt.within_ms << " ms hit after "
-          << e.samples << " samples (partial, achieved +/- "
-          << FormatDouble(achieved_pct) << "%)\n";
+      out += "bound: deadline " + std::to_string(stmt.within_ms) +
+             " ms hit after " + std::to_string(e.samples) +
+             " samples (partial, achieved +/- " + Fixed4(achieved_pct) +
+             "%)\n";
     } else if (verdict == sampling::StoppingRule::Verdict::kErrorBoundMet) {
-      out << "bound: within " << FormatDouble(stmt.within_pct)
-          << "% met after " << e.samples << " samples (achieved +/- "
-          << FormatDouble(achieved_pct) << "%)\n";
+      out += "bound: within " + Fixed4(stmt.within_pct) + "% met after " +
+             std::to_string(e.samples) + " samples (achieved +/- " +
+             Fixed4(achieved_pct) + "%)\n";
     } else {
-      out << "bound: stream complete after " << e.samples
-          << " samples (exact answer)\n";
+      out += "bound: stream complete after " + std::to_string(e.samples) +
+             " samples (exact answer)\n";
     }
   }
-  return out.str();
+  return out;
 }
 
 Result<std::string> Executor::ExecInsert(const InsertStmt& stmt) {
@@ -628,11 +611,9 @@ Result<std::string> Executor::ExecInsert(const InsertStmt& stmt) {
     batch.append(buf, sizeof(buf));
   }
   MSV_RETURN_IF_ERROR(view->Insert(batch.data(), stmt.rows));
-  std::ostringstream out;
-  out << "inserted " << stmt.rows << " rows into " << stmt.view
-      << " (delta now " << view->delta_records() << " rows"
-      << (view->NeedsRebuild() ? "; REBUILD recommended" : "") << ")\n";
-  return out.str();
+  return "inserted " + std::to_string(stmt.rows) + " rows into " + stmt.view +
+         " (delta now " + std::to_string(view->delta_records()) + " rows" +
+         (view->NeedsRebuild() ? "; REBUILD recommended" : "") + ")\n";
 }
 
 Result<std::string> Executor::ExecRebuild(const RebuildStmt& stmt) {
@@ -659,24 +640,24 @@ Result<std::string> Executor::ExecDropView(const DropViewStmt& stmt) {
 }
 
 Result<std::string> Executor::ExecShow(const ShowStmt& stmt) {
-  std::ostringstream out;
+  std::string out;
   if (stmt.views) {
     for (const std::string& name : catalog_->ViewNames()) {
       const ViewInfo* view = catalog_->FindView(name);
-      out << name << " ON " << view->table << " INDEX ON";
+      out += name + " ON " + view->table + " INDEX ON";
       for (const std::string& column : view->index_columns) {
-        out << " " << column;
+        out += " " + column;
       }
-      out << "\n";
+      out += "\n";
     }
-    if (catalog_->ViewNames().empty()) out << "(no views)\n";
+    if (catalog_->ViewNames().empty()) out += "(no views)\n";
   } else {
     for (const std::string& name : catalog_->TableNames()) {
-      out << name << "\n";
+      out += name + "\n";
     }
-    if (catalog_->TableNames().empty()) out << "(no tables)\n";
+    if (catalog_->TableNames().empty()) out += "(no tables)\n";
   }
-  return out.str();
+  return out;
 }
 
 }  // namespace msv::query

@@ -395,6 +395,52 @@ TEST_F(AceVerifyTest, PrefixReadVerifiesOnlyWhatItReads) {
   EXPECT_TRUE(tree_->CheckInvariants().ok());
 }
 
+TEST_F(AceVerifyTest, CheckLeafSectionsNamesTheDamagedSection) {
+  // One flipped byte inside one section fails the whole-leaf read; the
+  // per-section check still reports every section, and only that one
+  // as damaged.
+  Build(20000, 4);
+  const uint32_t h = tree_->meta().height;
+  const size_t rs = tree_->meta().record_size;
+  const uint64_t victim = 3;
+  const LeafLocation loc = Locate(victim);
+  LeafData whole = ValueOrDie(tree_->ReadLeaf(victim, h));
+  const uint32_t damaged = 2;
+  ASSERT_GT(whole.SectionCount(damaged), 0u);
+  uint64_t section_off = loc.offset + LeafHeaderSize(h);
+  for (uint32_t s = 1; s < damaged; ++s) {
+    section_off += whole.SectionCount(s) * rs;
+  }
+
+  auto clean = ValueOrDie(tree_->CheckLeafSections(victim));
+  ASSERT_EQ(clean.size(), h);
+  for (uint32_t s = 1; s <= h; ++s) {
+    EXPECT_EQ(clean[s - 1].count, whole.SectionCount(s));
+    MSV_EXPECT_OK(clean[s - 1].status);
+  }
+
+  FlipBit(section_off + whole.SectionCount(damaged) * rs - 1);
+  Reopen();
+  EXPECT_TRUE(tree_->ReadLeaf(victim, h).status().IsCorruption());
+  auto checks = ValueOrDie(tree_->CheckLeafSections(victim));
+  ASSERT_EQ(checks.size(), h);
+  for (uint32_t s = 1; s <= h; ++s) {
+    EXPECT_EQ(checks[s - 1].count, whole.SectionCount(s));
+    SCOPED_TRACE("section " + std::to_string(s));
+    if (s == damaged) {
+      EXPECT_TRUE(checks[s - 1].status.IsCorruption());
+      EXPECT_NE(checks[s - 1].status.ToString().find("section 2 checksum"),
+                std::string::npos)
+          << checks[s - 1].status.ToString();
+    } else {
+      MSV_EXPECT_OK(checks[s - 1].status);
+    }
+  }
+  EXPECT_TRUE(tree_->CheckLeafSections(tree_->meta().num_leaves)
+                  .status()
+                  .IsOutOfRange());
+}
+
 TEST_F(AceVerifyTest, DirectorySectionEntryDisagreeingWithLeafIsCaught) {
   // A directory whose checksum is valid but whose section count or CRC
   // disagrees with the leaf: prefix reads trust that entry, so both the

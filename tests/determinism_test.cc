@@ -9,6 +9,8 @@
 //      stay byte-identical across refactors of the stab path.
 //   3. The ViewSampler's unified sequence over base tree + sorted runs +
 //      memtable, with an estimated and with an exact base count.
+//   4. The Executor's rendered answer text for a fixed MSVQL script: the
+//      bytes a client receives, numbers formatted exactly as printed.
 
 #include <cstdint>
 #include <memory>
@@ -22,6 +24,7 @@
 #include "core/sample_view.h"
 #include "gtest/gtest.h"
 #include "io/env.h"
+#include "query/executor.h"
 #include "relation/sale_generator.h"
 #include "storage/record.h"
 #include "test_util.h"
@@ -290,6 +293,54 @@ TEST_F(DeterminismTest, CompactedViewMatchesGolden) {
                                          1120, 657,  2046, 2154};
   ASSERT_GE(ids.size(), first16.size());
   EXPECT_EQ(std::vector<uint64_t>(ids.begin(), ids.begin() + 16), first16);
+}
+
+// ---------------------------------------------------------------------------
+// Rendered answer golden
+// ---------------------------------------------------------------------------
+
+TEST(RenderedAnswerTest, ExecutorOutputMatchesGolden) {
+  // Every statement kind that renders numbers: SAMPLE rows at LIMIT 1,
+  // 100 and a full drain, before and after an INSERT (the 300 rows stay
+  // in the memtable, so the later SAMPLEs interleave delta rows);
+  // ESTIMATE AVG/SUM/COUNT with WITHIN % and WITHIN ... MS; a GROUP BY;
+  // and EXPLAIN. No statement's text depends on timing: the deadline is
+  // far beyond the capped sample count.
+  const std::string sample_lines =
+      "SAMPLE FROM sv WHERE day BETWEEN 20000 AND 60000 LIMIT 1;\n"
+      "SAMPLE FROM sv WHERE day BETWEEN 20000 AND 60000 LIMIT 100;\n"
+      "SAMPLE FROM sv WHERE day BETWEEN 41000 AND 47000 LIMIT 100000;\n";
+  const std::string script =
+      "GENERATE TABLE sale ROWS 20000 SEED 11;\n"
+      "CREATE MATERIALIZED SAMPLE VIEW sv AS SELECT * FROM sale "
+      "INDEX ON day;\n" +
+      sample_lines +
+      "ESTIMATE AVG(amount) FROM sv WHERE day BETWEEN 10000 AND 90000 "
+      "SAMPLES 300;\n"
+      "ESTIMATE SUM(amount) FROM sv WHERE day BETWEEN 10000 AND 90000 "
+      "WITHIN 5%;\n"
+      "ESTIMATE AVG(amount) FROM sv WHERE day BETWEEN 5000 AND 95000 "
+      "SAMPLES 400 WITHIN 600000 MS;\n"
+      "ESTIMATE COUNT(*) FROM sv WHERE day BETWEEN 30000 AND 35000 "
+      "WITHIN 2%;\n"
+      "ESTIMATE SUM(amount) FROM sv WHERE day BETWEEN 0 AND 50000 "
+      "GROUP BY supp SAMPLES 500;\n"
+      "EXPLAIN SAMPLE FROM sv WHERE day BETWEEN 20000 AND 60000 LIMIT 5;\n"
+      "INSERT INTO sv ROWS 300 SEED 5;\n" +
+      sample_lines +
+      "ESTIMATE AVG(amount) FROM sv WHERE day BETWEEN 10000 AND 90000 "
+      "SAMPLES 300;\n"
+      "EXPLAIN ESTIMATE COUNT(*) FROM sv;\n";
+  std::unique_ptr<io::Env> env = io::NewMemEnv();
+  auto executor = ValueOrDie(query::Executor::Open(env.get()));
+  const std::string out = ValueOrDie(executor->Run(script));
+  // FNV-1a over the answer bytes pins every character of the text.
+  uint64_t fnv = 14695981039346656037ULL;
+  for (char c : out) {
+    fnv = (fnv ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  }
+  EXPECT_EQ(out.size(), 146265u);
+  EXPECT_EQ(fnv, 16313159559502952820ULL);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace msv::obs {
 namespace {
@@ -423,6 +424,274 @@ TEST(JsonTest, ControlCharactersEscapeAndRoundTrip) {
   EXPECT_NE(dumped.find("\\t"), std::string::npos);
   EXPECT_NE(dumped.find("\\u0001"), std::string::npos);
   EXPECT_EQ(ValueOrDie(Json::Parse(dumped)).AsString(), j.AsString());
+}
+
+// ---------------------------------------------------------------------------
+// JSON string runs: the encoder and decoder against per-character
+// reference copies
+// ---------------------------------------------------------------------------
+
+/// The per-character string encoder the library used before it copied
+/// runs: the reference its output must equal byte for byte.
+std::string ReferenceEscape(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
+/// The per-character decoder of a document holding one JSON string, with
+/// the library's error texts and offsets: the reference Json::Parse must
+/// agree with on every string document, accepted or rejected.
+class ReferenceStringParser {
+ public:
+  explicit ReferenceStringParser(const std::string& text) : text_(text) {}
+
+  Result<std::string> ParseDocument() {
+    if (pos_ >= text_.size() || text_[pos_] != '"') {
+      return Error("not a string document");
+    }
+    MSV_ASSIGN_OR_RETURN(std::string s, ParseString());
+    if (pos_ != text_.size()) {
+      return Status::InvalidArgument("json: trailing characters at offset " +
+                                     std::to_string(pos_));
+    }
+    return s;
+  }
+
+ private:
+  Status Error(const std::string& what) const {
+    return Status::InvalidArgument("json: " + what + " at offset " +
+                                   std::to_string(pos_));
+  }
+
+  bool ParseHex4(unsigned* code) {
+    if (pos_ + 4 > text_.size()) return false;
+    unsigned v = 0;
+    for (size_t i = 0; i < 4; ++i) {
+      char c = text_[pos_ + i];
+      unsigned digit;
+      if (c >= '0' && c <= '9') {
+        digit = static_cast<unsigned>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        digit = static_cast<unsigned>(c - 'a') + 10;
+      } else if (c >= 'A' && c <= 'F') {
+        digit = static_cast<unsigned>(c - 'A') + 10;
+      } else {
+        return false;
+      }
+      v = (v << 4) | digit;
+    }
+    pos_ += 4;
+    *code = v;
+    return true;
+  }
+
+  static void AppendUtf8(std::string* out, unsigned code) {
+    if (code < 0x80) {
+      out->push_back(static_cast<char>(code));
+    } else if (code < 0x800) {
+      out->push_back(static_cast<char>(0xc0 | (code >> 6)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+    } else if (code < 0x10000) {
+      out->push_back(static_cast<char>(0xe0 | (code >> 12)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+    } else {
+      out->push_back(static_cast<char>(0xf0 | (code >> 18)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3f)));
+      out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3f)));
+      out->push_back(static_cast<char>(0x80 | (code & 0x3f)));
+    }
+  }
+
+  Result<std::string> ParseString() {
+    ++pos_;
+    std::string out;
+    while (pos_ < text_.size() && text_[pos_] != '"') {
+      char c = text_[pos_++];
+      if (c != '\\') {
+        out.push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) return Error("bad escape");
+      char e = text_[pos_++];
+      switch (e) {
+        case '"':
+          out.push_back('"');
+          break;
+        case '\\':
+          out.push_back('\\');
+          break;
+        case '/':
+          out.push_back('/');
+          break;
+        case 'n':
+          out.push_back('\n');
+          break;
+        case 't':
+          out.push_back('\t');
+          break;
+        case 'r':
+          out.push_back('\r');
+          break;
+        case 'u': {
+          unsigned code = 0;
+          if (!ParseHex4(&code)) return Error("bad \\u escape");
+          if (code >= 0xdc00 && code <= 0xdfff) {
+            return Error("lone low surrogate");
+          }
+          if (code >= 0xd800 && code <= 0xdbff) {
+            if (pos_ + 2 > text_.size() || text_[pos_] != '\\' ||
+                text_[pos_ + 1] != 'u') {
+              return Error("unpaired high surrogate");
+            }
+            pos_ += 2;
+            unsigned low = 0;
+            if (!ParseHex4(&low)) return Error("bad \\u escape");
+            if (low < 0xdc00 || low > 0xdfff) {
+              return Error("unpaired high surrogate");
+            }
+            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+          }
+          AppendUtf8(&out, code);
+          break;
+        }
+        default:
+          return Error("bad escape");
+      }
+    }
+    if (pos_ >= text_.size()) return Error("unterminated string");
+    ++pos_;
+    return out;
+  }
+
+  const std::string& text_;
+  size_t pos_ = 0;
+};
+
+/// Dump of `s` alone and as an object's key and value equals the
+/// reference encoding, and parsing it gives `s` back exactly as the
+/// reference decoder does.
+void ExpectStringMatchesReference(const std::string& s) {
+  const std::string want = ReferenceEscape(s);
+  EXPECT_EQ(Json(s).Dump(), want);
+  Json obj = Json::Object();
+  obj[s] = Json(s);
+  EXPECT_EQ(obj.Dump(), "{" + want + ":" + want + "}");
+  Result<Json> parsed = Json::Parse(want);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().AsString(), s);
+  EXPECT_EQ(ValueOrDie(ReferenceStringParser(want).ParseDocument()), s);
+}
+
+/// Json::Parse of a string document agrees with the reference decoder:
+/// the same string, or the same error text at the same offset.
+void ExpectParseMatchesReference(const std::string& text) {
+  Result<Json> got = Json::Parse(text);
+  Result<std::string> want = ReferenceStringParser(text).ParseDocument();
+  ASSERT_EQ(got.ok(), want.ok()) << text;
+  if (want.ok()) {
+    EXPECT_EQ(got.value().AsString(), want.value()) << text;
+  } else {
+    EXPECT_EQ(got.status().ToString(), want.status().ToString()) << text;
+  }
+}
+
+TEST(JsonStringRunsTest, EscapesAtTheEdgesAndBackToBack) {
+  for (const std::string& s :
+       {std::string(), std::string("plain"), std::string("\"leading"),
+        std::string("trailing\\"), std::string("\n\t\r\"\\"),
+        std::string("a\"\"b\\\\c\n\nd"), std::string("\x01mid\x1f"),
+        std::string("\"\""), std::string("caf\xc3\xa9 \xf0\x9f\x9a\x80")}) {
+    SCOPED_TRACE(ReferenceEscape(s));
+    ExpectStringMatchesReference(s);
+  }
+}
+
+TEST(JsonStringRunsTest, EveryControlCharacter) {
+  std::string all;
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string one(1, static_cast<char>(c));
+    SCOPED_TRACE(c);
+    ExpectStringMatchesReference(one);
+    ExpectStringMatchesReference("x" + one + "y");
+    all += one;
+  }
+  ExpectStringMatchesReference(all);
+  ExpectStringMatchesReference(all + all);
+}
+
+TEST(JsonStringRunsTest, LongStringWithoutEscapes) {
+  std::string s(64 << 10, ' ');
+  for (size_t i = 0; i < s.size(); ++i) {
+    s[i] = static_cast<char>('0' + i % 75);  // '0'..'z', no quote or '\'
+    if (s[i] == '\\') s[i] = '_';
+  }
+  ExpectStringMatchesReference(s);
+  // And with one escape at each end.
+  ExpectStringMatchesReference("\n" + s + "\"");
+}
+
+TEST(JsonStringRunsTest, RandomStringsMatchReference) {
+  // Bytes drawn mostly from the characters that need escapes, so runs
+  // are short and every boundary case recurs.
+  const char alphabet[] = {'a', 'b', '"', '\\', '\n', '\t', '\r', '\x01',
+                           '\x1f', '/', 'u', '\x7f', '\xc3', '\xa9'};
+  Pcg64 rng(29);
+  for (int i = 0; i < 2000; ++i) {
+    std::string s(rng.Below(24), '\0');
+    for (char& c : s) c = alphabet[rng.Below(sizeof(alphabet))];
+    SCOPED_TRACE(ReferenceEscape(s));
+    ExpectStringMatchesReference(s);
+  }
+}
+
+TEST(JsonStringRunsTest, DecoderEscapesAndErrorsMatchReference) {
+  for (const std::string& text :
+       {std::string("\"\\/A\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\""),
+        std::string(R"("\"x\"")"), std::string(R"("a\\")"),
+        // Unterminated, and a backslash as the last byte of input.
+        std::string("\"abc"), std::string("\""), std::string("\"abc\\"),
+        std::string("\"\\"), std::string("\"ab\\n"),
+        // Bad escapes, and bytes after the closing quote.
+        std::string(R"("\x")"), std::string(R"("\u12")"),
+        std::string(R"("\ude00")"), std::string(R"("\ud83dx")"),
+        std::string(R"("ok"x)")}) {
+    ExpectParseMatchesReference(text);
+  }
+  EXPECT_EQ(Json::Parse("\"abc").status().ToString(),
+            Status::InvalidArgument("json: unterminated string at offset 4")
+                .ToString());
+  EXPECT_EQ(
+      Json::Parse("\"abc\\").status().ToString(),
+      Status::InvalidArgument("json: bad escape at offset 5").ToString());
 }
 
 }  // namespace

@@ -1,3 +1,8 @@
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -7,9 +12,12 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "query/executor.h"
+#include "query/format.h"
 #include "query/lexer.h"
 #include "query/parser.h"
+#include "storage/record.h"
 #include "test_util.h"
+#include "util/random.h"
 
 namespace msv::query {
 namespace {
@@ -418,6 +426,93 @@ TEST_F(ExecutorTest, DropRemovesFiles) {
   }
   std::string out = Run("SHOW VIEWS;");
   EXPECT_NE(out.find("(no views)"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Answer rendering
+// ---------------------------------------------------------------------------
+
+std::string Printf4(double v) {
+  char buf[400];
+  std::snprintf(buf, sizeof(buf), "%.4f", v);
+  return buf;
+}
+
+TEST(FormatTest, Fixed4MatchesPrintf) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0,     -0.0,    -12.5,    1e300,
+                             -1e300,  1e308,   std::numeric_limits<double>::max(),
+                             -std::numeric_limits<double>::max(),
+                             std::numeric_limits<double>::denorm_min(),
+                             inf,     -inf,    nan,      -nan,
+                             1.03125, 1.09375, -2.5e-5,  0.00015,
+                             123456.78905};
+  for (double v : specials) EXPECT_EQ(Fixed4(v), Printf4(v)) << v;
+  // Random bit patterns, and dyadic values whose fifth decimal is an
+  // exact tie (printf rounds those to even on the binary value).
+  Pcg64 rng(17);
+  for (int i = 0; i < 200000; ++i) {
+    double v;
+    if (i % 2 == 0) {
+      const uint64_t bits = rng.Next();
+      std::memcpy(&v, &bits, sizeof(v));
+    } else {
+      v = static_cast<double>(static_cast<int64_t>(rng.Below(4000000)) -
+                              2000000) /
+          static_cast<double>(uint64_t{32} << rng.Below(8));
+    }
+    ASSERT_EQ(Fixed4(v), Printf4(v)) << i;
+  }
+  std::string appended = "x=";
+  AppendFixed4(&appended, -0.5);
+  EXPECT_EQ(appended, "x=-0.5000");
+}
+
+TEST(FormatTest, RowRendersHandBuiltRecords) {
+  const TableSchema& schema = TableSchema::Sale();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    storage::SaleRecord rec;
+    const char* want;
+  };
+  auto record = [](double day, double amount, uint64_t cust, uint64_t part,
+                   uint64_t supp, uint64_t row_id) {
+    storage::SaleRecord r;
+    r.day = day;
+    r.amount = amount;
+    r.cust = cust;
+    r.part = part;
+    r.supp = supp;
+    r.row_id = row_id;
+    return r;
+  };
+  const Case cases[] = {
+      {record(-12.34567, -0.0, 0, 1, 2, 3),
+       "-12.3457 | -0.0000 | 0 | 1 | 2 | 3\n"},
+      // Integers above 2^53 print exactly, not through a double.
+      {record(1e300, 0.00005, (uint64_t{1} << 53) + 1,
+              std::numeric_limits<uint64_t>::max(), 9007199254740993ULL,
+              12345678901234567891ULL),
+       nullptr},
+      {record(std::numeric_limits<double>::quiet_NaN(), inf, 7, 8, 9, 10),
+       "nan | inf | 7 | 8 | 9 | 10\n"},
+      {record(-inf, -1.0 / 3.0, 0, 0, 0, 0),
+       "-inf | -0.3333 | 0 | 0 | 0 | 0\n"},
+  };
+  for (const Case& c : cases) {
+    char buf[storage::SaleRecord::kSize] = {};
+    c.rec.EncodeTo(buf);
+    std::string row;
+    AppendRow(&row, schema, buf);
+    if (c.want != nullptr) {
+      EXPECT_EQ(row, c.want);
+    } else {
+      EXPECT_EQ(row, Printf4(1e300) + " | " + Printf4(0.00005) +
+                         " | 9007199254740993 | 18446744073709551615"
+                         " | 9007199254740993 | 12345678901234567891\n");
+    }
+  }
 }
 
 }  // namespace

@@ -9,10 +9,11 @@
 //                                         counts and CRCs against the
 //                                         directory, headers, counts,
 //                                         containment
-//   msv_inspect <dir> leaf <file> <n>     dump one leaf's sections: records,
-//                                         bytes and checksum status (exit
-//                                         1 if any section disagrees with
-//                                         the directory)
+//   msv_inspect <dir> leaf <file> <n>     dump one leaf: the whole-leaf
+//                                         check, then each section's
+//                                         records, bytes and checksum
+//                                         status against the directory
+//                                         (exit 1 if any check fails)
 //   msv_inspect <dir> histogram <file>    leaf record-count order
 //                                         statistics (exit 1 if any
 //                                         leaf is unreadable)
@@ -154,23 +155,28 @@ int CmdLeaf(io::Env* env, const std::string& name, uint64_t leaf) {
     return 1;
   }
   const core::AceTree& tree = *tree_or.value();
-  auto data_or = tree.ReadLeaf(leaf, tree.meta().height);
-  if (!data_or.ok()) {
+  // Each section against the directory's count and CRC (what a prefix
+  // read trusts), so a damaged leaf still says which section is damaged.
+  auto checks_or = tree.CheckLeafSections(leaf);
+  if (!checks_or.ok()) {
     std::fprintf(stderr, "cannot read leaf: %s\n",
-                 data_or.status().ToString().c_str());
+                 checks_or.status().ToString().c_str());
     return 1;
   }
-  const auto& data = data_or.value();
-  std::printf("leaf %" PRIu64 ": %" PRIu64 " records\n", leaf,
-              data.TotalRecords());
-  int rc = 0;
-  for (uint32_t s = 1; s <= data.sections.size(); ++s) {
-    // The directory's count and CRC are what a prefix read trusts.
-    const Status st = tree.CheckSection(leaf, s, data.sections[s - 1]);
-    std::printf("  section %u: %zu records, %zu bytes, crc %s\n", s,
-                data.SectionCount(s), data.sections[s - 1].size(),
-                st.ok() ? "ok" : st.ToString().c_str());
-    if (!st.ok()) rc = 1;
+  const auto& checks = checks_or.value();
+  uint64_t records = 0;
+  for (const core::AceTree::SectionCheck& c : checks) records += c.count;
+  // The whole-leaf read also checks the trailing CRC and the header.
+  const Status whole = tree.ReadLeaf(leaf, tree.meta().height).status();
+  std::printf("leaf %" PRIu64 ": %" PRIu64 " records, leaf check %s\n", leaf,
+              records, whole.ok() ? "ok" : whole.ToString().c_str());
+  int rc = whole.ok() ? 0 : 1;
+  for (uint32_t s = 1; s <= checks.size(); ++s) {
+    const core::AceTree::SectionCheck& c = checks[s - 1];
+    std::printf("  section %u: %u records, %zu bytes, crc %s\n", s, c.count,
+                size_t{c.count} * tree.meta().record_size,
+                c.status.ok() ? "ok" : c.status.ToString().c_str());
+    if (!c.status.ok()) rc = 1;
   }
   return rc;
 }
